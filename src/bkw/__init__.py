@@ -3,7 +3,8 @@
 Three semantics live side by side: classical belief frames (`kripke`),
 belief models over finite membership graphs (`hyperset`), and
 paraconsistent closed-set topological belief models (`paratopo`), with a
-shared formula language (`formula`), co-Heyting lattice machinery
+shared formula language (`formula`), one compiled program and mask
+evaluator for all three (`program`), co-Heyting lattice machinery
 (`topology`), finite diagonal fixed-point checks (`lawvere`), and an
 enumeration/campaign layer (`harness`).
 """

@@ -188,6 +188,10 @@ def main(argv=None) -> int:
     except SystemExit2 as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
+    except RecursionError:
+        # last resort: input too deeply nested for a recursive printer or evaluator
+        print("error: input nested too deeply", file=sys.stderr)
+        return EXIT_INPUT_ERROR
 
 
 if __name__ == "__main__":

@@ -335,7 +335,10 @@ def parse(text: str) -> Formula:
     if not text.strip():
         raise ParseError("empty formula", 0)
     parser = _Parser(_tokenize(text))
-    result = parser.formula()
+    try:
+        result = parser.formula()
+    except RecursionError:
+        raise ParseError("formula nested too deeply", parser.peek()[2]) from None
     kind, value, pos = parser.peek()
     if kind != "eof":
         raise ParseError(f"unexpected trailing input {value!r}", pos)

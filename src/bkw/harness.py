@@ -1,11 +1,14 @@
 """Model enumeration, claim-verification campaigns, fixtures, and reports.
 
 Campaigns sweep an exhaustively enumerated model space and record how a
-named claim fares on every model.  They report; they do not assert.  The
-relational sweeps run on a vectorized engine (one numpy lane per
-candidate relation), the membership sweeps on a bitmask evaluator; both
-engines are cross-checked against the reference evaluators in the test
-suite.
+named claim fares on every model.  They report; they do not assert.
+Each sweep compiles its formulas once (``program.compile_program``) and
+runs them with the one evaluator (``program.run``) on numpy lanes, one
+lane per candidate model, blocked so that the type masks are fixed per
+block.  The claims themselves (lemma 1, the hole scan, theorems 2.2 and
+2.3, the validity lists) live next to their single-model helpers in
+``kripke`` and ``hyperset`` and are written over masks, so the same code
+judges one model and a block of lanes.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from itertools import permutations, product as iproduct
-from typing import Iterator
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -22,6 +25,7 @@ from . import hyperset as hs
 from . import kripke as kr
 from . import lawvere as lv
 from . import paratopo as pt
+from . import program as pg
 from . import topology as tp
 from .modelio import dump_kripke, dump_nwf
 
@@ -29,7 +33,9 @@ TARGETS = ("lemma1", "theorem12", "theorem22", "theorem23",
            "validity_lists", "adjunction", "boundary_law", "lawvere_scan")
 
 _FAIL_DUMP_CAP = 5
-_CHUNK = 1 << 20
+# Budget for the live lane values of one sweep chunk; at 16 MB every
+# benchmarked sweep peaks below the RSS of the former 2^20-lane chunks.
+_LANE_BYTES = 1 << 24
 
 
 # ---------------------------------------------------------------------------
@@ -55,32 +61,26 @@ def enumerate_kripke(max_states: int, *, strict: bool = True, serial: bool = Fal
     if not 1 <= max_states <= 5:
         raise ValueError("state bound must be between 1 and 5")
     for k in range(1, max_states + 1):
-        names = _state_names(k, "s")
         seen: set = set()
         for ua_mask in range(1 << k):
-            if strict:
-                pairs = [(x, y) for x in range(k) for y in range(k)
-                         if (ua_mask >> x & 1) != (ua_mask >> y & 1)]
-            else:
-                pairs = [(x, y) for x in range(k) for y in range(k)]
-            for rel_mask in range(1 << len(pairs)):
-                rel_idx = [pairs[j] for j in range(len(pairs)) if rel_mask >> j & 1]
-                if serial:
-                    with_succ = {x for x, _ in rel_idx}
-                    if len(with_succ) < k:
-                        continue
+            pairs = _pairs(k, ua_mask, strict)
+            for rel_id in range(1 << len(pairs)):
+                m = _rebuild_kripke(k, ua_mask, pairs, rel_id, strict)
+                if serial and not all(m.successors(x) for x in m.states):
+                    continue
                 if dedup_iso:
-                    sig = _kripke_iso_signature(k, ua_mask, rel_idx)
+                    sig = _kripke_iso_signature(k, ua_mask, [
+                        pair for j, pair in enumerate(pairs) if rel_id >> j & 1])
                     if sig in seen:
                         continue
                     seen.add(sig)
-                yield kr.KripkeModel(
-                    states=names,
-                    rel=[(names[x], names[y]) for x, y in rel_idx],
-                    ua=_mask_set(names, ua_mask),
-                    ub=_mask_set(names, (1 << k) - 1 - ua_mask),
-                    strict=strict,
-                )
+                yield m
+
+
+def _pairs(k: int, ua_mask: int, strict: bool) -> list[tuple[int, int]]:
+    """The candidate edges on k states: cross-type only in strict mode."""
+    return [(x, y) for x in range(k) for y in range(k)
+            if not strict or (ua_mask >> x & 1) != (ua_mask >> y & 1)]
 
 
 def _kripke_iso_signature(k: int, ua_mask: int, rel_idx: list[tuple[int, int]]):
@@ -151,102 +151,29 @@ def _hyperset_iso_signature(m: hs.HypersetModel):
 
 
 # ---------------------------------------------------------------------------
-# Vectorized relational engine: one numpy lane per candidate relation.
+# Lane blocks: one numpy lane per candidate model, type masks fixed per block
 
 
-class _VecSpace:
-    def __init__(self, k: int, ua_mask: int, bits: dict, ids: np.ndarray, heart: str):
-        self.k = k
-        self.ua = ua_mask
-        self.ub = (1 << k) - 1 - ua_mask
-        self.all = (1 << k) - 1
-        self.bits = bits
-        self.ids = ids
-        self.heart = heart
-        self.succ = []
-        for x in range(k):
-            row = np.zeros_like(ids)
-            for y in range(k):
-                if (x, y) in bits:
-                    row |= bits[(x, y)] << y
-            self.succ.append(row)
-        self.cache: dict = {}
-
-    def diagonal(self) -> np.ndarray:
-        d = np.full_like(self.ids, self.all)
-        for w in range(self.k):
-            returned = np.zeros_like(self.ids)
-            for z in range(self.k):
-                if (w, z) in self.bits and (z, w) in self.bits:
-                    returned |= self.bits[(w, z)] & self.bits[(z, w)]
-            d &= ~(returned << w)
-        return d & self.all
+def _lane_width(ops: Sequence[tuple], k: int) -> int:
+    """Lanes per chunk that keep a chunk's live values (one per op and one
+    successor row per state) within _LANE_BYTES."""
+    return max(1, _LANE_BYTES // (8 * (len(ops) + k)))
 
 
-def _vec_ext(f: fm.Formula, sp: _VecSpace):
-    if f in sp.cache:
-        return sp.cache[f]
-    result = _vec_ext_raw(f, sp)
-    sp.cache[f] = result
-    return result
+def _relation_lanes(k: int, ua_mask: int, strict: bool, heart: str, ops: Sequence[tuple]):
+    """Every relation on k states with Ua = ua_mask, in rel-id order.
 
-
-def _vec_ext_raw(f: fm.Formula, sp: _VecSpace):
-    if isinstance(f, fm.Top):
-        return sp.all
-    if isinstance(f, fm.Bot):
-        return 0
-    if isinstance(f, fm.Ua):
-        return sp.ua
-    if isinstance(f, fm.Ub):
-        return sp.ub
-    if isinstance(f, fm.Dclass):
-        return sp.diagonal()
-    if isinstance(f, fm.Atom):
-        return 0
-    if isinstance(f, fm.Not):
-        return _vec_ext(f.body, sp) ^ sp.all
-    if isinstance(f, fm.And):
-        return _vec_ext(f.left, sp) & _vec_ext(f.right, sp)
-    if isinstance(f, fm.Or):
-        return _vec_ext(f.left, sp) | _vec_ext(f.right, sp)
-    if isinstance(f, fm.Imp):
-        return (_vec_ext(f.left, sp) ^ sp.all) | _vec_ext(f.right, sp)
-    if isinstance(f, fm.Iff):
-        le, re = _vec_ext(f.left, sp), _vec_ext(f.right, sp)
-        return (le ^ re) ^ sp.all
-    if isinstance(f, (fm.Box, fm.Heart, fm.Diamond)):
-        src, tgt = (sp.ua, sp.ub) if f.direction == "ab" else (sp.ub, sp.ua)
-        body = _vec_ext(f.body, sp)
-        out = np.zeros_like(sp.ids)
-        for x in range(sp.k):
-            if not src >> x & 1:
-                continue
-            image = sp.succ[x] & tgt
-            if isinstance(f, fm.Box):
-                ok = (image & ~body & sp.all) == 0
-            elif isinstance(f, fm.Diamond):
-                ok = (image & body) != 0
-            elif sp.heart == "frame":
-                ok = image == body
-            else:
-                ok = image == (body & tgt)
-            out |= ok.astype(np.int64) << x
-        return out
-    raise fm.LanguageError(f"connective {type(f).__name__} is not vectorizable")
-
-
-def _vec_blocks(k: int, ua_mask: int, strict: bool):
-    if strict:
-        pairs = [(x, y) for x in range(k) for y in range(k)
-                 if (ua_mask >> x & 1) != (ua_mask >> y & 1)]
-    else:
-        pairs = [(x, y) for x in range(k) for y in range(k)]
-    total = 1 << len(pairs)
-    for start in range(0, total, _CHUNK):
-        ids = np.arange(start, min(start + _CHUNK, total), dtype=np.int64)
-        bits = {pair: (ids >> j) & 1 for j, pair in enumerate(pairs)}
-        yield pairs, bits, ids
+    Yields (pairs, ids, frame) per chunk; lane i holds relation ids[i],
+    whose bit j is the edge pairs[j].
+    """
+    pairs = _pairs(k, ua_mask, strict)
+    total, width = 1 << len(pairs), _lane_width(ops, k)
+    for start in range(0, total, width):
+        ids = np.arange(start, min(start + width, total), dtype=np.int64)
+        rows = [np.zeros_like(ids) for _ in range(k)]
+        for j, (x, y) in enumerate(pairs):
+            rows[x] |= (ids >> j & 1) << y
+        yield pairs, ids, pg.Frame(k, ua_mask, (1 << k) - 1 - ua_mask, rows, {}, heart)
 
 
 def _rebuild_kripke(k: int, ua_mask: int, pairs, rel_id: int, strict: bool) -> kr.KripkeModel:
@@ -264,147 +191,63 @@ def two_cycle() -> kr.KripkeModel:
                           ua=["x"], ub=["y"])
 
 
-# ---------------------------------------------------------------------------
-# Bitmask membership engine
-#
-# Campaign sweeps evaluate the same formula family on hundreds of
-# thousands of models, so the family is compiled once into a flat
-# instruction list (with shared subformulas evaluated once) and run per
-# model over integer bitmasks.
+class _Lanes(NamedTuple):
+    """A chunk of membership records sharing k and the type masks."""
 
-_OP_TOP, _OP_BOT, _OP_UA, _OP_UB, _OP_ATOM, _OP_DPLUS = range(6)
-_OP_NOT, _OP_AND, _OP_OR, _OP_IMP, _OP_IFF = range(6, 11)
-_OP_BOX, _OP_HEART, _OP_DIA = range(11, 14)
+    record: np.ndarray  # each lane's position in enumerate_hypersets order
+    ure: np.ndarray
+    pval: np.ndarray  # the valuation of atom p
+    frame: pg.Frame
 
-
-def _compile_program(formulas) -> tuple[list[tuple], dict]:
-    """Flatten formulas into instructions; returns (ops, formula -> slot)."""
-    ops: list[tuple] = []
-    index: dict[fm.Formula, int] = {}
-
-    def emit(f: fm.Formula) -> int:
-        if f in index:
-            return index[f]
-        if isinstance(f, fm.Top):
-            op = (_OP_TOP,)
-        elif isinstance(f, fm.Bot):
-            op = (_OP_BOT,)
-        elif isinstance(f, fm.Ua):
-            op = (_OP_UA,)
-        elif isinstance(f, fm.Ub):
-            op = (_OP_UB,)
-        elif isinstance(f, fm.Atom):
-            op = (_OP_ATOM, f.name)
-        elif isinstance(f, fm.Dplus):
-            op = (_OP_DPLUS,)
-        elif isinstance(f, fm.Not):
-            op = (_OP_NOT, emit(f.body))
-        elif isinstance(f, fm.And):
-            op = (_OP_AND, emit(f.left), emit(f.right))
-        elif isinstance(f, fm.Or):
-            op = (_OP_OR, emit(f.left), emit(f.right))
-        elif isinstance(f, fm.Imp):
-            op = (_OP_IMP, emit(f.left), emit(f.right))
-        elif isinstance(f, fm.Iff):
-            op = (_OP_IFF, emit(f.left), emit(f.right))
-        elif isinstance(f, (fm.Box, fm.Heart, fm.Diamond)):
-            code = (_OP_BOX if isinstance(f, fm.Box)
-                    else _OP_HEART if isinstance(f, fm.Heart) else _OP_DIA)
-            op = (code, 0 if f.direction == "ab" else 1, emit(f.body))
-        else:
-            raise fm.LanguageError(
-                f"connective {type(f).__name__} has no mask semantics")
-        ops.append(op)
-        index[f] = len(ops) - 1
-        return index[f]
-
-    for f in formulas:
-        emit(f)
-    return ops, index
+    def compact(self, lane: int) -> tuple:
+        """Lane ``lane`` as a compact (k, members, ure, ua, ub, pval) record."""
+        f = self.frame
+        return (f.k, tuple(int(row[lane]) for row in f.rows), int(self.ure[lane]),
+                f.ua, f.ub, int(self.pval[lane]))
 
 
-def _run_program(ops: list[tuple], rec) -> list[int]:
-    """Evaluate compiled instructions on a compact model; one mask per op."""
-    k, members, ure, ua, ub, pval = rec
-    full = (1 << k) - 1
-    rng = range(k)
-    vals: list[int] = []
-    append = vals.append
-    for op in ops:
-        code = op[0]
-        if code >= _OP_BOX:
-            src, tgt = (ua, ub) if op[1] == 0 else (ub, ua)
-            body = vals[op[2]]
-            r = 0
-            if code == _OP_BOX:
-                for w in rng:
-                    if src >> w & 1 and members[w] & tgt & ~body == 0:
-                        r |= 1 << w
-            elif code == _OP_HEART:
-                for w in rng:
-                    if (src >> w & 1
-                            and body & (members[w] | 1 << w) == members[w] & tgt):
-                        r |= 1 << w
-            else:
-                for w in rng:
-                    if src >> w & 1 and members[w] & tgt & body:
-                        r |= 1 << w
-            append(r)
-        elif code == _OP_AND:
-            append(vals[op[1]] & vals[op[2]])
-        elif code == _OP_OR:
-            append(vals[op[1]] | vals[op[2]])
-        elif code == _OP_NOT:
-            append(vals[op[1]] ^ full)
-        elif code == _OP_IMP:
-            append((vals[op[1]] ^ full) | vals[op[2]])
-        elif code == _OP_IFF:
-            append((vals[op[1]] ^ vals[op[2]]) ^ full)
-        elif code == _OP_UA:
-            append(ua)
-        elif code == _OP_UB:
-            append(ub)
-        elif code == _OP_TOP:
-            append(full)
-        elif code == _OP_BOT:
-            append(0)
-        elif code == _OP_ATOM:
-            append(pval if op[1] == "p" else 0)
-        else:
-            d = 0
-            for w in rng:
-                if all(not members[v] >> w & 1
-                       for v in rng if members[w] >> v & 1):
-                    d |= 1 << w
-            append(d)
-    return vals
+def _membership_lanes(max_nodes: int, overlap: bool, with_atom: bool,
+                      ops: Sequence[tuple]) -> Iterator[_Lanes]:
+    """The models of enumerate_hypersets as lane chunks, blocked by (k, ua, ub).
 
-
-def _compact_from_model(m: hs.HypersetModel) -> tuple:
-    """Compact record for a concrete model; atom masks cover only 'p'."""
-    nodes = sorted(m.nodes)
-    pos = {n: i for i, n in enumerate(nodes)}
-    members = tuple(sum(1 << pos[v] for v in m.members(n)) for n in nodes)
-    return (len(nodes), members,
-            sum(1 << pos[n] for n in m.urelements),
-            sum(1 << pos[n] for n in m.ua),
-            sum(1 << pos[n] for n in m.ub),
-            sum(1 << pos[n] for n in m.val.get("p", frozenset())))
-
-
-def _compact_hypersets(max_nodes: int, overlap: bool, with_atom: bool):
-    """Compact (k, members, ure, ua, ub, pval) sweep mirroring enumerate_hypersets."""
-    type_options = ("a", "b", "ab") if overlap else ("a", "b")
+    Within a block the member rows, the urelements and the valuation of p
+    vary per lane; ``record`` keeps the enumeration order, so reports can
+    name the first models in that order.
+    """
+    type_options = (1, 2, 3) if overlap else (1, 2)  # bit 0: Ua, bit 1: Ub
+    offset = 0
     for k in range(1, max_nodes + 1):
-        node_options: list = [None] + list(range(1 << k))
-        for rows in iproduct(node_options, repeat=k):
-            members = tuple(r if r is not None else 0 for r in rows)
-            ure = sum(1 << w for w in range(k) if rows[w] is None)
-            for types in iproduct(type_options, repeat=k):
-                ua = sum(1 << w for w in range(k) if "a" in types[w])
-                ub = sum(1 << w for w in range(k) if "b" in types[w])
-                for pval in (range(1 << k) if with_atom else (0,)):
-                    yield (k, members, ure, ua, ub, pval)
+        options = (1 << k) + 1  # an urelement, or a set with any member row
+        vals = 1 << k if with_atom else 1
+        per_block = options ** k * vals
+        width = _lane_width(ops, k)
+        assignments = list(iproduct(type_options, repeat=k))
+        for t, types in enumerate(assignments):
+            ua = sum(1 << w for w in range(k) if types[w] & 1)
+            ub = sum(1 << w for w in range(k) if types[w] & 2)
+            for start in range(0, per_block, width):
+                lane = np.arange(start, min(start + width, per_block), dtype=np.int64)
+                digits, pval = lane // vals, lane % vals
+                record = offset + (digits * len(assignments) + t) * vals + pval
+                rows, ure = [None] * k, 0
+                for w in reversed(range(k)):
+                    digits, option = digits // options, digits % options
+                    rows[w] = np.maximum(option - 1, 0)
+                    ure = ure | (option == 0) << w
+                atoms = {"p": pval} if with_atom else {}
+                yield _Lanes(record, ure, pval,
+                             pg.Frame(k, ua, ub, rows, atoms, "membership"))
+        offset += per_block * len(assignments)
+
+
+def _first_hits(found: list, bad: np.ndarray, lanes: _Lanes, *key) -> list:
+    """``found`` plus the lanes flagged in ``bad`` as (record, *key,
+    compact record) entries, cut to the _FAIL_DUMP_CAP first in order."""
+    hits = np.flatnonzero(bad)[:_FAIL_DUMP_CAP]
+    if len(hits) == 0:
+        return found
+    found = found + [(int(lanes.record[i]), *key, lanes.compact(i)) for i in hits]
+    return sorted(found)[:_FAIL_DUMP_CAP]
 
 
 def _rebuild_hyperset(rec) -> hs.HypersetModel:
@@ -430,7 +273,6 @@ class Campaign:
     strict: bool = True
     heart: str = "frame"
     serial: bool = False
-    seed: int = 0
 
     def __post_init__(self) -> None:
         if self.target not in TARGETS:
@@ -480,45 +322,34 @@ def _dump_block(lines: list[str], title: str, body: str) -> None:
         lines.append(f"  {row}")
 
 
-_LEMMA_PART1 = fm.parse("[ab] [ba] [ab] Hba Ua -> D")
-_LEMMA_PREMISE = fm.parse("Hab Ub")
-_LEMMA_PART2_BODY = fm.parse("[ab] Hba (Ua & D)")
-
-
 def _run_kripke_campaign(c: Campaign) -> CampaignReport:
     if not 1 <= c.max_size <= 5:
         raise ValueError("state bound must be between 1 and 5")
     totals = {"models": 0, "holds": 0, "fails": 0, "degenerate": 0}
     dumps: list[str] = []
-    slots = kr.hole_slots(fm.Dclass())
+    lemma1 = c.target == "lemma1"
+    ops, slots = kr.lemma1_program() if lemma1 else kr.hole_program("kripke")
 
     for k in range(1, c.max_size + 1):
         for ua_mask in range(1 << k):
-            for pairs, bits, ids in _vec_blocks(k, ua_mask, c.strict):
-                sp = _VecSpace(k, ua_mask, bits, ids, c.heart)
+            for pairs, ids, frame in _relation_lanes(k, ua_mask, c.strict, c.heart, ops):
+                vals = pg.run(ops, frame)
                 keep = np.ones(len(ids), dtype=bool)
                 if c.serial:
-                    for x in range(k):
-                        keep &= np.asarray(sp.succ[x] != 0)
-                if c.target == "lemma1":
-                    premise = np.asarray(_vec_ext(_LEMMA_PREMISE, sp) != 0)
-                    part1 = np.asarray(_vec_ext(_LEMMA_PART1, sp) == sp.all)
-                    part2 = np.asarray(_vec_ext(_LEMMA_PART2_BODY, sp) == 0)
+                    for row in frame.rows:
+                        keep &= row != 0
+                if lemma1:
+                    premise, part1_fails, part2_body = map(
+                        np.asarray, kr.lemma1_masks(vals, slots, (1 << k) - 1))
+                    part1, part2 = part1_fails == 0, part2_body == 0
                     fails = (premise & ~part1) | ~part2
                     holds = premise & part1 & part2
                     degenerate = ~premise & part2
                 else:
-                    any_hole = np.zeros(len(ids), dtype=bool)
-                    for _, phi, use_box in slots:
-                        mod = fm.Box if use_box else fm.Heart
-                        content_b = _vec_ext(fm.And(fm.Ub(), phi), sp)
-                        content_a = _vec_ext(fm.And(fm.Ua(), phi), sp)
-                        witness_ab = _vec_ext(mod("ab", phi), sp)
-                        witness_ba = _vec_ext(mod("ba", phi), sp)
-                        any_hole |= np.asarray((content_b != 0) & (witness_ab == 0))
-                        any_hole |= np.asarray((content_a != 0) & (witness_ba == 0))
-                    holds = any_hole
-                    fails = ~any_hole
+                    holds = np.zeros(len(ids), dtype=bool)
+                    for _, hole in kr.hole_masks(vals, slots):
+                        holds |= hole
+                    fails = ~holds
                     degenerate = np.zeros(len(ids), dtype=bool)
                 totals["models"] += int(np.count_nonzero(keep))
                 totals["holds"] += int(np.count_nonzero(holds & keep))
@@ -533,7 +364,7 @@ def _run_kripke_campaign(c: Campaign) -> CampaignReport:
     lines = _header(c)
     lines.extend(_two_cycle_verdict(c.heart))
     claim = ("premise -> chain-implication, and the negative sentence is valid"
-             if c.target == "lemma1" else "every model has one of the seven holes")
+             if lemma1 else "every model has one of the seven holes")
     lines.append(f"claim: {claim}")
     lines.append(f"models={totals['models']} holds={totals['holds']} "
                  f"fails={totals['fails']} degenerate={totals['degenerate']}")
@@ -560,48 +391,38 @@ def _run_theorem22(c: Campaign) -> CampaignReport:
     if not 1 <= c.max_size <= 4:
         raise ValueError("node bound must be between 1 and 4")
     family = hs.bounded_formula_family()
-    ops, index = _compile_program(family)
-    slots = [index[f] for f in family]
+    ops, slots = pg.compile_program(family, "nwf", atoms=("p",))
     totals = {"models": 0, "holds": 0, "degenerate": 0,
               "states_checked": 0, "violations": 0}
-    dumps: list[str] = []
-    for rec in _compact_hypersets(c.max_size, overlap=False, with_atom=True):
-        k, members, ure, ua, ub, pval = rec
-        specials = [w for w in range(k)
-                    if ure >> w & 1 or members[w] == 1 << w]
-        totals["models"] += 1
-        if not specials:
-            totals["degenerate"] += 1
-            totals["holds"] += 1
-            continue
-        vals = _run_program(ops, rec)
-        model_violations = 0
-        for f, slot in zip(family, slots):
-            body = vals[slot]
-            for w in specials:
-                tgt = ub if ua >> w & 1 else ua
-                need = members[w] & tgt
-                assumes = body & (members[w] | 1 << w) == need
-                believes = need & ~body == 0
-                holds_here = bool(body >> w & 1)
-                if assumes != (not holds_here) or not believes:
-                    model_violations += 1
-                    if len(dumps) < _FAIL_DUMP_CAP:
-                        text = (f"state n{w}, formula {fm.to_text(f)}\n"
-                                + dump_nwf(_rebuild_hyperset(rec)))
-                        dumps.append(text)
-        totals["states_checked"] += len(specials)
-        totals["violations"] += model_violations
-        if not model_violations:
-            totals["holds"] += 1
+    found: list[tuple] = []  # the first (record, formula, state, compact record)
+    for lanes in _membership_lanes(c.max_size, False, True, ops):
+        frame = lanes.frame
+        vals = pg.run(ops, frame)
+        specials = np.zeros(len(lanes.record), dtype=np.int64)
+        model_violations = np.zeros(len(lanes.record), dtype=np.int64)
+        for w in range(frame.k):
+            special = hs.is_special(frame, lanes.ure, w)
+            specials += special
+            for i, slot in enumerate(slots):
+                wrong_assumption, belief_fails = hs.theorem22_faults(frame, w, vals[slot])
+                bad = special & (wrong_assumption | belief_fails)
+                model_violations += bad
+                found = _first_hits(found, bad, lanes, i, w)
+        totals["models"] += len(lanes.record)
+        totals["degenerate"] += int(np.count_nonzero(specials == 0))
+        totals["holds"] += int(np.count_nonzero(model_violations == 0))
+        totals["states_checked"] += int(specials.sum())
+        totals["violations"] += int(model_violations.sum())
 
     lines = _header(c, f"formula family: {len(family)} formulas, modal depth <= 2")
     lines.append("claim: quine/urelement states assume exactly their falsehoods "
                  "and believe everything")
     lines.append(f"models={totals['models']} holds={totals['holds']} "
                  f"violations={totals['violations']}")
-    for i, body in enumerate(dumps, start=1):
-        _dump_block(lines, f"violation {i} of {totals['violations']}", body)
+    for n, (_, i, w, rec) in enumerate(found, start=1):
+        _dump_block(lines, f"violation {n} of {totals['violations']}",
+                    f"state n{w}, formula {fm.to_text(family[i])}\n"
+                    + dump_nwf(_rebuild_hyperset(rec)))
     summary = {"target": c.target, "max_size": c.max_size, **totals}
     return CampaignReport(tuple(lines), summary)
 
@@ -609,36 +430,28 @@ def _run_theorem22(c: Campaign) -> CampaignReport:
 def _run_theorem23(c: Campaign) -> CampaignReport:
     if not 1 <= c.max_size <= 4:
         raise ValueError("node bound must be between 1 and 4")
+    ops, slots = pg.compile_program([f for _, f in hs.TRUE_ASSUMPTIONS], "nwf", atoms=())
     totals = {"models": 0, "holds": 0, "violations": 0}
-    dumps: list[str] = []
-    for rec in _compact_hypersets(c.max_size, overlap=True, with_atom=False):
-        k, members, ure, ua, ub, pval = rec
-        full = (1 << k) - 1
-        totals["models"] += 1
-        model_violations = 0
-        for w in range(k):
-            if ure >> w & 1 or members[w] != 1 << w:
-                continue
-            for src, tgt in ((ua, ub), (ub, ua)):
-                if not src >> w & 1:
-                    continue
-                need = members[w] & tgt
-                assumes_top = full & (members[w] | 1 << w) == need
-                if assumes_top and not (ua >> w & 1 and ub >> w & 1):
-                    model_violations += 1
-                    if len(dumps) < _FAIL_DUMP_CAP:
-                        dumps.append(f"quine state n{w}\n"
-                                     + dump_nwf(_rebuild_hyperset(rec)))
-        totals["violations"] += model_violations
-        if not model_violations:
-            totals["holds"] += 1
+    found: list[tuple] = []  # the first (record, state, direction, compact record)
+    for lanes in _membership_lanes(c.max_size, True, False, ops):
+        vals = pg.run(ops, lanes.frame)
+        model_violations = np.zeros(len(lanes.record), dtype=np.int64)
+        for w in range(lanes.frame.k):
+            for d, slot in enumerate(slots):
+                bad = hs.theorem23_fault(lanes.frame, w, vals[slot])
+                model_violations += bad
+                found = _first_hits(found, bad, lanes, w, d)
+        totals["models"] += len(lanes.record)
+        totals["holds"] += int(np.count_nonzero(model_violations == 0))
+        totals["violations"] += int(model_violations.sum())
 
     lines = _header(c)
     lines.append("claim: quine states with a true assumption sit in both type spaces")
     lines.append(f"models={totals['models']} holds={totals['holds']} "
                  f"violations={totals['violations']}")
-    for i, body in enumerate(dumps, start=1):
-        _dump_block(lines, f"violation {i} of {totals['violations']}", body)
+    for n, (_, w, _, rec) in enumerate(found, start=1):
+        _dump_block(lines, f"violation {n} of {totals['violations']}",
+                    f"quine state n{w}\n" + dump_nwf(_rebuild_hyperset(rec)))
     summary = {"target": c.target, "max_size": c.max_size, **totals}
     return CampaignReport(tuple(lines), summary)
 
@@ -646,31 +459,30 @@ def _run_theorem23(c: Campaign) -> CampaignReport:
 def _run_validity_lists(c: Campaign) -> CampaignReport:
     if not 1 <= c.max_size <= 4:
         raise ValueError("node bound must be between 1 and 4")
-    claims = ([(text, True) for text in hs.CLAIMED_VALID]
-              + [(text, False) for text in hs.CLAIMED_INVALID])
-    parsed = [(text, fm.parse(text), claimed) for text, claimed in claims]
-    ops, index = _compile_program([f for _, f, _ in parsed])
+    ops, slots = hs.validity_program()
     models = 0
-    valid_counts = {text: 0 for text, _ in claims}
-    counterexample: dict[str, str] = {}
-    for rec in _compact_hypersets(c.max_size, overlap=False, with_atom=False):
-        k = rec[0]
-        full = (1 << k) - 1
-        models += 1
-        vals = _run_program(ops, rec)
-        for text, f, claimed in parsed:
-            if vals[index[f]] == full:
-                valid_counts[text] += 1
-            elif claimed and text not in counterexample:
-                counterexample[text] = dump_nwf(_rebuild_hyperset(rec))
+    valid_counts = {text: 0 for text, _ in hs.VALIDITY_CLAIMS}
+    counterexample: dict[str, list] = {}  # text -> [(record, compact record)]
+    for lanes in _membership_lanes(c.max_size, False, False, ops):
+        models += len(lanes.record)
+        failures = hs.validity_failures(pg.run(ops, lanes.frame), slots,
+                                        (1 << lanes.frame.k) - 1)
+        for (text, claimed), failing in zip(hs.VALIDITY_CLAIMS, failures):
+            valid = np.broadcast_to(failing == 0, len(lanes.record))
+            valid_counts[text] += int(np.count_nonzero(valid))
+            if claimed:
+                first = _first_hits(counterexample.get(text, []), ~valid, lanes)[:1]
+                if first:
+                    counterexample[text] = first
 
     lines = _header(c)
     lines.append("claimed-valid formulas: models on which each holds everywhere")
-    for text, claimed in claims:
+    for text, claimed in hs.VALIDITY_CLAIMS:
         tag = "claimed-valid" if claimed else "claimed-invalid"
         lines.append(f"  {tag}: {text}: {valid_counts[text]} of {models}")
     for text in sorted(counterexample):
-        _dump_block(lines, f"first counter-model for {text}", counterexample[text])
+        _dump_block(lines, f"first counter-model for {text}",
+                    dump_nwf(_rebuild_hyperset(counterexample[text][0][1])))
     summary = {"target": c.target, "max_size": c.max_size, "models": models,
                "valid_counts": {t: v for t, v in sorted(valid_counts.items())}}
     return CampaignReport(tuple(lines), summary)

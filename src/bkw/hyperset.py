@@ -16,9 +16,12 @@ the first fact; quantifying over members only breaks it for urelements.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from functools import cache
+from typing import Iterable, Mapping, Sequence
 
 from . import formula as fm
+from . import kripke as kr
+from . import program as pg
 
 
 class HypersetModel:
@@ -100,80 +103,27 @@ def classify_state(m: HypersetModel, w: str) -> StateClass:
 
 def diagonal_Dplus(m: HypersetModel) -> frozenset:
     """Nodes none of whose members contain them back."""
-    return frozenset(
-        w for w in m.nodes
-        if all(w not in m.members(v) for v in m.members(w))
-    )
+    return nwf_extension(m, fm.Dplus())
+
+
+def to_frame(m: HypersetModel) -> tuple[list[str], pg.Frame]:
+    """The model as an evaluator frame over its sorted node names."""
+    names = sorted(m.nodes)
+    return names, pg.model_frame(names, m.ua, m.ub, map(m.members, names), m.val,
+                                 "membership")
 
 
 def nwf_extension(m: HypersetModel, f: fm.Formula) -> frozenset:
     """Satisfaction set of a relational-language formula under membership semantics."""
-    memo: dict[fm.Formula, frozenset] = {}
-
-    def ext(f: fm.Formula) -> frozenset:
-        if f in memo:
-            return memo[f]
-        result = _ext(f)
-        memo[f] = result
-        return result
-
-    def _ext(f: fm.Formula) -> frozenset:
-        if isinstance(f, fm.Atom):
-            return m.val.get(f.name, frozenset())
-        if isinstance(f, fm.Top):
-            return m.nodes
-        if isinstance(f, fm.Bot):
-            return frozenset()
-        if isinstance(f, fm.Ua):
-            return m.ua
-        if isinstance(f, fm.Ub):
-            return m.ub
-        if isinstance(f, fm.Dplus):
-            return diagonal_Dplus(m)
-        if isinstance(f, fm.Not):
-            return m.nodes - ext(f.body)
-        if isinstance(f, fm.And):
-            return ext(f.left) & ext(f.right)
-        if isinstance(f, fm.Or):
-            return ext(f.left) | ext(f.right)
-        if isinstance(f, fm.Imp):
-            return (m.nodes - ext(f.left)) | ext(f.right)
-        if isinstance(f, fm.Iff):
-            le, re = ext(f.left), ext(f.right)
-            return (le & re) | (m.nodes - le - re)
-        if isinstance(f, (fm.Box, fm.Heart, fm.Diamond)):
-            src, tgt = (m.ua, m.ub) if f.direction == "ab" else (m.ub, m.ua)
-            body = ext(f.body)
-            if isinstance(f, fm.Box):
-                return frozenset(w for w in src if m.members(w) & tgt <= body)
-            if isinstance(f, fm.Diamond):
-                return frozenset(w for w in src if m.members(w) & tgt & body)
-            # Assumption: over members(w) | {w}, membership-and-type must
-            # match the body exactly.
-            result = set()
-            for w in src:
-                need = m.members(w) & tgt
-                domain = m.members(w) | {w}
-                if body & domain == need:
-                    result.add(w)
-            return frozenset(result)
-        raise fm.LanguageError(
-            f"connective {type(f).__name__} is not part of the membership language")
-
-    return ext(f)
-
-
-def nwf_satisfiable(m: HypersetModel, f: fm.Formula) -> bool:
-    return bool(nwf_extension(m, f))
+    return pg.extension(f, "nwf", *to_frame(m))
 
 
 def nwf_valid(m: HypersetModel, f: fm.Formula) -> bool:
     return nwf_extension(m, f) == m.nodes
 
 
-def nwf_find_holes(m: HypersetModel):
-    from .kripke import scan_holes
-    return scan_holes(lambda f: nwf_extension(m, f), fm.Dplus())
+def nwf_find_holes(m: HypersetModel) -> kr.HoleReport:
+    return kr.scan_holes(*to_frame(m), "nwf")
 
 
 # ---------------------------------------------------------------------------
@@ -298,6 +248,21 @@ class TheoremViolation:
     detail: str
 
 
+def is_special(frame: pg.Frame, ure, w: int):
+    """Is node w a Quine state or an urelement (``ure`` masks the urelements)?"""
+    return (ure >> w & 1 == 1) | (frame.rows[w] == 1 << w)
+
+
+def theorem22_faults(frame: pg.Frame, w: int, body):
+    """Theorem 2.2 at node w for one body extension, on one model or numpy
+    lanes: (w assumes the body iff w satisfies it, w fails to believe it).
+    Both must be false wherever w is special."""
+    tgt = frame.ub if frame.ua >> w & 1 else frame.ua
+    need = frame.rows[w] & tgt
+    assumes = body & (frame.rows[w] | 1 << w) == need
+    return assumes == (body >> w & 1 == 1), need & ~body != 0
+
+
 def check_theorem_2_2(m: HypersetModel,
                       formulas: Iterable[fm.Formula] | None = None) -> list[TheoremViolation]:
     """Quine/urelement states assume exactly what they falsify and believe everything.
@@ -308,46 +273,59 @@ def check_theorem_2_2(m: HypersetModel,
     if not m.disjoint_types or (m.ua & m.ub):
         raise ValueError("the assumption-of-falsehoods check requires "
                          "disjoint type spaces")
-    if formulas is None:
-        formulas = bounded_formula_family()
-    special = [w for w in sorted(m.nodes)
-               if classify_state(m, w).is_quine or w in m.urelements]
+    formulas = bounded_formula_family() if formulas is None else tuple(formulas)
+    names, frame = to_frame(m)
+    ops, slots = pg.compile_program(formulas, "nwf")
+    vals = pg.run(ops, frame)
+    ure = pg.masker(names)(m.urelements)
     violations = []
-    for w in special:
-        direction = "ab" if w in m.ua else "ba"
-        for f in formulas:
-            holds = w in nwf_extension(m, f)
-            assumes = w in nwf_extension(m, fm.Heart(direction, f))
-            believes = w in nwf_extension(m, fm.Box(direction, f))
-            if assumes != (not holds):
+    for w, name in enumerate(names):
+        if not is_special(frame, ure, w):
+            continue
+        for f, slot in zip(formulas, slots):
+            body = vals[slot]
+            wrong_assumption, belief_fails = theorem22_faults(frame, w, body)
+            holds = bool(body >> w & 1)
+            if wrong_assumption:
                 violations.append(TheoremViolation(
-                    state=w, formula=fm.to_text(f),
-                    detail=f"assumes={assumes} but holds={holds}"))
-            if not believes:
+                    state=name, formula=fm.to_text(f),
+                    detail=f"assumes={holds} but holds={holds}"))
+            if belief_fails:
                 violations.append(TheoremViolation(
-                    state=w, formula=fm.to_text(f), detail="belief fails"))
+                    state=name, formula=fm.to_text(f), detail="belief fails"))
     return violations
+
+
+#: Theorem 2.3 reads the assumption of true in both directions.
+TRUE_ASSUMPTIONS = (("ab", fm.Heart("ab", fm.Top())), ("ba", fm.Heart("ba", fm.Top())))
+
+
+def theorem23_fault(frame: pg.Frame, w: int, assumed):
+    """Is node w a Quine state that assumes true (``assumed``: the extension
+    of H true in one direction) outside Ua & Ub?  One model or numpy lanes."""
+    return ((frame.rows[w] == 1 << w) & (assumed >> w & 1 == 1)
+            & (frame.ua >> w & frame.ub >> w & 1 == 0))
 
 
 def check_theorem_2_3(m: HypersetModel) -> list[TheoremViolation]:
     """Quine states with a true assumption must sit in both type spaces."""
-    violations = []
-    for w in sorted(m.nodes):
-        if not classify_state(m, w).is_quine:
-            continue
-        for direction in ("ab", "ba"):
-            if w in nwf_extension(m, fm.Heart(direction, fm.Top())):
-                if not (w in m.ua and w in m.ub):
-                    violations.append(TheoremViolation(
-                        state=w, formula=f"H{direction} true",
-                        detail="true assumption outside Ua & Ub"))
-    return violations
+    names, frame = to_frame(m)
+    ops, slots = pg.compile_program([f for _, f in TRUE_ASSUMPTIONS], "nwf")
+    vals = pg.run(ops, frame)
+    return [TheoremViolation(state=name, formula=f"H{direction} true",
+                             detail="true assumption outside Ua & Ub")
+            for w, name in enumerate(names)
+            for (direction, _), slot in zip(TRUE_ASSUMPTIONS, slots)
+            if theorem23_fault(frame, w, vals[slot])]
 
 
 CLAIMED_VALID = ("[ab] Ub <-> Ua", "[ba] Ua <-> Ub",
                  "[ab] Ua <-> false", "[ba] Ub <-> false")
 CLAIMED_INVALID = ("[ab] Ub -> Ub", "[ab] Ub -> [ba] [ab] Ub",
                    "[ab] Ub -> [ab] [ab] Ub")
+#: (text, claimed valid?) in report order.
+VALIDITY_CLAIMS = (tuple((text, True) for text in CLAIMED_VALID)
+                   + tuple((text, False) for text in CLAIMED_INVALID))
 
 
 @dataclass(frozen=True)
@@ -358,17 +336,28 @@ class ValidityVerdict:
     failing_states: tuple
 
 
+@cache
+def validity_program() -> tuple[tuple, tuple[int, ...]]:
+    ops, slots = pg.compile_program([fm.parse(text) for text, _ in VALIDITY_CLAIMS],
+                                    "nwf", atoms=())
+    return tuple(ops), tuple(slots)
+
+
+def validity_failures(vals: list, slots: Sequence[int], full) -> list:
+    """Per entry of VALIDITY_CLAIMS, the mask of states where its formula
+    fails, for one model or numpy lanes."""
+    return [vals[i] ^ full for i in slots]
+
+
 def check_validity_lists(m: HypersetModel) -> tuple[ValidityVerdict, ...]:
     """Evaluate the claimed-valid and claimed-invalid formulas on one model."""
-    verdicts = []
-    for text, claimed in ([(t, True) for t in CLAIMED_VALID]
-                          + [(t, False) for t in CLAIMED_INVALID]):
-        ext = nwf_extension(m, fm.parse(text))
-        failing = tuple(sorted(m.nodes - ext))
-        verdicts.append(ValidityVerdict(
-            formula=text, claimed_valid=claimed,
-            holds=not failing, failing_states=failing))
-    return tuple(verdicts)
+    names, frame = to_frame(m)
+    ops, slots = validity_program()
+    failures = validity_failures(pg.run(ops, frame), slots, (1 << frame.k) - 1)
+    return tuple(
+        ValidityVerdict(formula=text, claimed_valid=claimed, holds=not failing,
+                        failing_states=tuple(sorted(pg.names_of(names, failing))))
+        for (text, claimed), failing in zip(VALIDITY_CLAIMS, failures))
 
 
 def graph_to_structure(nodes: Iterable[str], edges: Iterable[tuple[str, str]],

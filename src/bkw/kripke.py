@@ -12,9 +12,11 @@ the default.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from functools import cache
+from typing import Iterable, Mapping, Sequence
 
 from . import formula as fm
+from . import program as pg
 
 HEART_SEMANTICS = ("frame", "local")
 
@@ -75,7 +77,8 @@ class KripkeModel:
     def _encode(self):
         return (tuple(sorted(self.states)), tuple(sorted(self.rel)),
                 tuple(sorted(self.ua)),
-                tuple(sorted((k, tuple(sorted(v))) for k, v in self.val.items())))
+                tuple(sorted((k, tuple(sorted(v))) for k, v in self.val.items())),
+                self.strict)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, KripkeModel) and self._encode() == other._encode()
@@ -90,63 +93,20 @@ class KripkeModel:
 
 def diagonal_D(m: KripkeModel) -> frozenset:
     """States none of whose successors point back at them."""
-    return frozenset(
-        w for w in m.states
-        if all((z, w) not in m.rel for z in m.successors(w))
-    )
+    return extension(m, fm.Dclass())
+
+
+def to_frame(m: KripkeModel, heart: str = "frame") -> tuple[list[str], pg.Frame]:
+    """The model as an evaluator frame over its sorted state names."""
+    if heart not in HEART_SEMANTICS:
+        raise ValueError(f"unknown heart semantics {heart!r}")
+    names = sorted(m.states)
+    return names, pg.model_frame(names, m.ua, m.ub, map(m.successors, names), m.val, heart)
 
 
 def extension(m: KripkeModel, f: fm.Formula, heart: str = "frame") -> frozenset:
     """Exact satisfaction set of a relational-language formula."""
-    if heart not in HEART_SEMANTICS:
-        raise ValueError(f"unknown heart semantics {heart!r}")
-    memo: dict[fm.Formula, frozenset] = {}
-
-    def ext(f: fm.Formula) -> frozenset:
-        if f in memo:
-            return memo[f]
-        result = _ext(f)
-        memo[f] = result
-        return result
-
-    def _ext(f: fm.Formula) -> frozenset:
-        if isinstance(f, fm.Atom):
-            return m.val.get(f.name, frozenset())
-        if isinstance(f, fm.Top):
-            return m.states
-        if isinstance(f, fm.Bot):
-            return frozenset()
-        if isinstance(f, fm.Ua):
-            return m.ua
-        if isinstance(f, fm.Ub):
-            return m.ub
-        if isinstance(f, fm.Dclass):
-            return diagonal_D(m)
-        if isinstance(f, fm.Not):
-            return m.states - ext(f.body)
-        if isinstance(f, fm.And):
-            return ext(f.left) & ext(f.right)
-        if isinstance(f, fm.Or):
-            return ext(f.left) | ext(f.right)
-        if isinstance(f, fm.Imp):
-            return (m.states - ext(f.left)) | ext(f.right)
-        if isinstance(f, fm.Iff):
-            le, re = ext(f.left), ext(f.right)
-            return (le & re) | (m.states - le - re)
-        if isinstance(f, (fm.Box, fm.Heart, fm.Diamond)):
-            src, tgt = (m.ua, m.ub) if f.direction == "ab" else (m.ub, m.ua)
-            body = ext(f.body)
-            if isinstance(f, fm.Box):
-                return frozenset(x for x in src if m.successors(x) & tgt <= body)
-            if isinstance(f, fm.Diamond):
-                return frozenset(x for x in src if m.successors(x) & tgt & body)
-            if heart == "frame":
-                return frozenset(x for x in src if m.successors(x) & tgt == body)
-            return frozenset(x for x in src if m.successors(x) & tgt == body & tgt)
-        raise fm.LanguageError(
-            f"connective {type(f).__name__} is not part of the relational language")
-
-    return ext(f)
+    return pg.extension(f, "kripke", *to_frame(m, heart))
 
 
 def is_satisfiable(m: KripkeModel, f: fm.Formula, heart: str = "frame") -> bool:
@@ -199,31 +159,49 @@ def hole_slots(diagonal_atom: fm.Formula) -> tuple[tuple[str, fm.Formula, bool],
     return tuple(zip(_SLOT_LABELS, slot_formulas, big))
 
 
-def scan_holes(ext, diagonal_atom: fm.Formula) -> HoleReport:
-    """Run the seven-slot hole scan against an extension function.
+_DIAGONAL = {"kripke": fm.Dclass(), "nwf": fm.Dplus()}
+
+
+@cache
+def hole_program(language: str) -> tuple[tuple, tuple[tuple[int, ...], ...]]:
+    """The scan's 28 formulas as one program: (ops, per-slot op indices of
+    Ub & phi, Ua & phi and the modality at phi in directions ab and ba)."""
+    quads = []
+    for _, phi, use_box in hole_slots(_DIAGONAL[language]):
+        mod = fm.Box if use_box else fm.Heart
+        quads.append((fm.And(fm.Ub(), phi), fm.And(fm.Ua(), phi),
+                      mod("ab", phi), mod("ba", phi)))
+    ops, slots = pg.compile_program([f for q in quads for f in q], language, atoms=())
+    return tuple(ops), tuple(tuple(slots[i:i + 4]) for i in range(0, len(slots), 4))
+
+
+def hole_masks(vals: list, slots: Sequence[tuple[int, ...]]):
+    """Per slot, its four masks (content_b, content_a, witness_ab,
+    witness_ba) and its hole verdict, for one model or numpy lanes.
 
     A hole at phi: one type space can satisfy phi but no state of the
     other assumes it; a big hole uses belief instead of assumption.  The
     scan takes phi's satisfiability inside this model literally: slots
     whose formula is unsatisfiable report no hole.
     """
-    slots = []
-    for label, phi, use_box in hole_slots(diagonal_atom):
-        mod = fm.Box if use_box else fm.Heart
-        content_b = ext(fm.And(fm.Ub(), phi))
-        content_a = ext(fm.And(fm.Ua(), phi))
-        witness_ab = ext(mod("ab", phi))
-        witness_ba = ext(mod("ba", phi))
-        is_hole = (bool(content_b) and not witness_ab) or (bool(content_a) and not witness_ba)
-        slots.append(SlotResult(
-            label=label, formula=fm.to_text(phi), is_hole=is_hole,
-            content_b=tuple(sorted(content_b)), content_a=tuple(sorted(content_a)),
-            witness_ab=tuple(sorted(witness_ab)), witness_ba=tuple(sorted(witness_ba))))
-    return HoleReport(tuple(slots))
+    for slot in slots:
+        cb, ca, wab, wba = (vals[i] for i in slot)
+        yield (cb, ca, wab, wba), (cb != 0) & (wab == 0) | (ca != 0) & (wba == 0)
+
+
+def scan_holes(names: list[str], frame: pg.Frame, language: str) -> HoleReport:
+    """Run the seven-slot hole scan on one model's frame."""
+    ops, slots = hole_program(language)
+    pick = lambda mask: tuple(n for i, n in enumerate(names) if mask >> i & 1)
+    return HoleReport(tuple(
+        SlotResult(label, fm.to_text(phi), bool(hole), *map(pick, masks))
+        for (label, phi, _), (masks, hole)
+        in zip(hole_slots(_DIAGONAL[language]),
+               hole_masks(pg.run(ops, frame), slots))))
 
 
 def find_holes(m: KripkeModel, heart: str = "frame") -> HoleReport:
-    return scan_holes(lambda f: extension(m, f, heart), fm.Dclass())
+    return scan_holes(*to_frame(m, heart), "kripke")
 
 
 @dataclass(frozen=True)
@@ -237,20 +215,34 @@ class Lemma1Record:
     part2_counterwitnesses: tuple
 
 
-_PREMISE = fm.parse("Hab Ub")
-_PART1 = fm.parse("[ab] [ba] [ab] Hba Ua -> D")
-_PART1_ANTE = fm.parse("[ab] [ba] [ab] Hba Ua")
-_PART2_BODY = fm.parse("[ab] Hba (Ua & D)")
+#: Lemma 1: the premise, the chain implication of part 1, and the body
+#: whose extension part 2 claims is empty.
+LEMMA1 = (fm.parse("Hab Ub"), fm.parse("[ab] [ba] [ab] Hba Ua -> D"),
+          fm.parse("[ab] Hba (Ua & D)"))
+
+
+@cache
+def lemma1_program() -> tuple[tuple, tuple[int, ...]]:
+    ops, slots = pg.compile_program(LEMMA1, "kripke", atoms=())
+    return tuple(ops), tuple(slots)
+
+
+def lemma1_masks(vals: list, slots: Sequence[int], full):
+    """Lemma 1 on extension masks, for one model or numpy lanes: (premise
+    satisfiable, states failing part 1, states where part 2's body holds)."""
+    premise, part1, part2_body = (vals[i] for i in slots)
+    return premise != 0, part1 ^ full, part2_body
 
 
 def check_lemma_1(m: KripkeModel, heart: str = "frame") -> Lemma1Record:
-    premise = is_satisfiable(m, _PREMISE, heart)
-    part1_fails = m.states - extension(m, _PART1, heart)
-    part2_holds_at = extension(m, _PART2_BODY, heart)
+    names, frame = to_frame(m, heart)
+    ops, slots = lemma1_program()
+    premise, part1_fails, part2_holds_at = lemma1_masks(
+        pg.run(ops, frame), slots, (1 << frame.k) - 1)
     return Lemma1Record(
         premise_holds=premise,
         part1_valid=not part1_fails,
         part2_valid=not part2_holds_at,
-        part1_counterwitnesses=tuple(sorted(part1_fails)),
-        part2_counterwitnesses=tuple(sorted(part2_holds_at)),
+        part1_counterwitnesses=tuple(sorted(pg.names_of(names, part1_fails))),
+        part2_counterwitnesses=tuple(sorted(pg.names_of(names, part2_holds_at))),
     )

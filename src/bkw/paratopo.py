@@ -15,6 +15,7 @@ from itertools import combinations, product as iproduct
 from typing import Iterable, Mapping
 
 from . import formula as fm
+from . import program as pg
 from . import topology as tp
 
 
@@ -75,72 +76,53 @@ def diagonal(m: ParaTopoModel) -> frozenset:
     The return belief tB(y) is negated paraconsistently, i.e. x must lie
     in the closure of the complement of tB(y).
     """
-    result = set()
-    for x in sorted(m.a):
-        ok = True
-        for y in m.image_a[x]:
-            if x not in tp.pneg(m.tau_a, m.image_b[y]):
-                ok = False
-                break
-        if ok:
-            result.add(x)
-    return frozenset(result)
+    return evaluate(m, fm.Dtopo())
+
+
+def _closure(m: ParaTopoModel, mask):
+    """Closure on masks, per carrier: the intersection of the closed supersets."""
+    spaces = [(mask(t.carrier), [mask(c) for c in t.closed]) for t in (m.tau_a, m.tau_b)]
+
+    def close(s: int) -> int:
+        out = 0
+        for carrier, closed in spaces:
+            hull = carrier
+            for c in closed:
+                if s & carrier & ~c == 0:
+                    hull &= c
+            out |= hull
+        return out
+
+    return close
+
+
+def _diagonal(frame: pg.Frame, close) -> int:
+    """``diagonal`` on masks: x in A lies in close(A - tB(y)) for each y in tA(x)."""
+    rows = frame.rows
+    return sum(1 << x for x in range(frame.k)
+               if frame.ua >> x & 1 and all(close(frame.ua & ~rows[y]) >> x & 1
+                                            for y in range(frame.k) if rows[x] >> y & 1))
 
 
 def evaluate(m: ParaTopoModel, f: fm.Formula) -> frozenset:
-    """Extension of a topological-language formula over both carriers."""
-    memo: dict[fm.Formula, frozenset] = {}
-    universe = m.universe
+    """Extension of a topological-language formula over both carriers.
 
-    def ext(f: fm.Formula) -> frozenset:
-        if f in memo:
-            return memo[f]
-        result = _ext(f)
-        memo[f] = result
-        return result
-
-    def _ext(f: fm.Formula) -> frozenset:
-        if isinstance(f, fm.Atom):
-            return m.val.get(f.name, frozenset())
-        if isinstance(f, fm.Top):
-            return universe
-        if isinstance(f, fm.Bot):
-            return frozenset()
-        if isinstance(f, fm.Ua):
-            return m.a
-        if isinstance(f, fm.Ub):
-            return m.b
-        if isinstance(f, fm.Dtopo):
-            return diagonal(m)
-        if isinstance(f, fm.Not):
-            return universe - ext(f.body)
-        if isinstance(f, fm.Pneg):
-            body = ext(f.body)
-            return tp.pneg(m.tau_a, body & m.a) | tp.pneg(m.tau_b, body & m.b)
-        if isinstance(f, fm.And):
-            return ext(f.left) & ext(f.right)
-        if isinstance(f, fm.Or):
-            return ext(f.left) | ext(f.right)
-        if isinstance(f, fm.Imp):
-            return (universe - ext(f.left)) | ext(f.right)
-        if isinstance(f, fm.Iff):
-            le, re = ext(f.left), ext(f.right)
-            return (le & re) | (universe - le - re)
-        if isinstance(f, (fm.TBel, fm.TAsm, fm.TDia)):
-            body = ext(f.body)
-            if f.agent == "a":
-                carrier, image, opposite = m.a, m.image_a, m.b
-            else:
-                carrier, image, opposite = m.b, m.image_b, m.a
-            if isinstance(f, fm.TBel):
-                return frozenset(x for x in carrier if image[x] <= body)
-            if isinstance(f, fm.TAsm):
-                return frozenset(x for x in carrier if image[x] == body & opposite)
-            return frozenset(x for x in carrier if image[x] & body)
-        raise fm.LanguageError(
-            f"connective {type(f).__name__} is not part of the topological language")
-
-    return ext(f)
+    Assumption compares the image with the extension inside the opposite
+    carrier (the evaluator's ``local`` heart rule), and ``~`` is the
+    closure of the complement; the diagonal and the closure are built only
+    when the formula uses them.
+    """
+    ops, (slot,) = pg.compile_program([f], "topo")
+    names = sorted(m.universe)
+    frame = pg.model_frame(
+        names, m.a, m.b, [m.image_a[x] if x in m.a else m.image_b[x] for x in names],
+        m.val, "local")
+    used = {op[0] for op in ops}
+    if pg.PNEG in used or pg.DIAG in used:
+        close = _closure(m, pg.masker(names))
+        diag = _diagonal(frame, close) if pg.DIAG in used else None
+        frame = frame._replace(diag=diag, closure=close)
+    return pg.names_of(names, pg.run(ops, frame)[slot])
 
 
 _BK_SENTENCE = fm.parse("Ba Xb Dt & Ea true")

@@ -13,6 +13,7 @@ from bkw import formula as fm
 from bkw.hyperset import HypersetModel
 from bkw.kripke import KripkeModel
 from bkw.paratopo import ParaTopoModel
+from bkw.topology import enumerate_topologies
 
 ATOM_POOL = ("p", "q", "r")
 
@@ -196,6 +197,78 @@ def classical_topo_ext(m: ParaTopoModel, f: fm.Formula) -> frozenset:
     if isinstance(f, fm.TAsm):
         return frozenset(x for x in carrier if image[x] == body & opposite)
     return frozenset(x for x in carrier if image[x] & body)
+
+
+def _closure(tau, s) -> frozenset:
+    """Closure from the definition: the intersection of the closed supersets."""
+    result = set(tau.carrier)
+    for c in tau.closed:
+        if s <= c:
+            result &= c
+    return frozenset(result)
+
+
+def topo_truth(m: ParaTopoModel, f: fm.Formula, x: str) -> bool:
+    """Oracle: paraconsistent-topological truth at one state.
+
+    ``~`` and the diagonal use the closure above, not the library's
+    negation: ``~phi`` holds at x when x lies in the closure of the states
+    of x's carrier that falsify phi, and ``Dt`` holds at x in A when x lies
+    in the closure of A minus tB(y) for every y in tA(x).
+    """
+    if isinstance(f, fm.Atom):
+        return x in m.val.get(f.name, frozenset())
+    if isinstance(f, fm.Top):
+        return True
+    if isinstance(f, fm.Bot):
+        return False
+    if isinstance(f, fm.Ua):
+        return x in m.a
+    if isinstance(f, fm.Ub):
+        return x in m.b
+    if isinstance(f, fm.Dtopo):
+        return x in m.a and all(x in _closure(m.tau_a, m.a - m.image_b[y])
+                                for y in m.image_a[x])
+    if isinstance(f, fm.Not):
+        return not topo_truth(m, f.body, x)
+    if isinstance(f, fm.Pneg):
+        tau = m.tau_a if x in m.a else m.tau_b
+        falsifiers = frozenset(y for y in tau.carrier if not topo_truth(m, f.body, y))
+        return x in _closure(tau, falsifiers)
+    if isinstance(f, fm.And):
+        return topo_truth(m, f.left, x) and topo_truth(m, f.right, x)
+    if isinstance(f, fm.Or):
+        return topo_truth(m, f.left, x) or topo_truth(m, f.right, x)
+    if isinstance(f, fm.Imp):
+        return not topo_truth(m, f.left, x) or topo_truth(m, f.right, x)
+    if isinstance(f, fm.Iff):
+        return topo_truth(m, f.left, x) == topo_truth(m, f.right, x)
+    if f.agent == "a":
+        carrier, image, opposite = m.a, m.image_a, m.b
+    else:
+        carrier, image, opposite = m.b, m.image_b, m.a
+    if x not in carrier:
+        return False
+    if isinstance(f, fm.TBel):
+        return all(topo_truth(m, f.body, y) for y in image[x])
+    if isinstance(f, fm.TDia):
+        return any(topo_truth(m, f.body, y) for y in image[x])
+    return all((y in image[x]) == topo_truth(m, f.body, y) for y in opposite)
+
+
+def random_paratopo(rng: random.Random) -> ParaTopoModel:
+    """Random topologies on carriers of two or three points, each image a
+    random closed set of the opposite topology, and atoms p and q."""
+    a = [f"a{i}" for i in range(rng.randint(2, 3))]
+    b = [f"b{i}" for i in range(rng.randint(2, 3))]
+    tau_a = rng.choice(list(enumerate_topologies(a)))
+    tau_b = rng.choice(list(enumerate_topologies(b)))
+    closed_a = sorted(tau_a.closed, key=sorted)
+    closed_b = sorted(tau_b.closed, key=sorted)
+    t_a = [(x, y) for x in a for y in rng.choice(closed_b)]
+    t_b = [(y, x) for y in b for x in rng.choice(closed_a)]
+    val = {atom: [s for s in a + b if rng.random() < 0.5] for atom in ("p", "q")}
+    return ParaTopoModel(tau_a, tau_b, t_a, t_b, val)
 
 
 def random_hyperset(rng: random.Random, max_nodes: int,

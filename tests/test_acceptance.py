@@ -12,7 +12,16 @@ from bkw import harness as hn
 from bkw import hyperset as hs
 from bkw import lawvere as lv
 from bkw import paratopo as pt
+from bkw import program as pg
 from conftest import random_formula, random_hyperset
+
+
+def _compact_records(max_nodes):
+    """The compact (k, members, ure, ua, ub, pval) records of every
+    membership model with disjoint types and no atom, up to max_nodes."""
+    for lanes in hn._membership_lanes(max_nodes, overlap=False, with_atom=False, ops=[]):
+        for lane in range(len(lanes.record)):
+            yield lanes.compact(lane)
 
 
 def _report(number: int, description: str, ok: bool, detail: str = ""):
@@ -41,7 +50,7 @@ def test_criterion_2_assumption_theorem_campaign():
     # strengthen the formula family semantically: sweep every candidate
     # extension a formula could have, not just the generated family
     extra_violations = 0
-    for rec in hn._compact_hypersets(3, overlap=False, with_atom=False):
+    for rec in _compact_records(3):
         k, members, ure, ua, ub, _ = rec
         for w in range(k):
             if not (ure >> w & 1 or members[w] == 1 << w):
@@ -154,16 +163,15 @@ def _invariance_family():
 def test_criterion_9_canonicalization_invariance():
     family = _invariance_family()
     assert max(fm.modal_depth(f) for f in family) == 4
-    ops, index = hn._compile_program(family)
-    slots = [index[f] for f in family]
+    ops, slots = pg.compile_program(family, "nwf")
 
     def check(m) -> int:
         canon, rep = hs.canonicalize(m)
         nodes = sorted(m.nodes)
         canon_nodes = sorted(canon.nodes)
         target = [canon_nodes.index(rep[n]) for n in nodes]
-        vals = hn._run_program(ops, hn._compact_from_model(m))
-        vals_c = hn._run_program(ops, hn._compact_from_model(canon))
+        vals = pg.run(ops, hs.to_frame(m)[1])
+        vals_c = pg.run(ops, hs.to_frame(canon)[1])
         bad = 0
         for slot in slots:
             ext, ext_c = vals[slot], vals_c[slot]
@@ -174,7 +182,7 @@ def test_criterion_9_canonicalization_invariance():
 
     violations = 0
     models = 0
-    for rec in hn._compact_hypersets(3, overlap=False, with_atom=False):
+    for rec in _compact_records(3):
         for pval in (0, 1):
             k, members, ure, ua, ub, _ = rec
             models += 1

@@ -25,6 +25,23 @@ def test_parse_command_reports_errors(tmp_path, capsys):
     assert "line 1" in err
 
 
+def test_deep_nesting_exits_2(tmp_path, capsys):
+    deep = "!" * 3000 + "p"
+    path = tmp_path / "formulas.txt"
+    path.write_text(deep + "\n")
+    code, out, err = run(["parse", str(path)], capsys)
+    assert code == 2
+    assert "line 1" in err and "nested too deeply" in err
+    model = tmp_path / "model.bk"
+    model.write_text(dump_kripke(two_cycle()))
+    code, _, err = run(["check", str(model), deep], capsys)
+    assert code == 2 and "nested too deeply" in err
+    # parses, but printing it back recurses twice as deep
+    path.write_text("!" * 700 + "p\n")
+    code, _, err = run(["parse", str(path)], capsys)
+    assert code == 2 and "error: input nested too deeply" in err
+
+
 def test_check_command(tmp_path, capsys):
     path = tmp_path / "model.bk"
     path.write_text(dump_kripke(two_cycle()))

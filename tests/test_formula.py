@@ -93,3 +93,10 @@ def test_roundtrip_random_asts():
     for _ in range(1000):
         f = random_formula(rng, rng.randint(0, 6))
         assert fm.parse(fm.to_text(f)) == f
+
+
+def test_deep_nesting_is_a_parse_error():
+    with pytest.raises(fm.ParseError, match="nested too deeply"):
+        fm.parse("!" * 3000 + "p")
+    with pytest.raises(fm.ParseError, match="nested too deeply"):
+        fm.parse("(" * 3000 + "p" + ")" * 3000)

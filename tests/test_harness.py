@@ -1,12 +1,16 @@
 import random
 
+import numpy as np
 import pytest
 
 from bkw import formula as fm
 from bkw import harness as hn
 from bkw import hyperset as hs
 from bkw import kripke as kr
+from bkw import program as pg
 from bkw.modelio import load_model
+from conftest import (kripke_truth, nwf_truth, random_hyperset,
+                      random_relational_formula)
 
 
 def test_enumerate_kripke_counts():
@@ -150,24 +154,39 @@ def test_two_cycle_landmark_in_reports():
         assert "any_hole=False" in landmark[0]
 
 
+def _oracle_lemma1(m, heart):
+    premise, part1, part2_body = kr.LEMMA1
+    holds = lambda f: {x for x in m.states if kripke_truth(m, f, x, heart)}
+    return bool(holds(premise)), holds(part1) == m.states, not holds(part2_body)
+
+
+def _oracle_any_hole(m, heart):
+    sat = lambda f: any(kripke_truth(m, f, x, heart) for x in m.states)
+    for _, phi, use_box in kr.hole_slots(fm.Dclass()):
+        mod = fm.Box if use_box else fm.Heart
+        if ((sat(fm.And(fm.Ub(), phi)) and not sat(mod("ab", phi)))
+                or (sat(fm.And(fm.Ua(), phi)) and not sat(mod("ba", phi)))):
+            return True
+    return False
+
+
 def test_vectorized_engine_matches_reference():
     # every strict frame up to 3 states, both assumption semantics
+    ops, slots = kr.lemma1_program()
     for heart in ("frame", "local"):
         seen = 0
         for k in range(1, 4):
             for ua_mask in range(1 << k):
-                for pairs, bits, ids in hn._vec_blocks(k, ua_mask, strict=True):
-                    sp = hn._VecSpace(k, ua_mask, bits, ids, heart)
-                    premise = hn._vec_ext(hn._LEMMA_PREMISE, sp)
-                    part1 = hn._vec_ext(hn._LEMMA_PART1, sp)
-                    part2 = hn._vec_ext(hn._LEMMA_PART2_BODY, sp)
+                for pairs, ids, frame in hn._relation_lanes(k, ua_mask, True, heart, ops):
+                    premise, part1_fails, part2_body = (
+                        np.broadcast_to(mask, len(ids)) for mask in
+                        kr.lemma1_masks(pg.run(ops, frame), slots, (1 << k) - 1))
                     for idx in range(len(ids)):
                         m = hn._rebuild_kripke(k, ua_mask, pairs,
                                                int(ids[idx]), True)
-                        rec = kr.check_lemma_1(m, heart)
-                        assert bool(premise[idx]) == rec.premise_holds
-                        assert (int(part1[idx]) == sp.all) == rec.part1_valid
-                        assert (int(part2[idx]) == 0) == rec.part2_valid
+                        got = (bool(premise[idx]), part1_fails[idx] == 0,
+                               part2_body[idx] == 0)
+                        assert got == _oracle_lemma1(m, heart)
                         seen += 1
         assert seen == 110
 
@@ -175,66 +194,85 @@ def test_vectorized_engine_matches_reference():
 def test_vectorized_holes_match_reference_on_nonstrict_sample():
     rng = random.Random(61)
     k = 3
+    ops, slots = kr.hole_program("kripke")
     for heart in ("frame", "local"):
         for ua_mask in (0b001, 0b110, 0b111):
-            for pairs, bits, ids in hn._vec_blocks(k, ua_mask, strict=False):
-                sp = hn._VecSpace(k, ua_mask, bits, ids, heart)
-                any_hole = None
-                for label, phi, use_box in kr.hole_slots(fm.Dclass()):
-                    mod = fm.Box if use_box else fm.Heart
-                    hole_b = ((hn._vec_ext(fm.And(fm.Ub(), phi), sp) != 0)
-                              & (hn._vec_ext(mod("ab", phi), sp) == 0))
-                    hole_a = ((hn._vec_ext(fm.And(fm.Ua(), phi), sp) != 0)
-                              & (hn._vec_ext(mod("ba", phi), sp) == 0))
-                    combined = hole_b | hole_a
-                    any_hole = combined if any_hole is None else any_hole | combined
+            for pairs, ids, frame in hn._relation_lanes(k, ua_mask, False, heart, ops):
+                any_hole = np.zeros(len(ids), dtype=bool)
+                for _, hole in kr.hole_masks(pg.run(ops, frame), slots):
+                    any_hole |= hole
                 for idx in rng.sample(range(len(ids)), 40):
                     m = hn._rebuild_kripke(k, ua_mask, pairs, int(ids[idx]), False)
-                    assert bool(any_hole[idx]) == kr.find_holes(m, heart).any_hole
+                    assert bool(any_hole[idx]) == _oracle_any_hole(m, heart)
 
 
 def test_mask_program_matches_reference_evaluator():
+    # the membership lanes of every model up to 2 nodes with atom p
     family = hs.bounded_formula_family()[:200]
-    ops, index = hn._compile_program(family)
+    ops, slots = pg.compile_program(family, "nwf", atoms=("p",))
     count = 0
-    for m in hn.enumerate_hypersets(2, atom="p"):
-        rec = hn._compact_from_model(m)
-        vals = hn._run_program(ops, rec)
-        nodes = sorted(m.nodes)
-        for f in family:
-            expected = hs.nwf_extension(m, f)
-            got = frozenset(n for i, n in enumerate(nodes)
-                            if vals[index[f]] >> i & 1)
-            assert got == expected
-        count += 1
+    for lanes in hn._membership_lanes(2, False, True, ops):
+        vals = pg.run(ops, lanes.frame)
+        for lane in range(len(lanes.record)):
+            m = hn._rebuild_hyperset(lanes.compact(lane))
+            nodes = sorted(m.nodes)
+            for f, slot in zip(family, slots):
+                got = np.broadcast_to(vals[slot], len(lanes.record))[lane]
+                for i, n in enumerate(nodes):
+                    assert bool(got >> i & 1) == nwf_truth(m, f, n)
+            count += 1
     assert count == 412
 
 
 def test_campaign_state_checks_match_reference_modalities():
-    # the sweep derives per-state assumption/belief directly from the
-    # body mask; both must agree with the reference evaluator
+    # the theorem 2.2 predicate derives per-state assumption and belief
+    # directly from the body mask; both must agree with the oracle
     rng = random.Random(62)
-    from conftest import random_hyperset, random_relational_formula
     for _ in range(60):
         m = random_hyperset(rng, 4)
-        rec = hn._compact_from_model(m)
-        k, members, ure, ua, ub, pval = rec
-        nodes = sorted(m.nodes)
+        names, frame = hs.to_frame(m)
+        ure = pg.masker(names)(m.urelements)
         body_f = random_relational_formula(rng, 2)
-        ops, index = hn._compile_program([body_f])
-        body = hn._run_program(ops, rec)[index[body_f]]
-        for w, name in enumerate(nodes):
-            direction = "ab" if ua >> w & 1 else "ba"
-            tgt = ub if direction == "ab" else ua
-            need = members[w] & tgt
-            assumes = (ua if direction == "ab" else ub) >> w & 1 \
-                and body & (members[w] | 1 << w) == need
-            believes = (ua if direction == "ab" else ub) >> w & 1 \
-                and need & ~body == 0
-            heart_ref = name in hs.nwf_extension(m, fm.Heart(direction, body_f))
-            box_ref = name in hs.nwf_extension(m, fm.Box(direction, body_f))
-            assert bool(assumes) == heart_ref
-            assert bool(believes) == box_ref
+        ops, (slot,) = pg.compile_program([body_f], "nwf")
+        body = pg.run(ops, frame)[slot]
+        for w, name in enumerate(names):
+            direction = "ab" if name in m.ua else "ba"
+            holds = nwf_truth(m, body_f, name)
+            assumes = nwf_truth(m, fm.Heart(direction, body_f), name)
+            believes = nwf_truth(m, fm.Box(direction, body_f), name)
+            wrong_assumption, belief_fails = hs.theorem22_faults(frame, w, body)
+            assert bool(wrong_assumption) == (assumes == holds)
+            assert bool(belief_fails) == (not believes)
+            special = name in m.urelements or m.members(name) == {name}
+            assert bool(hs.is_special(frame, ure, w)) == special
+
+
+def test_theorem23_predicate_matches_reference_modalities():
+    rng = random.Random(63)
+    for _ in range(60):
+        m = random_hyperset(rng, 4, allow_overlap=True)
+        names, frame = hs.to_frame(m)
+        for direction, f in hs.TRUE_ASSUMPTIONS:
+            ops, (slot,) = pg.compile_program([f], "nwf")
+            assumed = pg.run(ops, frame)[slot]
+            for w, name in enumerate(names):
+                expected = (m.members(name) == {name} and name not in m.urelements
+                            and nwf_truth(m, f, name)
+                            and not (name in m.ua and name in m.ub))
+                assert bool(hs.theorem23_fault(frame, w, assumed)) == expected
+
+
+def test_sweeps_reject_unenumerated_atoms():
+    # a sweep values only p, so q must not silently read as empty
+    with pytest.raises(fm.LanguageError):
+        pg.compile_program([fm.parse("Hab q")], "nwf", atoms=("p",))
+    with pytest.raises(fm.LanguageError):
+        pg.compile_program([fm.parse("[ab] q")], "kripke", atoms=())
+    # one model reads every atom it values
+    m = hs.HypersetModel(nodes=["w"], mem=[("w", "w")], ua=["w"], ub=[],
+                         val={"q": ["w"]})
+    assert hs.nwf_extension(m, fm.parse("q")) == frozenset(["w"])
+    assert hs.nwf_extension(m, fm.parse("r")) == frozenset()
 
 
 def test_fixture_registry_all_pass():

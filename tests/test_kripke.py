@@ -146,3 +146,12 @@ def test_extension_matches_state_oracle():
                 expected = frozenset(x for x in m.states
                                      if kripke_truth(m, f, x, heart))
                 assert kr.extension(m, f, heart) == expected
+
+
+def test_equality_and_hash_respect_strictness():
+    strict = kr.KripkeModel(states="xy", rel=[("x", "y")], ua=["x"], ub=["y"])
+    loose = kr.KripkeModel(states="xy", rel=[("x", "y")], ua=["x"], ub=["y"],
+                           strict=False)
+    assert strict != loose
+    assert len({strict, loose}) == 2
+    assert strict == kr.KripkeModel(states="xy", rel=[("x", "y")], ua=["x"], ub=["y"])

@@ -6,7 +6,7 @@ from bkw import formula as fm
 from bkw import paratopo as pt
 from bkw import topology as tp
 from bkw.harness import fixture_bk_topo
-from conftest import classical_topo_ext
+from conftest import classical_topo_ext, random_paratopo, topo_truth
 
 FIXTURE = fixture_bk_topo()
 
@@ -126,6 +126,21 @@ def test_discrete_evaluator_matches_classical_oracle():
         for _ in range(8):
             f = random_topo_formula(rng, 3)
             assert pt.evaluate(m, f) == classical_topo_ext(m, f)
+
+
+def test_evaluator_matches_paraconsistent_oracle():
+    rng = random.Random(34)
+    non_discrete = 0
+    for _ in range(60):
+        m = random_paratopo(rng)
+        non_discrete += m.tau_a != tp.discrete(m.a) or m.tau_b != tp.discrete(m.b)
+        for _ in range(8):
+            f = random_topo_formula(rng, 3)
+            assert pt.evaluate(m, f) == frozenset(
+                x for x in m.universe if topo_truth(m, f, x))
+        assert pt.diagonal(m) == frozenset(
+            x for x in m.a if topo_truth(m, fm.Dtopo(), x))
+    assert non_discrete >= 40
 
 
 def test_horizontal_vertical_closedness():
