@@ -345,68 +345,53 @@ def parse(text: str) -> Formula:
     return result
 
 
-# Precedence levels used by the printer; parenthesize a child whose level is
-# below what its context requires.
-_BINARY_PREC = {Iff: 0, Imp: 1, Or: 2, And: 3}
-
-
-def _prec(f: Formula) -> int:
-    t = type(f)
-    if t in _BINARY_PREC:
-        return _BINARY_PREC[t]
-    if isinstance(f, (Not, Pneg) + MODAL_TYPES):
-        return 4
-    return 5
-
-
-def _wrap(f: Formula, minimum: int) -> str:
-    text = to_text(f)
-    return f"({text})" if _prec(f) < minimum else text
+# The printer's tables.  Precedence climbs from <-> (0) to the prefix
+# operators (4); an operand is parenthesized when its connective binds
+# less tightly than its position requires, which only a binary one can.
+_LEAF_TEXT = {Top: "true", Bot: "false", Ua: "Ua", Ub: "Ub",
+              Dclass: "D", Dplus: "D+", Dtopo: "Dt"}
+#: connective -> (precedence, infix, least precedence of the left and of
+#: the right operand shown without parentheses)
+_INFIX = {Iff: (0, " <-> ", 1, 0), Imp: (1, " -> ", 2, 1),
+          Or: (2, " | ", 2, 3), And: (3, " & ", 3, 4)}
+_PREFIX = {Not: lambda f: "!", Pneg: lambda f: "~",
+           Box: lambda f: f"[{f.direction}] ", Diamond: lambda f: f"<{f.direction}> ",
+           Heart: lambda f: f"H{f.direction} ", TBel: lambda f: f"B{f.agent} ",
+           TAsm: lambda f: f"X{f.agent} ", TDia: lambda f: f"E{f.agent} "}
 
 
 def to_text(f: Formula) -> str:
-    """Render a formula so that parse(to_text(f)) == f."""
-    if isinstance(f, Atom):
-        return f.name
-    if isinstance(f, Top):
-        return "true"
-    if isinstance(f, Bot):
-        return "false"
-    if isinstance(f, Ua):
-        return "Ua"
-    if isinstance(f, Ub):
-        return "Ub"
-    if isinstance(f, Dclass):
-        return "D"
-    if isinstance(f, Dplus):
-        return "D+"
-    if isinstance(f, Dtopo):
-        return "Dt"
-    if isinstance(f, Not):
-        return "!" + _wrap(f.body, 4)
-    if isinstance(f, Pneg):
-        return "~" + _wrap(f.body, 4)
-    if isinstance(f, Box):
-        return f"[{f.direction}] " + _wrap(f.body, 4)
-    if isinstance(f, Diamond):
-        return f"<{f.direction}> " + _wrap(f.body, 4)
-    if isinstance(f, Heart):
-        return f"H{f.direction} " + _wrap(f.body, 4)
-    if isinstance(f, TBel):
-        return f"B{f.agent} " + _wrap(f.body, 4)
-    if isinstance(f, TAsm):
-        return f"X{f.agent} " + _wrap(f.body, 4)
-    if isinstance(f, TDia):
-        return f"E{f.agent} " + _wrap(f.body, 4)
-    if isinstance(f, And):
-        return _wrap(f.left, 3) + " & " + _wrap(f.right, 4)
-    if isinstance(f, Or):
-        return _wrap(f.left, 2) + " | " + _wrap(f.right, 3)
-    if isinstance(f, Imp):
-        return _wrap(f.left, 2) + " -> " + _wrap(f.right, 1)
-    if isinstance(f, Iff):
-        return _wrap(f.left, 1) + " <-> " + _wrap(f.right, 0)
-    raise TypeError(f"not a formula: {f!r}")
+    """Render a formula so that parse(to_text(f)) == f.
+
+    Iterative, so it prints a formula of any depth: the stack holds the
+    text still to come in reverse order, as literal strings and as
+    (subformula, least precedence shown without parentheses) pairs.
+    """
+    out: list[str] = []
+    stack: list = [(f, 0)]
+    while stack:
+        item = stack.pop()
+        if type(item) is str:
+            out.append(item)
+            continue
+        g, least = item
+        t = type(g)
+        if t in _PREFIX:
+            out.append(_PREFIX[t](g))
+            stack.append((g.body, 4))
+        elif t in _INFIX:
+            prec, infix, left, right = _INFIX[t]
+            if prec < least:
+                out.append("(")
+                stack.append(")")
+            stack += ((g.right, right), infix, (g.left, left))
+        elif t is Atom:
+            out.append(g.name)
+        elif t in _LEAF_TEXT:
+            out.append(_LEAF_TEXT[t])
+        else:
+            raise TypeError(f"not a formula: {g!r}")
+    return "".join(out)
 
 
 def modal_depth(f: Formula) -> int:

@@ -2,20 +2,26 @@
 
 Campaigns sweep an exhaustively enumerated model space and record how a
 named claim fares on every model.  They report; they do not assert.
-Each sweep compiles its formulas once (``program.compile_program``) and
-runs them with the one evaluator (``program.run``) on numpy lanes, one
+Each model kind has one enumerator, which yields numpy lane chunks, one
 lane per candidate model, blocked so that the type masks are fixed per
-block.  The claims themselves (lemma 1, the hole scan, theorems 2.2 and
-2.3, the validity lists) live next to their single-model helpers in
-``kripke`` and ``hyperset`` and are written over masks, so the same code
-judges one model and a block of lanes.
+chunk: ``_relation_lanes`` for classical frames and ``_membership_lanes``
+for membership graphs.  Each lane carries a record index (its place in
+the enumeration order) and reads back as a compact record, which
+``_rebuild_kripke``/``_rebuild_hyperset`` turn into a model; the public
+``enumerate_kripke``/``enumerate_hypersets`` are such rebuild loops.
+Each sweep compiles its formulas once (``program.compile_program``) and
+runs them with the one evaluator (``program.run``) on the lanes.  The
+claims themselves (lemma 1, the hole scan, theorems 2.2 and 2.3, the
+validity lists) live next to their single-model helpers in ``kripke``
+and ``hyperset`` and are written over masks, so the same code judges one
+model and a chunk of lanes.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from itertools import permutations, product as iproduct
+from itertools import product as iproduct
 from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -39,119 +45,7 @@ _LANE_BYTES = 1 << 24
 
 
 # ---------------------------------------------------------------------------
-# Public enumerators
-
-
-def _state_names(k: int, prefix: str) -> tuple[str, ...]:
-    return tuple(f"{prefix}{i}" for i in range(k))
-
-
-def _mask_set(names: tuple[str, ...], mask: int) -> list[str]:
-    return [n for i, n in enumerate(names) if mask >> i & 1]
-
-
-def enumerate_kripke(max_states: int, *, strict: bool = True, serial: bool = False,
-                     dedup_iso: bool = False) -> Iterator[kr.KripkeModel]:
-    """All belief frames with up to ``max_states`` states.
-
-    Sweeps every type-space assignment and every relation (cross-type
-    edges only in strict mode).  ``serial`` keeps only models where every
-    state has a successor; ``dedup_iso`` drops isomorphic duplicates.
-    """
-    if not 1 <= max_states <= 5:
-        raise ValueError("state bound must be between 1 and 5")
-    for k in range(1, max_states + 1):
-        seen: set = set()
-        for ua_mask in range(1 << k):
-            pairs = _pairs(k, ua_mask, strict)
-            for rel_id in range(1 << len(pairs)):
-                m = _rebuild_kripke(k, ua_mask, pairs, rel_id, strict)
-                if serial and not all(m.successors(x) for x in m.states):
-                    continue
-                if dedup_iso:
-                    sig = _kripke_iso_signature(k, ua_mask, [
-                        pair for j, pair in enumerate(pairs) if rel_id >> j & 1])
-                    if sig in seen:
-                        continue
-                    seen.add(sig)
-                yield m
-
-
-def _pairs(k: int, ua_mask: int, strict: bool) -> list[tuple[int, int]]:
-    """The candidate edges on k states: cross-type only in strict mode."""
-    return [(x, y) for x in range(k) for y in range(k)
-            if not strict or (ua_mask >> x & 1) != (ua_mask >> y & 1)]
-
-
-def _kripke_iso_signature(k: int, ua_mask: int, rel_idx: list[tuple[int, int]]):
-    best = None
-    for perm in permutations(range(k)):
-        ua = frozenset(perm[i] for i in range(k) if ua_mask >> i & 1)
-        rel = frozenset((perm[x], perm[y]) for x, y in rel_idx)
-        key = (tuple(sorted(ua)), tuple(sorted(rel)))
-        if best is None or key < best:
-            best = key
-    return best
-
-
-def enumerate_hypersets(max_nodes: int, *, allow_overlap: bool = False,
-                        dedup: bool = False, atom: str | None = None
-                        ) -> Iterator[hs.HypersetModel]:
-    """All membership graphs with up to ``max_nodes`` nodes.
-
-    Every node is either an urelement or a set with any member row; type
-    assignments cover the nodes, overlapping only when ``allow_overlap``.
-    With ``atom`` set, every valuation of that one atom is swept too.
-    """
-    if not 1 <= max_nodes <= 4:
-        raise ValueError("node bound must be between 1 and 4")
-    type_options = ("a", "b", "ab") if allow_overlap else ("a", "b")
-    seen: set = set()  # canonical forms shrink, so dedup spans all sizes
-    for k in range(1, max_nodes + 1):
-        names = _state_names(k, "n")
-        node_options: list = [None] + list(range(1 << k))  # None = urelement
-        for rows in iproduct(node_options, repeat=k):
-            mem = [(names[w], names[v]) for w in range(k)
-                   if rows[w] is not None for v in range(k) if rows[w] >> v & 1]
-            urelements = [names[w] for w in range(k) if rows[w] is None]
-            for types in iproduct(type_options, repeat=k):
-                ua = [names[w] for w in range(k) if "a" in types[w]]
-                ub = [names[w] for w in range(k) if "b" in types[w]]
-                val_masks = range(1 << k) if atom else (0,)
-                for vmask in val_masks:
-                    val = {atom: _mask_set(names, vmask)} if atom else None
-                    m = hs.HypersetModel(
-                        nodes=names, mem=mem, ua=ua, ub=ub,
-                        urelements=urelements, val=val,
-                        disjoint_types=not allow_overlap)
-                    if dedup:
-                        sig = _hyperset_iso_signature(hs.canonicalize(m)[0])
-                        if sig in seen:
-                            continue
-                        seen.add(sig)
-                    yield m
-
-
-def _hyperset_iso_signature(m: hs.HypersetModel):
-    nodes = sorted(m.nodes)
-    best = None
-    for perm in permutations(range(len(nodes))):
-        relabel = {nodes[i]: perm[i] for i in range(len(nodes))}
-        key = (
-            tuple(sorted((relabel[w], relabel[v]) for w, v in m.mem)),
-            tuple(sorted(relabel[w] for w in m.ua)),
-            tuple(sorted(relabel[w] for w in m.ub)),
-            tuple(sorted(relabel[w] for w in m.urelements)),
-            tuple(sorted((name, tuple(sorted(relabel[w] for w in sts)))
-                         for name, sts in m.val.items())),
-        )
-        if best is None or key < best:
-            best = key
-    return best
-
-
-# ---------------------------------------------------------------------------
-# Lane blocks: one numpy lane per candidate model, type masks fixed per block
+# Enumeration: one lane enumerator per model kind, one lane per candidate model
 
 
 def _lane_width(ops: Sequence[tuple], k: int) -> int:
@@ -160,60 +54,69 @@ def _lane_width(ops: Sequence[tuple], k: int) -> int:
     return max(1, _LANE_BYTES // (8 * (len(ops) + k)))
 
 
-def _relation_lanes(k: int, ua_mask: int, strict: bool, heart: str, ops: Sequence[tuple]):
-    """Every relation on k states with Ua = ua_mask, in rel-id order.
-
-    Yields (pairs, ids, frame) per chunk; lane i holds relation ids[i],
-    whose bit j is the edge pairs[j].
-    """
-    pairs = _pairs(k, ua_mask, strict)
-    total, width = 1 << len(pairs), _lane_width(ops, k)
-    for start in range(0, total, width):
-        ids = np.arange(start, min(start + width, total), dtype=np.int64)
-        rows = [np.zeros_like(ids) for _ in range(k)]
-        for j, (x, y) in enumerate(pairs):
-            rows[x] |= (ids >> j & 1) << y
-        yield pairs, ids, pg.Frame(k, ua_mask, (1 << k) - 1 - ua_mask, rows, {}, heart)
-
-
-def _rebuild_kripke(k: int, ua_mask: int, pairs, rel_id: int, strict: bool) -> kr.KripkeModel:
-    names = _state_names(k, "s")
-    rel = [(names[x], names[y]) for j, (x, y) in enumerate(pairs) if rel_id >> j & 1]
-    return kr.KripkeModel(states=names, rel=rel,
-                          ua=_mask_set(names, ua_mask),
-                          ub=_mask_set(names, (1 << k) - 1 - ua_mask),
-                          strict=strict)
-
-
-def two_cycle() -> kr.KripkeModel:
-    """The landmark two-state frame whose states watch each other."""
-    return kr.KripkeModel(states=["x", "y"], rel=[("x", "y"), ("y", "x")],
-                          ua=["x"], ub=["y"])
-
-
 class _Lanes(NamedTuple):
-    """A chunk of membership records sharing k and the type masks."""
+    """A chunk of candidate models sharing k and the type masks."""
 
-    record: np.ndarray  # each lane's position in enumerate_hypersets order
-    ure: np.ndarray
-    pval: np.ndarray  # the valuation of atom p
+    record: np.ndarray  # each lane's position in its enumeration order
+    ure: object  # the urelement masks (0 for frames)
     frame: pg.Frame
 
     def compact(self, lane: int) -> tuple:
-        """Lane ``lane`` as a compact (k, members, ure, ua, ub, pval) record."""
+        """Lane ``lane`` as a compact (k, rows, ure, ua, ub, pval) record,
+        pval being the valuation of atom p."""
         f = self.frame
-        return (f.k, tuple(int(row[lane]) for row in f.rows), int(self.ure[lane]),
-                f.ua, f.ub, int(self.pval[lane]))
+        at = lambda mask: int(mask[lane]) if isinstance(mask, np.ndarray) else mask
+        return (f.k, tuple(map(at, f.rows)), at(self.ure), f.ua, f.ub,
+                at(f.atoms.get("p", 0)))
+
+
+def _relation_lanes(max_states: int, strict: bool, serial: bool, heart: str,
+                    ops: Sequence[tuple]) -> Iterator[_Lanes]:
+    """Every belief frame with up to ``max_states`` states as lane chunks,
+    blocked by (k, ua) and in relation-id order within a block.
+
+    Bit j of a relation id is the j-th candidate edge (cross-type edges
+    only when ``strict``); ``serial`` drops the frames with a state that
+    has no successor.  ``record`` is a frame's position in this order,
+    counted before the serial filter.
+    """
+    if not 1 <= max_states <= 5:
+        raise ValueError("state bound must be between 1 and 5")
+    offset = 0
+    for k in range(1, max_states + 1):
+        width = _lane_width(ops, k)
+        for ua in range(1 << k):
+            pairs = [(x, y) for x in range(k) for y in range(k)
+                     if not strict or (ua >> x & 1) != (ua >> y & 1)]
+            total = 1 << len(pairs)
+            for start in range(0, total, width):
+                ids = np.arange(start, min(start + width, total), dtype=np.int64)
+                rows = [np.zeros_like(ids) for _ in range(k)]
+                for j, (x, y) in enumerate(pairs):
+                    rows[x] |= (ids >> j & 1) << y
+                if serial:
+                    keep = np.logical_and.reduce([row != 0 for row in rows])
+                    ids, rows = ids[keep], [row[keep] for row in rows]
+                if len(ids):
+                    yield _Lanes(offset + ids, 0,
+                                 pg.Frame(k, ua, (1 << k) - 1 - ua, rows, {}, heart))
+            offset += total
 
 
 def _membership_lanes(max_nodes: int, overlap: bool, with_atom: bool,
                       ops: Sequence[tuple]) -> Iterator[_Lanes]:
-    """The models of enumerate_hypersets as lane chunks, blocked by (k, ua, ub).
+    """Every membership model with up to ``max_nodes`` nodes as lane
+    chunks, blocked by (k, ua, ub).
 
-    Within a block the member rows, the urelements and the valuation of p
-    vary per lane; ``record`` keeps the enumeration order, so reports can
-    name the first models in that order.
+    Every node is an urelement or a set with any member row; the type
+    assignments cover the nodes, overlapping only when ``overlap``, and
+    ``with_atom`` sweeps every valuation of atom p.  Within a block the
+    member rows, the urelements and the valuation vary per lane;
+    ``record`` orders the models by size, then by (rows, types,
+    valuation), the order in which reports name their first models.
     """
+    if not 1 <= max_nodes <= 4:
+        raise ValueError("node bound must be between 1 and 4")
     type_options = (1, 2, 3) if overlap else (1, 2)  # bit 0: Ua, bit 1: Ub
     offset = 0
     for k in range(1, max_nodes + 1):
@@ -235,8 +138,7 @@ def _membership_lanes(max_nodes: int, overlap: bool, with_atom: bool,
                     rows[w] = np.maximum(option - 1, 0)
                     ure = ure | (option == 0) << w
                 atoms = {"p": pval} if with_atom else {}
-                yield _Lanes(record, ure, pval,
-                             pg.Frame(k, ua, ub, rows, atoms, "membership"))
+                yield _Lanes(record, ure, pg.Frame(k, ua, ub, rows, atoms, "membership"))
         offset += per_block * len(assignments)
 
 
@@ -250,16 +152,66 @@ def _first_hits(found: list, bad: np.ndarray, lanes: _Lanes, *key) -> list:
     return sorted(found)[:_FAIL_DUMP_CAP]
 
 
+def _state_names(k: int, prefix: str) -> tuple[str, ...]:
+    return tuple(f"{prefix}{i}" for i in range(k))
+
+
+def _edges(names: Sequence[str], rows: Sequence[int]) -> list[tuple[str, str]]:
+    return [(names[w], names[v]) for w, row in enumerate(rows)
+            for v in range(len(names)) if row >> v & 1]
+
+
+def _rebuild_kripke(rec, strict: bool) -> kr.KripkeModel:
+    k, rows, _, ua, ub, _ = rec
+    names = _state_names(k, "s")
+    return kr.KripkeModel(states=names, rel=_edges(names, rows),
+                          ua=pg.names_of(names, ua), ub=pg.names_of(names, ub),
+                          strict=strict)
+
+
 def _rebuild_hyperset(rec) -> hs.HypersetModel:
-    k, members, ure, ua, ub, pval = rec
+    k, rows, ure, ua, ub, pval = rec
     names = _state_names(k, "n")
-    mem = [(names[w], names[v]) for w in range(k)
-           for v in range(k) if members[w] >> v & 1]
-    val = {"p": _mask_set(names, pval)} if pval else None
     return hs.HypersetModel(
-        nodes=names, mem=mem, ua=_mask_set(names, ua), ub=_mask_set(names, ub),
-        urelements=_mask_set(names, ure), val=val,
+        nodes=names, mem=_edges(names, rows), ua=pg.names_of(names, ua),
+        ub=pg.names_of(names, ub), urelements=pg.names_of(names, ure),
+        val={"p": pg.names_of(names, pval)} if pval else None,
         disjoint_types=not (ua & ub))
+
+
+def enumerate_kripke(max_states: int, *, strict: bool = True,
+                     serial: bool = False) -> Iterator[kr.KripkeModel]:
+    """All belief frames with up to ``max_states`` states (1 to 5), rebuilt
+    from ``_relation_lanes``: by size, then Ua mask, then relation id.
+
+    Every type-space assignment and every relation (cross-type edges only
+    in strict mode); ``serial`` keeps only the frames in which every state
+    has a successor.
+    """
+    for lanes in _relation_lanes(max_states, strict, serial, "frame", ()):
+        for lane in range(len(lanes.record)):
+            yield _rebuild_kripke(lanes.compact(lane), strict)
+
+
+def enumerate_hypersets(max_nodes: int, *, allow_overlap: bool = False
+                        ) -> Iterator[hs.HypersetModel]:
+    """All membership graphs with up to ``max_nodes`` nodes (1 to 4),
+    rebuilt from ``_membership_lanes`` in its block order: by size, then
+    type assignment, then member rows and urelements.
+
+    Every node is either an urelement or a set with any member row; type
+    assignments cover the nodes, overlapping only when ``allow_overlap``.
+    A model is marked ``disjoint_types`` exactly when its own types are.
+    """
+    for lanes in _membership_lanes(max_nodes, allow_overlap, False, ()):
+        for lane in range(len(lanes.record)):
+            yield _rebuild_hyperset(lanes.compact(lane))
+
+
+def two_cycle() -> kr.KripkeModel:
+    """The landmark two-state frame whose states watch each other."""
+    return kr.KripkeModel(states=["x", "y"], rel=[("x", "y"), ("y", "x")],
+                          ua=["x"], ub=["y"])
 
 
 # ---------------------------------------------------------------------------
@@ -323,43 +275,30 @@ def _dump_block(lines: list[str], title: str, body: str) -> None:
 
 
 def _run_kripke_campaign(c: Campaign) -> CampaignReport:
-    if not 1 <= c.max_size <= 5:
-        raise ValueError("state bound must be between 1 and 5")
     totals = {"models": 0, "holds": 0, "fails": 0, "degenerate": 0}
-    dumps: list[str] = []
+    found: list[tuple] = []  # the first (record, compact record) that fail
     lemma1 = c.target == "lemma1"
     ops, slots = kr.lemma1_program() if lemma1 else kr.hole_program("kripke")
-
-    for k in range(1, c.max_size + 1):
-        for ua_mask in range(1 << k):
-            for pairs, ids, frame in _relation_lanes(k, ua_mask, c.strict, c.heart, ops):
-                vals = pg.run(ops, frame)
-                keep = np.ones(len(ids), dtype=bool)
-                if c.serial:
-                    for row in frame.rows:
-                        keep &= row != 0
-                if lemma1:
-                    premise, part1_fails, part2_body = map(
-                        np.asarray, kr.lemma1_masks(vals, slots, (1 << k) - 1))
-                    part1, part2 = part1_fails == 0, part2_body == 0
-                    fails = (premise & ~part1) | ~part2
-                    holds = premise & part1 & part2
-                    degenerate = ~premise & part2
-                else:
-                    holds = np.zeros(len(ids), dtype=bool)
-                    for _, hole in kr.hole_masks(vals, slots):
-                        holds |= hole
-                    fails = ~holds
-                    degenerate = np.zeros(len(ids), dtype=bool)
-                totals["models"] += int(np.count_nonzero(keep))
-                totals["holds"] += int(np.count_nonzero(holds & keep))
-                totals["fails"] += int(np.count_nonzero(fails & keep))
-                totals["degenerate"] += int(np.count_nonzero(degenerate & keep))
-                if len(dumps) < _FAIL_DUMP_CAP:
-                    for idx in np.flatnonzero(fails & keep)[:_FAIL_DUMP_CAP - len(dumps)]:
-                        model = _rebuild_kripke(k, ua_mask, pairs,
-                                                int(ids[idx]), c.strict)
-                        dumps.append(dump_kripke(model))
+    for lanes in _relation_lanes(c.max_size, c.strict, c.serial, c.heart, ops):
+        n = len(lanes.record)
+        vals = pg.run(ops, lanes.frame)
+        if lemma1:
+            premise, part1_fails, part2_body = (np.broadcast_to(mask, n) for mask in
+                kr.lemma1_masks(vals, slots, (1 << lanes.frame.k) - 1))
+            part1, part2 = part1_fails == 0, part2_body == 0
+            fails = (premise & ~part1) | ~part2
+            totals["holds"] += int(np.count_nonzero(premise & part1 & part2))
+            totals["degenerate"] += int(np.count_nonzero(~premise & part2))
+        else:
+            holds = np.zeros(n, dtype=bool)
+            for _, hole in kr.hole_masks(vals, slots):
+                holds |= hole
+            fails = ~holds
+            totals["holds"] += int(np.count_nonzero(holds))
+        totals["models"] += n
+        totals["fails"] += int(np.count_nonzero(fails))
+        found = _first_hits(found, fails, lanes)
+    dumps = [dump_kripke(_rebuild_kripke(rec, c.strict)) for _, rec in found]
 
     lines = _header(c)
     lines.extend(_two_cycle_verdict(c.heart))
@@ -388,8 +327,6 @@ def _two_cycle_verdict(heart: str) -> list[str]:
 
 
 def _run_theorem22(c: Campaign) -> CampaignReport:
-    if not 1 <= c.max_size <= 4:
-        raise ValueError("node bound must be between 1 and 4")
     family = hs.bounded_formula_family()
     ops, slots = pg.compile_program(family, "nwf", atoms=("p",))
     totals = {"models": 0, "holds": 0, "degenerate": 0,
@@ -428,8 +365,6 @@ def _run_theorem22(c: Campaign) -> CampaignReport:
 
 
 def _run_theorem23(c: Campaign) -> CampaignReport:
-    if not 1 <= c.max_size <= 4:
-        raise ValueError("node bound must be between 1 and 4")
     ops, slots = pg.compile_program([f for _, f in hs.TRUE_ASSUMPTIONS], "nwf", atoms=())
     totals = {"models": 0, "holds": 0, "violations": 0}
     found: list[tuple] = []  # the first (record, state, direction, compact record)
@@ -457,8 +392,6 @@ def _run_theorem23(c: Campaign) -> CampaignReport:
 
 
 def _run_validity_lists(c: Campaign) -> CampaignReport:
-    if not 1 <= c.max_size <= 4:
-        raise ValueError("node bound must be between 1 and 4")
     ops, slots = hs.validity_program()
     models = 0
     valid_counts = {text: 0 for text, _ in hs.VALIDITY_CLAIMS}

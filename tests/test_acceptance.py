@@ -7,6 +7,8 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the lines.
 import random
 import time
 
+import numpy as np
+
 from bkw import formula as fm
 from bkw import harness as hn
 from bkw import hyperset as hs
@@ -165,32 +167,58 @@ def test_criterion_9_canonicalization_invariance():
     assert max(fm.modal_depth(f) for f in family) == 4
     ops, slots = pg.compile_program(family, "nwf")
 
-    def check(m) -> int:
-        canon, rep = hs.canonicalize(m)
-        nodes = sorted(m.nodes)
-        canon_nodes = sorted(canon.nodes)
-        target = [canon_nodes.index(rep[n]) for n in nodes]
-        vals = pg.run(ops, hs.to_frame(m)[1])
-        vals_c = pg.run(ops, hs.to_frame(canon)[1])
-        bad = 0
-        for slot in slots:
-            ext, ext_c = vals[slot], vals_c[slot]
-            for i in range(len(nodes)):
-                if ext >> i & 1 != ext_c >> target[i] & 1:
-                    bad += 1
-        return bad
+    def extensions(frame, lanes):
+        """The family's extension masks on a frame, one column per lane."""
+        vals = pg.run(ops, frame)
+        out = np.empty((len(slots), lanes), dtype=np.uint8)
+        for i, slot in enumerate(slots):
+            out[i] = vals[slot]
+        return out
 
-    violations = 0
-    models = 0
-    for rec in _compact_records(3):
+    def quotient(m):
+        """m's canonical quotient, its compact record, and per node of m the
+        index of its representative there (7, a bit no mask sets, pads to
+        six nodes)."""
+        canon, rep = hs.canonicalize(m)
+        names, frame = hs.to_frame(canon)
+        rec = (frame.k, tuple(frame.rows), pg.masker(names)(canon.urelements),
+               frame.ua, frame.ub, frame.atoms.get("p", 0))
+        target = [names.index(rep[n]) for n in sorted(m.nodes)]
+        return canon, rec, target + [7] * (6 - len(target))
+
+    def mismatches(ext, ext_c, targets):
+        """(model, formula, node) triples whose bit in ext differs from the
+        bit of the node's representative in ext_c."""
+        moved = np.zeros_like(ext)
+        for i, rep in enumerate(np.array(targets, dtype=np.uint8).T):
+            moved |= (ext_c >> rep & 1) << i
+        return int(np.bitwise_count(ext ^ moved).sum())
+
+    # every enumerated record up to 3 nodes, without p and with p at n0, as
+    # lanes; a quotient of one is again one, so its column is read back
+    records, columns = [], []
+    for lanes in hn._membership_lanes(3, False, False, ops):
         for pval in (0, 1):
-            k, members, ure, ua, ub, _ = rec
-            models += 1
-            violations += check(hn._rebuild_hyperset((k, members, ure, ua, ub, pval)))
+            lanes = lanes._replace(frame=lanes.frame._replace(atoms={"p": pval}))
+            columns.append(extensions(lanes.frame, len(lanes.record)))
+            records += [lanes.compact(i) for i in range(len(lanes.record))]
+    ext = np.concatenate(columns, axis=1)
+    column = {rec: j for j, rec in enumerate(records)}
+    canon_columns, targets = [], []
+    for rec in records:
+        _, canon, target = quotient(hn._rebuild_hyperset(rec))
+        canon_columns.append(column[canon])
+        targets.append(target)
+    violations = mismatches(ext, ext[:, canon_columns], targets)
+
     rng = random.Random(90)
-    for _ in range(400):
-        models += 1
-        violations += check(random_hyperset(rng, 6))
+    randoms = [random_hyperset(rng, 6) for _ in range(400)]
+    quotients = [quotient(m) for m in randoms]
+    violations += mismatches(
+        np.hstack([extensions(hs.to_frame(m)[1], 1) for m in randoms]),
+        np.hstack([extensions(hs.to_frame(canon)[1], 1) for canon, _, _ in quotients]),
+        [target for _, _, target in quotients])
+    models = len(records) + len(randoms)
     _report(9, "extensions are invariant under the bisimulation quotient",
             violations == 0,
             f"{models} graphs x {len(family)} formulas of modal depth <= 4, "

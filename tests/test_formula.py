@@ -100,3 +100,30 @@ def test_deep_nesting_is_a_parse_error():
         fm.parse("!" * 3000 + "p")
     with pytest.raises(fm.ParseError, match="nested too deeply"):
         fm.parse("(" * 3000 + "p" + ")" * 3000)
+
+
+def test_deep_mixed_round_trip():
+    # 900 levels: 400 prefix operators under 150 left-nested &, 150
+    # left-nested |, 100 right-nested -> and 100 right-nested <->.  The
+    # printer is iterative; the parser recurses once per prefix, -> and
+    # <-> level, so this depth stays within its reach.
+    prefixes = (fm.Not, fm.Pneg, lambda g: fm.Box("ab", g),
+                lambda g: fm.Heart("ba", g), lambda g: fm.Diamond("ab", g),
+                lambda g: fm.TBel("a", g), lambda g: fm.TAsm("b", g),
+                lambda g: fm.TDia("a", g))
+    p, q = fm.Atom("p"), fm.Atom("q")
+    f = p
+    for i in range(400):
+        f = prefixes[i % len(prefixes)](f)
+    for _ in range(150):
+        f = fm.And(f, fm.Not(q))
+    for _ in range(150):
+        f = fm.Or(f, fm.And(fm.Ua(), fm.Ub()))
+    for _ in range(100):
+        f = fm.Imp(fm.Or(p, q), f)
+    for _ in range(100):
+        f = fm.Iff(fm.Imp(p, q), f)
+    text = fm.to_text(f)
+    assert text.startswith("p -> q <-> p -> q <-> ") and "(" not in text
+    # printing back the parsed formula reproduces every level, in place
+    assert fm.to_text(fm.parse(text)) == text

@@ -37,12 +37,10 @@ def test_enumerate_kripke_is_duplicate_free():
 def test_enumerate_kripke_serial_filter():
     for m in hn.enumerate_kripke(3, serial=True):
         assert all(m.successors(x) for x in m.states)
-
-
-def test_enumerate_kripke_iso_dedup():
-    plain = sum(1 for _ in hn.enumerate_kripke(2))
-    deduped = sum(1 for _ in hn.enumerate_kripke(2, dedup_iso=True))
-    assert deduped < plain
+    # complete and in order: exactly the serial frames of the full sweep
+    serial = list(hn.enumerate_kripke(3, strict=False, serial=True))
+    assert serial == [m for m in hn.enumerate_kripke(3, strict=False)
+                      if all(m.successors(x) for x in m.states)]
 
 
 def test_enumerate_hypersets_counts():
@@ -59,41 +57,13 @@ def test_enumerate_hypersets_counts():
 
 def test_enumerate_hypersets_all_validate():
     count = 0
+    models = set()
     for m in hn.enumerate_hypersets(2, allow_overlap=True):
         count += 1
         assert m.ua | m.ub == m.nodes
+        models.add(m)
     assert count == 25 * 9 + 3 * 3  # two-node space + single-node space
-
-
-def _models_isomorphic(m1, m2):
-    from itertools import permutations
-    n1, n2 = sorted(m1.nodes), sorted(m2.nodes)
-    if len(n1) != len(n2):
-        return False
-    for perm in permutations(n2):
-        sigma = dict(zip(n1, perm))
-        if (frozenset((sigma[w], sigma[v]) for w, v in m1.mem) == m2.mem
-                and frozenset(sigma[w] for w in m1.ua) == m2.ua
-                and frozenset(sigma[w] for w in m1.ub) == m2.ub
-                and frozenset(sigma[w] for w in m1.urelements) == m2.urelements
-                and {k: frozenset(sigma[w] for w in v)
-                     for k, v in m1.val.items() if v}
-                == {k: v for k, v in m2.val.items() if v}):
-            return True
-    return False
-
-
-def test_enumerate_hypersets_dedup_drops_equivalent_models():
-    kept = [hs.canonicalize(m)[0] for m in hn.enumerate_hypersets(2, dedup=True)]
-    full = [hs.canonicalize(m)[0] for m in hn.enumerate_hypersets(2)]
-    assert len(kept) < len(full)
-    # survivors are pairwise non-isomorphic
-    for i, c1 in enumerate(kept):
-        for c2 in kept[i + 1:]:
-            assert not _models_isomorphic(c1, c2)
-    # and they cover the whole space up to isomorphism
-    for c in full:
-        assert any(_models_isomorphic(c, survivor) for survivor in kept)
+    assert len(models) == count  # pairwise distinct
 
 
 def test_campaign_validation():
@@ -175,35 +145,37 @@ def test_vectorized_engine_matches_reference():
     ops, slots = kr.lemma1_program()
     for heart in ("frame", "local"):
         seen = 0
-        for k in range(1, 4):
-            for ua_mask in range(1 << k):
-                for pairs, ids, frame in hn._relation_lanes(k, ua_mask, True, heart, ops):
-                    premise, part1_fails, part2_body = (
-                        np.broadcast_to(mask, len(ids)) for mask in
-                        kr.lemma1_masks(pg.run(ops, frame), slots, (1 << k) - 1))
-                    for idx in range(len(ids)):
-                        m = hn._rebuild_kripke(k, ua_mask, pairs,
-                                               int(ids[idx]), True)
-                        got = (bool(premise[idx]), part1_fails[idx] == 0,
-                               part2_body[idx] == 0)
-                        assert got == _oracle_lemma1(m, heart)
-                        seen += 1
+        for lanes in hn._relation_lanes(3, True, False, heart, ops):
+            n = len(lanes.record)
+            premise, part1_fails, part2_body = (
+                np.broadcast_to(mask, n) for mask in
+                kr.lemma1_masks(pg.run(ops, lanes.frame), slots,
+                                (1 << lanes.frame.k) - 1))
+            for idx in range(n):
+                m = hn._rebuild_kripke(lanes.compact(idx), True)
+                got = (bool(premise[idx]), part1_fails[idx] == 0,
+                       part2_body[idx] == 0)
+                assert got == _oracle_lemma1(m, heart)
+                seen += 1
         assert seen == 110
 
 
 def test_vectorized_holes_match_reference_on_nonstrict_sample():
     rng = random.Random(61)
-    k = 3
     ops, slots = kr.hole_program("kripke")
     for heart in ("frame", "local"):
-        for ua_mask in (0b001, 0b110, 0b111):
-            for pairs, ids, frame in hn._relation_lanes(k, ua_mask, False, heart, ops):
-                any_hole = np.zeros(len(ids), dtype=bool)
-                for _, hole in kr.hole_masks(pg.run(ops, frame), slots):
-                    any_hole |= hole
-                for idx in rng.sample(range(len(ids)), 40):
-                    m = hn._rebuild_kripke(k, ua_mask, pairs, int(ids[idx]), False)
-                    assert bool(any_hole[idx]) == _oracle_any_hole(m, heart)
+        sampled = 0
+        for lanes in hn._relation_lanes(3, False, False, heart, ops):
+            if lanes.frame.k != 3 or lanes.frame.ua not in (0b001, 0b110, 0b111):
+                continue
+            any_hole = np.zeros(len(lanes.record), dtype=bool)
+            for _, hole in kr.hole_masks(pg.run(ops, lanes.frame), slots):
+                any_hole |= hole
+            for idx in rng.sample(range(len(lanes.record)), 40):
+                m = hn._rebuild_kripke(lanes.compact(idx), False)
+                assert bool(any_hole[idx]) == _oracle_any_hole(m, heart)
+                sampled += 1
+        assert sampled == 3 * 40
 
 
 def test_mask_program_matches_reference_evaluator():
