@@ -431,6 +431,7 @@ def _run_lattice_laws(c: Campaign) -> CampaignReport:
         for t in tp.enumerate_topologies(carrier):
             totals["topologies"] += 1
             closed = sorted(t.closed, key=lambda s: (len(s), tuple(sorted(s))))
+            family = f"closed={[sorted(s) for s in closed]}"
             if c.target == "adjunction":
                 for a in closed:
                     for b in closed:
@@ -441,8 +442,7 @@ def _run_lattice_laws(c: Campaign) -> CampaignReport:
                                 totals["violations"] += 1
                                 if len(dumps) < _FAIL_DUMP_CAP:
                                     dumps.append(
-                                        f"A={sorted(a)} B={sorted(b)} X={sorted(x)} "
-                                        f"closed={[sorted(s) for s in closed]}")
+                                        f"A={sorted(a)} B={sorted(b)} X={sorted(x)} {family}")
             else:
                 for s in closed:
                     totals["checks"] += 2
@@ -450,13 +450,11 @@ def _run_lattice_laws(c: Campaign) -> CampaignReport:
                     if s | neg != t.carrier:
                         totals["violations"] += 1
                         if len(dumps) < _FAIL_DUMP_CAP:
-                            dumps.append(f"join law: S={sorted(s)} "
-                                         f"closed={[sorted(x) for x in closed]}")
+                            dumps.append(f"join law: S={sorted(s)} {family}")
                     if s & neg != tp.boundary(t, s):
                         totals["violations"] += 1
                         if len(dumps) < _FAIL_DUMP_CAP:
-                            dumps.append(f"overlap law: S={sorted(s)} "
-                                         f"closed={[sorted(x) for x in closed]}")
+                            dumps.append(f"overlap law: S={sorted(s)} {family}")
 
     lines = _header(c)
     claim = ("subtraction adjunction over all closed triples"

@@ -37,6 +37,9 @@ class ParaTopoModel:
     def _validate(self) -> None:
         if self.a & self.b:
             raise ValueError(f"carriers overlap on {sorted(self.a & self.b)}")
+        for side, t in (("A", self.tau_a), ("B", self.tau_b)):
+            for problem in tp.validate(t)[:1]:
+                raise ValueError(f"the {side} family is not a topology: {problem}")
         for x, y in self.t_a:
             if x not in self.a or y not in self.b:
                 raise ValueError(f"tA pair ({x}, {y}) is outside A x B")
@@ -79,23 +82,6 @@ def diagonal(m: ParaTopoModel) -> frozenset:
     return evaluate(m, fm.Dtopo())
 
 
-def _closure(m: ParaTopoModel, mask):
-    """Closure on masks, per carrier: the intersection of the closed supersets."""
-    spaces = [(mask(t.carrier), [mask(c) for c in t.closed]) for t in (m.tau_a, m.tau_b)]
-
-    def close(s: int) -> int:
-        out = 0
-        for carrier, closed in spaces:
-            hull = carrier
-            for c in closed:
-                if s & carrier & ~c == 0:
-                    hull &= c
-            out |= hull
-        return out
-
-    return close
-
-
 def _diagonal(frame: pg.Frame, close) -> int:
     """``diagonal`` on masks: x in A lies in close(A - tB(y)) for each y in tA(x)."""
     rows = frame.rows
@@ -119,7 +105,16 @@ def evaluate(m: ParaTopoModel, f: fm.Formula) -> frozenset:
         m.val, "local")
     used = {op[0] for op in ops}
     if pg.PNEG in used or pg.DIAG in used:
-        close = _closure(m, pg.masker(names))
+        mask, hulls = pg.masker(names), m.tau_a.hulls | m.tau_b.hulls
+        hull = [mask(hulls[x]) for x in names]
+
+        def close(s: int) -> int:  # the union of the hulls of s's points
+            out = 0
+            for i, h in enumerate(hull):
+                if s >> i & 1:
+                    out |= h
+            return out
+
         diag = _diagonal(frame, close) if pg.DIAG in used else None
         frame = frame._replace(diag=diag, closure=close)
     return pg.names_of(names, pg.run(ops, frame)[slot])
@@ -138,21 +133,15 @@ def bk_witnesses(m: ParaTopoModel) -> frozenset:
 
 
 def horizontally_closed(m: ParaTopoModel, s: Iterable[tuple[str, str]]) -> bool:
-    """Every point of s extends to a closed A-slice inside s."""
-    s = frozenset(s)
-    for (x, y) in s:
-        if not any(x in c and all((x2, y) in s for x2 in c) for c in m.tau_a.closed):
-            return False
-    return True
+    """Every point of s extends to a closed A-slice inside s: its hull's slice."""
+    s, hulls = frozenset(s), m.tau_a.hulls
+    return all(x in hulls and all((x2, y) in s for x2 in hulls[x]) for x, y in s)
 
 
 def vertically_closed(m: ParaTopoModel, s: Iterable[tuple[str, str]]) -> bool:
-    """Every point of s extends to a closed B-slice inside s."""
-    s = frozenset(s)
-    for (x, y) in s:
-        if not any(y in c and all((x, y2) in s for y2 in c) for c in m.tau_b.closed):
-            return False
-    return True
+    """Every point of s extends to a closed B-slice inside s: its hull's slice."""
+    s, hulls = frozenset(s), m.tau_b.hulls
+    return all(y in hulls and all((x, y2) in s for y2 in hulls[y]) for x, y in s)
 
 
 def _nonempty_subsets(points: Iterable) -> list[frozenset]:

@@ -79,8 +79,8 @@ def test_criterion_3_true_assumption_campaign():
 
 
 def test_criterion_4_co_heyting_law_suite():
-    adj = hn.run_campaign(hn.Campaign(target="adjunction", max_size=3))
-    bnd = hn.run_campaign(hn.Campaign(target="boundary_law", max_size=3))
+    adj = hn.run_campaign(hn.Campaign(target="adjunction", max_size=4))
+    bnd = hn.run_campaign(hn.Campaign(target="boundary_law", max_size=4))
     _report(4, "subtraction adjunction, join law, boundary overlap law",
             adj.summary["violations"] == 0 and bnd.summary["violations"] == 0,
             f"{adj.summary['topologies']} topologies, "

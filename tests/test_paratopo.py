@@ -60,6 +60,10 @@ def test_validation():
         pt.ParaTopoModel(tp.discrete("xy"), tp.discrete("yz"), [], [])
     with pytest.raises(ValueError):  # relation outside the carriers
         discrete_model("x", "u", [("u", "x")], [])
+    with pytest.raises(ValueError, match="not a topology: missing empty set"):
+        pt.ParaTopoModel(  # neither {} nor the union {x} | {y} is closed
+            tp.ClosedTopology.make("xyz", [["x"], ["y"], ["x", "y", "z"]]),
+            tp.discrete("u"), t_a=[], t_b=[("u", "x")])
 
 
 def test_evaluate_assumption_on_fixture():
@@ -154,6 +158,23 @@ def test_horizontal_vertical_closedness():
     # {a2} is not closed in tau_A, so a singleton column through a2 fails
     assert not pt.horizontally_closed(FIXTURE, frozenset([("a2", "b1")]))
     assert pt.horizontally_closed(FIXTURE, frozenset([("a1", "b1")]))
+    # a checked coordinate outside its carrier has no closed slice
+    assert not pt.horizontally_closed(FIXTURE, frozenset([("b1", "b1")]))
+    assert not pt.vertically_closed(FIXTURE, frozenset([("a1", "a1")]))
+    # both predicates against their definition: some closed slice through
+    # each point of s lies in s
+    rng = random.Random(35)
+    for _ in range(20):
+        m = random_paratopo(rng)
+        cells = sorted((x, y) for x in m.a for y in m.b)
+        for mask in range(1 << len(cells)):
+            s = frozenset(c for i, c in enumerate(cells) if mask >> i & 1)
+            assert pt.horizontally_closed(m, s) == all(
+                any(x in c and all((x2, y) in s for x2 in c) for c in m.tau_a.closed)
+                for x, y in s)
+            assert pt.vertically_closed(m, s) == all(
+                any(y in c and all((x, y2) in s for y2 in c) for c in m.tau_b.closed)
+                for x, y in s)
 
 
 def test_rectangles_of_closed_sets_are_closed_both_ways():

@@ -1,4 +1,4 @@
-from itertools import chain, combinations
+from itertools import chain, combinations, product
 
 import pytest
 
@@ -25,6 +25,9 @@ def test_validate():
     assert "missing empty set" in problems
     assert "missing carrier" in problems
     assert tp.validate(tp.discrete("ab")) == []
+    # a set that leaves the carrier is reported, also by the hull table's builder
+    outside = tp.ClosedTopology.make("ab", [[], ["a", "z"], ["a", "b"]])
+    assert tp.validate(outside)[0] == "set ['a', 'z'] is not a subset of the carrier"
 
 
 def test_validate_catches_missing_union():
@@ -42,10 +45,14 @@ def test_closure_interior_boundary():
     assert tp.boundary(SIERPINSKI, carrier) == carrier - tp.interior(SIERPINSKI, carrier)
     for op in (tp.closure, tp.interior, tp.boundary):
         assert op(SIERPINSKI, frozenset()) == frozenset()
+    # points outside the carrier are named, not silently closed over
+    for op in (tp.closure, tp.boundary):
+        with pytest.raises(ValueError, match=r"\['z'\]"):
+            op(SIERPINSKI, frozenset("az"))
 
 
 def test_closure_is_smallest_closed_superset():
-    for t in all_topologies_up_to(3):
+    for t in all_topologies_up_to(4):
         for s in powerset(t.carrier):
             c = tp.closure(t, s)
             assert c in t.closed and s <= c
@@ -146,6 +153,18 @@ def test_product():
             p = tp.product(ta, tb)
             assert tp.validate(p) == []
             assert len(p.carrier) == len(ta.carrier) * len(tb.carrier)
+            unions = {frozenset()}
+            for c in ta.closed:
+                for d in tb.closed:
+                    rect = frozenset(product(c, d))
+                    unions |= {u | rect for u in unions}
+            assert p.closed == unions
+
+
+def _family_key(t, points):
+    """The order of enumerate_topologies: bit m set for each closed mask m."""
+    bit = {p: 1 << i for i, p in enumerate(points)}
+    return sum(1 << sum(bit[p] for p in c) for c in t.closed)
 
 
 def test_enumerate_topologies_counts():
@@ -154,5 +173,27 @@ def test_enumerate_topologies_counts():
     assert sum(1 for _ in tp.enumerate_topologies(["x", "y"])) == 4
     # 29 distinct topologies exist on a labeled 3-point set
     assert sum(1 for _ in tp.enumerate_topologies(["x", "y", "z"])) == 29
+    # the same families, in the same order, as filtering every candidate
+    # family by the axioms
+    for points in ([], ["x"], ["x", "y"], ["x", "y", "z"]):
+        full = frozenset(points)
+        optional = [s for s in powerset(points) if s not in (frozenset(), full)]
+        optional.sort(key=lambda s: sum(1 << points.index(p) for p in s))
+        brute = []
+        for mask in range(1 << len(optional)):
+            family = {frozenset(), full}
+            family.update(s for i, s in enumerate(optional) if mask >> i & 1)
+            t = tp.ClosedTopology(full, frozenset(family))
+            if not tp.validate(t):
+                brute.append(t)
+        assert list(tp.enumerate_topologies(points)) == brute
+    # 355 topologies on 4 labelled points (OEIS A000798), in strictly
+    # increasing order
+    points = ["w", "x", "y", "z"]
+    four = list(tp.enumerate_topologies(points))
+    assert len(four) == 355
+    assert all(tp.validate(t) == [] for t in four)
+    keys = [_family_key(t, points) for t in four]
+    assert all(a < b for a, b in zip(keys, keys[1:]))
     with pytest.raises(ValueError):
         next(tp.enumerate_topologies("abcde"))
