@@ -22,6 +22,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from itertools import product as iproduct
+from math import prod
 from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -39,8 +40,12 @@ TARGETS = ("lemma1", "theorem12", "theorem22", "theorem23",
            "validity_lists", "adjunction", "boundary_law", "lawvere_scan")
 
 _FAIL_DUMP_CAP = 5
-# Budget for the live lane values of one sweep chunk; at 16 MB every
-# benchmarked sweep peaks below the RSS of the former 2^20-lane chunks.
+#: The dtype of every lane mask (successor rows, urelements, valuations and
+#: the extensions computed from them): frames have at most 5 states and
+#: membership graphs at most 4 nodes, so a byte holds a mask.
+_LANE = np.uint8
+# Budget for the live lane masks of one sweep chunk, at one byte per lane
+# and mask; a chunk's int64 record indices come on top, at eight bytes a lane.
 _LANE_BYTES = 1 << 24
 
 
@@ -49,15 +54,16 @@ _LANE_BYTES = 1 << 24
 
 
 def _lane_width(ops: Sequence[tuple], k: int) -> int:
-    """Lanes per chunk that keep a chunk's live values (one per op and one
+    """Lanes per chunk that keep a chunk's live masks (one per op and one
     successor row per state) within _LANE_BYTES."""
-    return max(1, _LANE_BYTES // (8 * (len(ops) + k)))
+    return max(1, _LANE_BYTES // (np.dtype(_LANE).itemsize * (len(ops) + k)))
 
 
 class _Lanes(NamedTuple):
-    """A chunk of candidate models sharing k and the type masks."""
+    """A chunk of candidate models sharing k and the type masks; its
+    successor rows, urelement masks and valuation are _LANE arrays."""
 
-    record: np.ndarray  # each lane's position in its enumeration order
+    record: np.ndarray  # each lane's position in its enumeration order (int64)
     ure: object  # the urelement masks (0 for frames)
     frame: pg.Frame
 
@@ -70,15 +76,34 @@ class _Lanes(NamedTuple):
                 at(f.atoms.get("p", 0)))
 
 
+def _row_fields(k: int, ua: int, strict: bool) -> list[tuple[int, int, np.ndarray]]:
+    """Per state x, (shift, mask, table): in the frame with relation id i,
+    x's successor row is ``table[i >> shift & mask]``.
+
+    Bit j of a relation id is the j-th candidate edge (cross-type edges
+    only when ``strict``), ordered by source state, then target, so the
+    edges of state x are one bit-field of the id.
+    """
+    fields, shift = [], 0
+    for x in range(k):
+        targets = [y for y in range(k) if not strict or (ua >> x & 1) != (ua >> y & 1)]
+        table = [0]  # field value -> row; bit i of the field is the edge to targets[i]
+        for y in targets:
+            table += [row | 1 << y for row in table]
+        fields.append((shift, len(table) - 1, np.array(table, dtype=_LANE)))
+        shift += len(targets)
+    return fields
+
+
 def _relation_lanes(max_states: int, strict: bool, serial: bool, heart: str,
                     ops: Sequence[tuple]) -> Iterator[_Lanes]:
     """Every belief frame with up to ``max_states`` states as lane chunks,
-    blocked by (k, ua) and in relation-id order within a block.
+    blocked by (k, ua) and in relation-id order within a block
+    (``_row_fields`` reads the rows off the id).
 
-    Bit j of a relation id is the j-th candidate edge (cross-type edges
-    only when ``strict``); ``serial`` drops the frames with a state that
-    has no successor.  ``record`` is a frame's position in this order,
-    counted before the serial filter.
+    ``serial`` drops the frames with a state that has no successor.
+    ``record`` is a frame's position in this order, counted before the
+    serial filter.
     """
     if not 1 <= max_states <= 5:
         raise ValueError("state bound must be between 1 and 5")
@@ -86,14 +111,11 @@ def _relation_lanes(max_states: int, strict: bool, serial: bool, heart: str,
     for k in range(1, max_states + 1):
         width = _lane_width(ops, k)
         for ua in range(1 << k):
-            pairs = [(x, y) for x in range(k) for y in range(k)
-                     if not strict or (ua >> x & 1) != (ua >> y & 1)]
-            total = 1 << len(pairs)
+            fields = _row_fields(k, ua, strict)
+            total = prod(len(table) for _, _, table in fields)
             for start in range(0, total, width):
                 ids = np.arange(start, min(start + width, total), dtype=np.int64)
-                rows = [np.zeros_like(ids) for _ in range(k)]
-                for j, (x, y) in enumerate(pairs):
-                    rows[x] |= (ids >> j & 1) << y
+                rows = [table[ids >> shift & mask] for shift, mask, table in fields]
                 if serial:
                     keep = np.logical_and.reduce([row != 0 for row in rows])
                     ids, rows = ids[keep], [row[keep] for row in rows]
@@ -124,6 +146,7 @@ def _membership_lanes(max_nodes: int, overlap: bool, with_atom: bool,
         vals = 1 << k if with_atom else 1
         per_block = options ** k * vals
         width = _lane_width(ops, k)
+        member_row = np.maximum(np.arange(options) - 1, 0).astype(_LANE)  # option -> row
         assignments = list(iproduct(type_options, repeat=k))
         for t, types in enumerate(assignments):
             ua = sum(1 << w for w in range(k) if types[w] & 1)
@@ -135,9 +158,9 @@ def _membership_lanes(max_nodes: int, overlap: bool, with_atom: bool,
                 rows, ure = [None] * k, 0
                 for w in reversed(range(k)):
                     digits, option = digits // options, digits % options
-                    rows[w] = np.maximum(option - 1, 0)
-                    ure = ure | (option == 0) << w
-                atoms = {"p": pval} if with_atom else {}
+                    rows[w] = member_row[option]
+                    ure = ure | (option == 0) * _LANE(1 << w)
+                atoms = {"p": pval.astype(_LANE)} if with_atom else {}
                 yield _Lanes(record, ure, pg.Frame(k, ua, ub, rows, atoms, "membership"))
         offset += per_block * len(assignments)
 

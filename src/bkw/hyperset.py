@@ -256,11 +256,13 @@ def is_special(frame: pg.Frame, ure, w: int):
 def theorem22_faults(frame: pg.Frame, w: int, body):
     """Theorem 2.2 at node w for one body extension, on one model or numpy
     lanes: (w assumes the body iff w satisfies it, w fails to believe it).
-    Both must be false wherever w is special."""
+    Both must be false wherever w is special.  A constant body is a Python
+    int, so it is never complemented: ``~`` of an int is negative, which
+    no unsigned lane can hold."""
     tgt = frame.ub if frame.ua >> w & 1 else frame.ua
     need = frame.rows[w] & tgt
     assumes = body & (frame.rows[w] | 1 << w) == need
-    return assumes == (body >> w & 1 == 1), need & ~body != 0
+    return assumes == (body >> w & 1 == 1), need & body != need
 
 
 def check_theorem_2_2(m: HypersetModel,

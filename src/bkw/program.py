@@ -3,11 +3,14 @@
 A set of formulas compiles to a flat op list in which every distinct
 subformula is one op.  ``run`` evaluates the ops over a ``Frame``, one
 extension mask per op, bit ``i`` standing for state ``i``.  A mask is
-either a Python ``int`` (one model) or a numpy ``int64`` array with one
-lane per candidate model (a sweep); both support the same ``& | ^ ==
->>`` operators, so the one loop serves both.  Within a lane block the
-type masks ``ua``/``ub`` are plain ints, so the per-state skip of states
-outside the modality's source type is the same in both cases.
+either a Python ``int`` (one model) or a numpy ``uint8`` array with one
+lane per candidate model (a sweep: frames have at most 5 states and
+membership graphs at most 4 nodes, so a byte holds a mask).  Both
+support the same ``& | ^ == >>`` operators, so the one loop serves both,
+and its results keep the dtype of the rows.  Within a lane block the
+type masks ``ua``/``ub`` and the constants are plain ints, so the
+per-state skip of states outside the modality's source type is the same
+in both cases.
 
 The three semantics differ only in the frame: the successor rows, the
 heart rule of the assumption modality, the diagonal atom, and the
@@ -113,14 +116,22 @@ class Frame(NamedTuple):
     closure: Callable | None = None
 
 
+def _one(rows: Sequence):
+    """1 as a scalar of the rows' lane dtype (a Python int for one model).
+    A bool lane times ``one << w`` keeps the lane dtype; shifted by a
+    Python int it would widen to int64."""
+    return rows[0].dtype.type(1) if rows and hasattr(rows[0], "dtype") else 1
+
+
 def no_return(rows: Sequence):
     """States none of whose successors has them as a successor in turn."""
+    one = _one(rows)
     d = 0
     for w, row in enumerate(rows):
         back = 0
         for z, row_z in enumerate(rows):
             back = back | (row >> z & row_z >> w & 1)
-        d = d | (back == 0) << w
+        d = d | (back == 0) * (one << w)
     return d
 
 
@@ -128,6 +139,7 @@ def run(ops: Sequence[tuple], frame: Frame) -> list:
     """Evaluate compiled ops on a frame; one extension mask per op."""
     k, ua, ub, rows, atoms, heart = frame[:6]
     full = (1 << k) - 1
+    one = _one(rows)
     states = range(k)
     vals: list = []
     push = vals.append
@@ -141,21 +153,21 @@ def run(ops: Sequence[tuple], frame: Frame) -> list:
                 miss = tgt & ~body
                 for w in states:
                     if src >> w & 1:
-                        r = r | (rows[w] & miss == 0) << w
+                        r = r | (rows[w] & miss == 0) * (one << w)
             elif code == DIA:
                 hit = tgt & body
                 for w in states:
                     if src >> w & 1:
-                        r = r | (rows[w] & hit != 0) << w
+                        r = r | (rows[w] & hit != 0) * (one << w)
             elif heart == "membership":
                 for w in states:
                     if src >> w & 1:
-                        r = r | (body & (rows[w] | 1 << w) == rows[w] & tgt) << w
+                        r = r | (body & (rows[w] | 1 << w) == rows[w] & tgt) * (one << w)
             else:
                 want = body if heart == "frame" else body & tgt
                 for w in states:
                     if src >> w & 1:
-                        r = r | (rows[w] & tgt == want) << w
+                        r = r | (rows[w] & tgt == want) * (one << w)
             push(r)
         elif code == AND:
             push(vals[op[1]] & vals[op[2]])

@@ -85,10 +85,18 @@ def closure(t: ClosedTopology, s: Iterable) -> frozenset:
     return frozenset().union(*map(t.hulls.__getitem__, s))
 
 
+def _complement(t: ClosedTopology, s: Iterable) -> frozenset:
+    """The carrier minus s, after the same carrier check as ``closure``:
+    a complement would silently drop the points of s outside it."""
+    s = frozenset(s)
+    if not s <= t.carrier:
+        raise ValueError(f"points {sorted(s - t.carrier)} are outside the carrier")
+    return t.carrier - s
+
+
 def interior(t: ClosedTopology, s: Iterable) -> frozenset:
     """Largest open subset of s (opens are complements of closed sets)."""
-    s = frozenset(s)
-    return t.carrier - closure(t, t.carrier - s)
+    return t.carrier - closure(t, _complement(t, s))
 
 
 def boundary(t: ClosedTopology, s: Iterable) -> frozenset:
@@ -98,14 +106,12 @@ def boundary(t: ClosedTopology, s: Iterable) -> frozenset:
 
 def pneg(t: ClosedTopology, s: Iterable) -> frozenset:
     """Paraconsistent negation: closure of the complement."""
-    s = frozenset(s)
-    return closure(t, t.carrier - s)
+    return closure(t, _complement(t, s))
 
 
 def ineg(t: ClosedTopology, s: Iterable) -> frozenset:
     """Intuitionistic negation: interior of the complement."""
-    s = frozenset(s)
-    return interior(t, t.carrier - s)
+    return interior(t, _complement(t, s))
 
 
 def _require_closed(t: ClosedTopology, s: frozenset, role: str) -> None:

@@ -111,31 +111,51 @@ def test_criterion_6_paraconsistent_satisfiability():
             f"witnesses={sorted(closed_witnesses)} vs discrete={sorted(discrete_witnesses)}")
 
 
+#: models/holds/fails/degenerate of the classical campaigns at 4 states,
+#: by (target, strict, heart, serial); the heart rule changes no count.
+CLASSICAL_COUNTS = {
+    ("lemma1", True, "frame", False): (2160, 526, 1030, 604),
+    ("lemma1", True, "local", False): (2160, 526, 1030, 604),
+    ("lemma1", False, "frame", False): (1052740, 149310, 598132, 305298),
+    ("lemma1", False, "local", False): (1052740, 149310, 598132, 305298),
+    ("theorem12", True, "frame", False): (2160, 2090, 70, 0),
+    ("theorem12", True, "local", False): (2160, 2090, 70, 0),
+    ("theorem12", False, "frame", False): (1052740, 1009140, 43600, 0),
+    ("theorem12", False, "local", False): (1052740, 1009140, 43600, 0),
+    ("theorem12", False, "frame", True): (812782, 771678, 41104, 0),
+}
+
+
 def test_criterion_7_classical_claim_campaigns():
     start = time.perf_counter()
     texts = {}
     ok = True
-    for target in ("lemma1", "theorem12"):
-        for strict in (True, False):
-            for heart in ("frame", "local"):
-                c = hn.Campaign(target=target, max_size=4, strict=strict,
-                                heart=heart)
-                report = hn.run_campaign(c)
-                texts[(target, strict, heart)] = report.text
-                ok &= report.summary["models"] > 0
-                ok &= any(line.startswith("landmark two_cycle")
-                          and "part1_valid=False" in line
-                          for line in report.lines)
+    wrong_counts = []
+    for target, strict, heart, serial in CLASSICAL_COUNTS:
+        c = hn.Campaign(target=target, max_size=4, strict=strict,
+                        heart=heart, serial=serial)
+        report = hn.run_campaign(c)
+        texts[(target, strict, heart, serial)] = report.text
+        ok &= report.summary["models"] > 0
+        ok &= any(line.startswith("landmark two_cycle")
+                  and "part1_valid=False" in line
+                  for line in report.lines)
+        counts = tuple(report.summary[key]
+                       for key in ("models", "holds", "fails", "degenerate"))
+        if counts != CLASSICAL_COUNTS[(target, strict, heart, serial)]:
+            wrong_counts.append(f"{target} strict={strict} heart={heart} "
+                                f"serial={serial}: {counts}")
     rerun = hn.run_campaign(hn.Campaign(target="theorem12", max_size=4,
                                         strict=False, heart="frame"))
-    deterministic = rerun.text == texts[("theorem12", False, "frame")]
+    deterministic = rerun.text == texts[("theorem12", False, "frame", False)]
     elapsed = time.perf_counter() - start
     hole_free = rerun.summary["fails"]
     _report(7, "classical-claim campaigns complete deterministically "
-               "with the two-cycle verdict",
-            ok and deterministic and elapsed < 600.0,
-            f"8 flag runs over <=4 states in {elapsed:.1f}s; "
-            f"{hole_free} hole-free frames in the non-strict sweep")
+               "with the two-cycle verdict and the recorded counts",
+            ok and not wrong_counts and deterministic and elapsed < 600.0,
+            f"8 flag runs and a serial run over <=4 states in {elapsed:.1f}s; "
+            f"{hole_free} hole-free frames in the non-strict sweep"
+            + (f"; wrong counts: {wrong_counts}" if wrong_counts else ""))
 
 
 def test_criterion_8_parser_round_trip():

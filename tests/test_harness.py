@@ -1,4 +1,5 @@
 import random
+from itertools import groupby, product as iproduct
 
 import numpy as np
 import pytest
@@ -245,6 +246,149 @@ def test_sweeps_reject_unenumerated_atoms():
                          val={"q": ["w"]})
     assert hs.nwf_extension(m, fm.parse("q")) == frozenset(["w"])
     assert hs.nwf_extension(m, fm.parse("r")) == frozenset()
+
+
+def _candidate_edges(k, ua, strict):
+    return [(x, y) for x in range(k) for y in range(k)
+            if not strict or (ua >> x & 1) != (ua >> y & 1)]
+
+
+def _rows_by_edge(k, edges, ids):
+    """The successor rows of the frames with relation ids ``ids``, built one
+    int64 pass per candidate edge (bit j of an id: edge j)."""
+    rows = [np.zeros_like(ids) for _ in range(k)]
+    for j, (x, y) in enumerate(edges):
+        rows[x] |= (ids >> j & 1) << y
+    return rows
+
+
+@pytest.mark.parametrize("strict", [True, False])
+@pytest.mark.parametrize("serial", [True, False])
+def test_relation_lanes_match_per_edge_reference(strict, serial):
+    # every (k, ua) block at 1-4 states, in order: records and rows
+    expected, offset = [], 0
+    for k in range(1, 5):
+        for ua in range(1 << k):
+            edges = _candidate_edges(k, ua, strict)
+            ids = np.arange(1 << len(edges), dtype=np.int64)
+            rows = _rows_by_edge(k, edges, ids)
+            keep = np.logical_and.reduce(rows) if serial else np.ones(len(ids), bool)
+            if keep.any():
+                expected.append(((k, ua), offset + ids[keep], [row[keep] for row in rows]))
+            offset += len(ids)
+    # whole blocks per chunk (no ops), then about 16.7 k lanes per chunk
+    # (1000 ops), which does not divide a block, so chunks start inside a
+    # row's bit-field
+    for ops in ((), [()] * 1000):
+        chunks = list(hn._relation_lanes(4, strict, serial, "frame", ops))
+        for lanes in chunks:
+            f = lanes.frame
+            assert lanes.record.dtype == np.int64
+            assert all(row.dtype == np.uint8 for row in f.rows)
+            assert len(f.rows) == f.k and f.ub == (1 << f.k) - 1 - f.ua
+        keys = [(lanes.frame.k, lanes.frame.ua) for lanes in chunks]
+        assert [key for key, _ in groupby(keys)] == [key for key, _, _ in expected]
+        for key, records, rows in expected:
+            block = [lanes for lanes in chunks if (lanes.frame.k, lanes.frame.ua) == key]
+            assert np.array_equal(np.concatenate([b.record for b in block]), records)
+            for x, row in enumerate(rows):
+                assert np.array_equal(np.concatenate([b.frame.rows[x] for b in block]), row)
+
+
+def test_relation_lanes_at_five_states_use_25_bit_ids():
+    # non-strict 5-state frames have 25 candidate edges: check the sweep's
+    # first 5-state chunk, and the rows of its last chunk
+    ops, _ = kr.hole_program("kripke")
+    width = hn._lane_width(ops, 5)
+    offset = sum(1 << k + k * k for k in range(1, 5))  # the frames of 1-4 states
+    first = next(lanes for lanes in hn._relation_lanes(5, False, False, "frame", ops)
+                 if lanes.frame.k == 5)
+    assert first.frame.ua == 0 and len(first.record) == width
+    assert np.array_equal(first.record, offset + np.arange(width))
+    edges = _candidate_edges(5, 0, False)
+    assert len(edges) == 25
+    for got, want in zip(first.frame.rows,
+                         _rows_by_edge(5, edges, np.arange(width, dtype=np.int64))):
+        assert got.dtype == np.uint8 and np.array_equal(got, want)
+    # the last chunk: Ua holds all five states, the top ids of its block
+    total = 1 << 25
+    ids = np.arange((total - 1) // width * width, total, dtype=np.int64)
+    fields = hn._row_fields(5, 0b11111, False)
+    expected = _rows_by_edge(5, _candidate_edges(5, 0b11111, False), ids)
+    for (shift, mask, table), want in zip(fields, expected, strict=True):
+        got = table[ids >> shift & mask]
+        assert got.dtype == np.uint8 and np.array_equal(got, want)
+        assert got[-1] == 0b11111
+
+
+def _widened(x):
+    return x.astype(np.int64) if isinstance(x, np.ndarray) else x
+
+
+def _flat(result):
+    """The masks and verdicts of a helper's (nested) result, in order."""
+    if isinstance(result, (tuple, list)) or hasattr(result, "__next__"):
+        return [leaf for item in result for leaf in _flat(item)]
+    return [result]
+
+
+def test_claim_helpers_take_constant_bodies_beside_byte_lanes():
+    # constant ops (true, false, Ua, Ub) stay Python ints next to uint8
+    # lanes; no helper may complement one into a negative int, and each
+    # must answer as on the same lanes widened to int64
+    rng = np.random.default_rng(64)
+    k, full = 3, 7
+    lane = lambda: rng.integers(0, 1 << k, 300, dtype=np.uint8)
+    narrow = pg.Frame(k, 0b011, 0b110, [lane() for _ in range(k)], {}, "membership")
+    wide = narrow._replace(rows=[_widened(row) for row in narrow.rows])
+    bodies = [0, full, narrow.ua, narrow.ub, 0b101, lane(), lane()]
+    wide_bodies = [_widened(b) for b in bodies]
+    slots = list(range(len(bodies)))
+    triples = list(iproduct(slots, repeat=3))
+    quads = list(iproduct(slots, repeat=4))
+    pairs = [(hs.is_special(narrow, ure, w), hs.is_special(wide, _widened(ure), w))
+             for w in range(k) for ure in (0b100, lane())]
+    pairs += [(fn(narrow, w, body), fn(wide, w, _widened(body)))
+              for fn in (hs.theorem22_faults, hs.theorem23_fault)
+              for w in range(k) for body in bodies]
+    pairs += [(kr.lemma1_masks(bodies, t, full), kr.lemma1_masks(wide_bodies, t, full))
+              for t in triples]
+    pairs.append((hs.validity_failures(bodies, slots, full),
+                  hs.validity_failures(wide_bodies, slots, full)))
+    pairs.append((kr.hole_masks(bodies, quads), kr.hole_masks(wide_bodies, quads)))
+    checked = 0
+    for got, want in pairs:
+        for g, v in zip(_flat(got), _flat(want), strict=True):
+            assert np.array_equal(g, v)
+            if isinstance(g, np.ndarray):  # masks keep the lane dtype
+                assert g.dtype in (np.uint8, np.bool_)
+            checked += 1
+    assert checked == (2 * k + 3 * k * len(bodies) + 3 * len(triples)
+                       + len(slots) + 5 * len(quads))
+
+
+@pytest.mark.parametrize("heart", ["frame", "local", "membership"])
+def test_run_keeps_the_lane_dtype(heart):
+    # byte lanes give byte results, not int64 ones, equal to the results
+    # on the same lanes widened to int64
+    language, diag = ("nwf", fm.Dplus()) if heart == "membership" else ("kripke", fm.Dclass())
+    family = hs.bounded_formula_family() + (diag, fm.Heart("ab", diag),
+                                            fm.Box("ba", fm.Not(diag)))
+    ops, _ = pg.compile_program(family, language, atoms=("p",))
+    rng = np.random.default_rng(65)
+    k = 4
+    lane = lambda: rng.integers(0, 1 << k, 200, dtype=np.uint8)
+    narrow = pg.Frame(k, 0b0011, 0b1110, [lane() for _ in range(k)], {"p": lane()}, heart)
+    wide = narrow._replace(rows=[_widened(row) for row in narrow.rows],
+                           atoms={"p": _widened(narrow.atoms["p"])})
+    lanes = 0
+    for got, want in zip(pg.run(ops, narrow), pg.run(ops, wide), strict=True):
+        if isinstance(got, np.ndarray):
+            assert got.dtype == np.uint8 and want.dtype == np.int64
+            lanes += 1
+        assert np.array_equal(got, want)
+    assert lanes > len(ops) // 2
+    assert pg.no_return(narrow.rows).dtype == np.uint8
 
 
 def test_fixture_registry_all_pass():

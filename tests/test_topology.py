@@ -45,10 +45,11 @@ def test_closure_interior_boundary():
     assert tp.boundary(SIERPINSKI, carrier) == carrier - tp.interior(SIERPINSKI, carrier)
     for op in (tp.closure, tp.interior, tp.boundary):
         assert op(SIERPINSKI, frozenset()) == frozenset()
-    # points outside the carrier are named, not silently closed over
-    for op in (tp.closure, tp.boundary):
-        with pytest.raises(ValueError, match=r"\['z'\]"):
-            op(SIERPINSKI, frozenset("az"))
+    # points outside the carrier are named, not silently closed over or dropped
+    for op in (tp.closure, tp.interior, tp.boundary, tp.pneg, tp.ineg):
+        for s in (frozenset("az"), frozenset("z")):
+            with pytest.raises(ValueError, match=r"^points \['z'\] are outside the carrier$"):
+                op(SIERPINSKI, s)
 
 
 def test_closure_is_smallest_closed_superset():
