@@ -15,6 +15,14 @@ claims themselves (lemma 1, the hole scan, theorems 2.2 and 2.3, the
 validity lists) live next to their single-model helpers in ``kripke``
 and ``hyperset`` and are written over masks, so the same code judges one
 model and a chunk of lanes.
+
+The membership theorems judge a stack of formula masks at once:
+``_stacked`` copies the masks into 2-D (formulas × lanes) blocks, whose
+height keeps a block within 1/128 of ``_LANE_BYTES``, and each state is
+judged with one broadcast call per block.  theorem22 first drops the
+lanes with no special node (no urelement and no Quine state): they hold
+and count as degenerate without being evaluated.  A block is scanned for
+its first hits (``_first_hits``) only when it has a violation.
 """
 
 from __future__ import annotations
@@ -23,7 +31,7 @@ import json
 from dataclasses import dataclass
 from itertools import product as iproduct
 from math import prod
-from typing import Iterator, NamedTuple, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -165,14 +173,49 @@ def _membership_lanes(max_nodes: int, overlap: bool, with_atom: bool,
         offset += per_block * len(assignments)
 
 
-def _first_hits(found: list, bad: np.ndarray, lanes: _Lanes, *key) -> list:
-    """``found`` plus the lanes flagged in ``bad`` as (record, *key,
-    compact record) entries, cut to the _FAIL_DUMP_CAP first in order."""
-    hits = np.flatnonzero(bad)[:_FAIL_DUMP_CAP]
-    if len(hits) == 0:
+def _first_hits(found: list, bad: np.ndarray, lanes: _Lanes,
+                key: Callable[[int], tuple] = lambda row: ()) -> list:
+    """``found`` plus the lanes flagged in ``bad`` as (record, *key(row),
+    compact record) entries, cut to the _FAIL_DUMP_CAP first in order.
+
+    ``bad`` flags the chunk's lanes, or is a block of such rows (one per
+    formula, say) whose keys rise with the row.  Records rise with the
+    lane within a chunk, so the block's first entries lie in its first
+    _FAIL_DUMP_CAP lanes with a hit, taken lane by lane and row by row.
+    """
+    if bad.ndim == 1:
+        hits = [(lane, 0) for lane in np.flatnonzero(bad)[:_FAIL_DUMP_CAP]]
+    else:
+        first = np.flatnonzero(bad.any(axis=0))[:_FAIL_DUMP_CAP]
+        lane, row = np.nonzero(bad[:, first].T)
+        hits = list(zip(first[lane], row))[:_FAIL_DUMP_CAP]
+    if not hits:
         return found
-    found = found + [(int(lanes.record[i]), *key, lanes.compact(i)) for i in hits]
+    found = found + [(int(lanes.record[i]), *key(j), lanes.compact(i)) for i, j in hits]
     return sorted(found)[:_FAIL_DUMP_CAP]
+
+
+def _take_lanes(lanes: _Lanes, keep: np.ndarray) -> _Lanes:
+    """The lanes of a membership chunk that ``keep`` flags."""
+    f = lanes.frame
+    return _Lanes(lanes.record[keep], lanes.ure[keep],
+                  f._replace(rows=[row[keep] for row in f.rows],
+                             atoms={a: mask[keep] for a, mask in f.atoms.items()}))
+
+
+def _stacked(vals: list, slots: Sequence[int], n: int) -> Iterator[tuple[int, np.ndarray]]:
+    """The masks of ``slots`` on n lanes as (index of the first slot,
+    slots × n _LANE array) blocks, so that a claim judges a block of
+    formulas in one broadcast.  A block, and each temporary of its shape
+    that the claim makes, holds one row or at most 1/128 of _LANE_BYTES:
+    the few rows of a wide chunk stay in cache next to its masks."""
+    height = max(1, _LANE_BYTES // 128 // n)
+    for start in range(0, len(slots), height):
+        block = slots[start:start + height]
+        body = np.empty((len(block), n), dtype=_LANE)
+        for j, slot in enumerate(block):
+            body[j] = vals[slot]  # also broadcasts the Python-int constants
+        yield start, body
 
 
 def _state_names(k: int, prefix: str) -> tuple[str, ...]:
@@ -356,23 +399,30 @@ def _run_theorem22(c: Campaign) -> CampaignReport:
               "states_checked": 0, "violations": 0}
     found: list[tuple] = []  # the first (record, formula, state, compact record)
     for lanes in _membership_lanes(c.max_size, False, True, ops):
-        frame = lanes.frame
-        vals = pg.run(ops, frame)
-        specials = np.zeros(len(lanes.record), dtype=np.int64)
-        model_violations = np.zeros(len(lanes.record), dtype=np.int64)
-        for w in range(frame.k):
-            special = hs.is_special(frame, lanes.ure, w)
-            specials += special
-            for i, slot in enumerate(slots):
-                wrong_assumption, belief_fails = hs.theorem22_faults(frame, w, vals[slot])
-                bad = special & (wrong_assumption | belief_fails)
-                model_violations += bad
-                found = _first_hits(found, bad, lanes, i, w)
-        totals["models"] += len(lanes.record)
-        totals["degenerate"] += int(np.count_nonzero(specials == 0))
-        totals["holds"] += int(np.count_nonzero(model_violations == 0))
-        totals["states_checked"] += int(specials.sum())
-        totals["violations"] += int(model_violations.sum())
+        special = np.array([hs.is_special(lanes.frame, lanes.ure, w)
+                            for w in range(lanes.frame.k)])
+        live = special.any(axis=0)  # a lane without a special node holds
+        n = int(np.count_nonzero(live))
+        totals["models"] += len(live)
+        totals["holds"] += len(live)
+        totals["degenerate"] += len(live) - n
+        totals["states_checked"] += int(np.count_nonzero(special))
+        if n == 0:
+            continue
+        if n < len(live):
+            lanes, special = _take_lanes(lanes, live), special[:, live]
+        model_violations = 0  # per-lane counts from the first violating block on
+        # the masks live only in the block generator, so they are freed
+        # before the next chunk is evaluated
+        for start, body in _stacked(pg.run(ops, lanes.frame), slots, n):
+            for w in range(lanes.frame.k):
+                wrong_assumption, belief_fails = hs.theorem22_faults(lanes.frame, w, body)
+                bad = special[w] & (wrong_assumption | belief_fails)
+                if bad.any():
+                    model_violations += np.count_nonzero(bad, axis=0)
+                    found = _first_hits(found, bad, lanes, lambda j: (start + j, w))
+        totals["holds"] -= int(np.count_nonzero(model_violations))
+        totals["violations"] += int(np.sum(model_violations))
 
     lines = _header(c, f"formula family: {len(family)} formulas, modal depth <= 2")
     lines.append("claim: quine/urelement states assume exactly their falsehoods "
@@ -392,16 +442,17 @@ def _run_theorem23(c: Campaign) -> CampaignReport:
     totals = {"models": 0, "holds": 0, "violations": 0}
     found: list[tuple] = []  # the first (record, state, direction, compact record)
     for lanes in _membership_lanes(c.max_size, True, False, ops):
-        vals = pg.run(ops, lanes.frame)
-        model_violations = np.zeros(len(lanes.record), dtype=np.int64)
-        for w in range(lanes.frame.k):
-            for d, slot in enumerate(slots):
-                bad = hs.theorem23_fault(lanes.frame, w, vals[slot])
-                model_violations += bad
-                found = _first_hits(found, bad, lanes, w, d)
-        totals["models"] += len(lanes.record)
-        totals["holds"] += int(np.count_nonzero(model_violations == 0))
-        totals["violations"] += int(model_violations.sum())
+        n = len(lanes.record)
+        model_violations = 0  # per-lane counts from the first violating block on
+        for start, assumed in _stacked(pg.run(ops, lanes.frame), slots, n):
+            for w in range(lanes.frame.k):
+                bad = hs.theorem23_fault(lanes.frame, w, assumed)
+                if bad.any():
+                    model_violations += np.count_nonzero(bad, axis=0)
+                    found = _first_hits(found, bad, lanes, lambda d: (w, start + d))
+        totals["models"] += n
+        totals["holds"] += n - int(np.count_nonzero(model_violations))
+        totals["violations"] += int(np.sum(model_violations))
 
     lines = _header(c)
     lines.append("claim: quine states with a true assumption sit in both type spaces")

@@ -45,9 +45,21 @@ def test_criterion_1_fixture_suite():
             f"{len(report.claims)} claims, {elapsed:.3f}s{failures or ''}")
 
 
+#: theorem22 SUMMARY counts per node bound: (models, holds, degenerate,
+#: states_checked, violations).
+THEOREM22_COUNTS = {1: (12, 12, 4, 8, 0), 2: (412, 412, 148, 328, 0),
+                    3: (47068, 47068, 22100, 31432, 0)}
+THEOREM22_KEYS = ("models", "holds", "degenerate", "states_checked", "violations")
+
+
 def test_criterion_2_assumption_theorem_campaign():
     report = hn.run_campaign(hn.Campaign(target="theorem22", max_size=3))
     ok = report.summary["violations"] == 0
+    for size, counts in THEOREM22_COUNTS.items():
+        summary = (report if size == 3 else
+                   hn.run_campaign(hn.Campaign(target="theorem22", max_size=size))).summary
+        got = tuple(summary[key] for key in THEOREM22_KEYS)
+        assert got == counts, (size, got)
 
     # strengthen the formula family semantically: sweep every candidate
     # extension a formula could have, not just the generated family

@@ -9,7 +9,7 @@ from bkw import harness as hn
 from bkw import hyperset as hs
 from bkw import kripke as kr
 from bkw import program as pg
-from bkw.modelio import load_model
+from bkw.modelio import dump_nwf, load_model
 from conftest import (kripke_truth, nwf_truth, random_hyperset,
                       random_relational_formula)
 
@@ -233,6 +233,143 @@ def test_theorem23_predicate_matches_reference_modalities():
                             and nwf_truth(m, f, name)
                             and not (name in m.ua and name in m.ub))
                 assert bool(hs.theorem23_fault(frame, w, assumed)) == expected
+
+
+def _mutated_theorem22(real, min_nodes=1):
+    """Theorem 2.2 broken: on models of at least ``min_nodes`` nodes, a
+    special state that satisfies a body which does not hold everywhere is
+    also flagged.  Elementwise, so it broadcasts like the real predicate."""
+    def faults(frame, w, body):
+        wrong_assumption, belief_fails = real(frame, w, body)
+        flagged = ((frame.k >= min_nodes) & (body >> w & 1 == 1)
+                   & (body != (1 << frame.k) - 1))
+        return wrong_assumption | flagged, belief_fails
+    return faults
+
+
+def _mutated_theorem23(real):
+    """Theorem 2.3 broken: any node that is its own member and assumes
+    true is flagged, whatever its types."""
+    def fault(frame, w, assumed):
+        return real(frame, w, assumed) | ((frame.rows[w] & 1 << w != 0)
+                                          & (assumed >> w & 1 == 1))
+    return fault
+
+
+def _lane_first_hits(found, bad, lanes, *key):
+    """The per-row first-hit scan: the first lanes of ``bad`` as
+    (record, *key, compact record) entries, merged in order and cut to 5."""
+    found = found + [(int(lanes.record[i]), *key, lanes.compact(i))
+                     for i in np.flatnonzero(bad)[:5]]
+    return sorted(found)[:5]
+
+
+def _violation_report(c, lines, totals, blocks):
+    lines.append(f"models={totals['models']} holds={totals['holds']} "
+                 f"violations={totals['violations']}")
+    for n, body in enumerate(blocks, start=1):
+        hn._dump_block(lines, f"violation {n} of {totals['violations']}", body)
+    return hn.CampaignReport(tuple(lines), {"target": c.target,
+                                            "max_size": c.max_size, **totals}).text
+
+
+def _reference_theorem22(max_size):
+    """theorem22 judged one (state, formula) pair of lane rows at a time."""
+    c = hn.Campaign(target="theorem22", max_size=max_size)
+    family = hs.bounded_formula_family()
+    ops, slots = pg.compile_program(family, "nwf", atoms=("p",))
+    totals = dict.fromkeys(("models", "holds", "degenerate", "states_checked",
+                            "violations"), 0)
+    found = []
+    for lanes in hn._membership_lanes(max_size, False, True, ops):
+        frame, n = lanes.frame, len(lanes.record)
+        vals = pg.run(ops, frame)
+        specials = np.zeros(n, dtype=np.int64)
+        violations = np.zeros(n, dtype=np.int64)
+        for w in range(frame.k):
+            special = hs.is_special(frame, lanes.ure, w)
+            specials += special
+            for i, slot in enumerate(slots):
+                wrong_assumption, belief_fails = hs.theorem22_faults(frame, w, vals[slot])
+                bad = special & (wrong_assumption | belief_fails)
+                violations += bad
+                found = _lane_first_hits(found, bad, lanes, i, w)
+        totals["models"] += n
+        totals["degenerate"] += int(np.count_nonzero(specials == 0))
+        totals["holds"] += int(np.count_nonzero(violations == 0))
+        totals["states_checked"] += int(specials.sum())
+        totals["violations"] += int(violations.sum())
+    lines = hn._header(c, f"formula family: {len(family)} formulas, modal depth <= 2")
+    lines.append("claim: quine/urelement states assume exactly their falsehoods "
+                 "and believe everything")
+    return _violation_report(c, lines, totals, [
+        f"state n{w}, formula {fm.to_text(family[i])}\n"
+        + dump_nwf(hn._rebuild_hyperset(rec)) for _, i, w, rec in found])
+
+
+def _reference_theorem23(max_size):
+    """theorem23 judged one (state, direction) pair of lane rows at a time."""
+    c = hn.Campaign(target="theorem23", max_size=max_size)
+    ops, slots = pg.compile_program([f for _, f in hs.TRUE_ASSUMPTIONS], "nwf", atoms=())
+    totals = dict.fromkeys(("models", "holds", "violations"), 0)
+    found = []
+    for lanes in hn._membership_lanes(max_size, True, False, ops):
+        vals = pg.run(ops, lanes.frame)
+        violations = np.zeros(len(lanes.record), dtype=np.int64)
+        for w in range(lanes.frame.k):
+            for d, slot in enumerate(slots):
+                bad = hs.theorem23_fault(lanes.frame, w, vals[slot])
+                violations += bad
+                found = _lane_first_hits(found, bad, lanes, w, d)
+        totals["models"] += len(lanes.record)
+        totals["holds"] += int(np.count_nonzero(violations == 0))
+        totals["violations"] += int(violations.sum())
+    lines = hn._header(c)
+    lines.append("claim: quine states with a true assumption sit in both type spaces")
+    return _violation_report(c, lines, totals, [
+        f"quine state n{w}\n" + dump_nwf(hn._rebuild_hyperset(rec))
+        for _, w, _, rec in found])
+
+
+def test_theorem_campaigns_report_violations_like_the_per_row_loop(monkeypatch):
+    # the real predicates never fire; broken ones fire often, so the
+    # counts and the five dumps (ordered by record, then formula or
+    # state, then state or direction) are checked against the loop that
+    # judges one row of lanes at a time
+    monkeypatch.setattr(hs, "theorem22_faults", _mutated_theorem22(hs.theorem22_faults))
+    monkeypatch.setattr(hs, "theorem23_fault", _mutated_theorem23(hs.theorem23_fault))
+    for target, size, reference in (("theorem22", 2, _reference_theorem22),
+                                    ("theorem23", 3, _reference_theorem23)):
+        report = hn.run_campaign(hn.Campaign(target=target, max_size=size))
+        assert report.summary["violations"] > 100
+        assert report.summary["holds"] < report.summary["models"]
+        assert sum(line.startswith("violation ") for line in report.lines) == 5
+        assert report.text == reference(size)
+
+
+@pytest.mark.parametrize("mutated", [False, True])
+def test_theorem22_report_does_not_depend_on_chunk_and_block_sizes(monkeypatch, mutated):
+    if mutated:  # first violations in 3-node chunks, which the budget below splits
+        monkeypatch.setattr(hs, "theorem22_faults",
+                            _mutated_theorem22(hs.theorem22_faults, min_nodes=3))
+    c = hn.Campaign(target="theorem22", max_size=3)
+    expected = hn.run_campaign(c).text
+    # 997 lanes per 3-node chunk, which splits each 5832-lane block, and
+    # formula blocks of a few rows, which split the 602 formulas unevenly
+    shapes = []
+    stacked = hn._stacked
+
+    def spy(vals, slots, n):
+        for start, body in stacked(vals, slots, n):
+            shapes.append(body.shape)
+            yield start, body
+
+    monkeypatch.setattr(hn, "_stacked", spy)
+    monkeypatch.setattr(hn, "_LANE_BYTES", 605 * 997)
+    assert hn.run_campaign(c).text == expected
+    heights = {height for height, _ in shapes}
+    assert len(heights) > 3 and any(602 % h for h in heights)
+    assert max(n for _, n in shapes) <= 997
 
 
 def test_sweeps_reject_unenumerated_atoms():
