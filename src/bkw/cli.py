@@ -102,7 +102,7 @@ def _cmd_campaign(args) -> int:
         target=args.target,
         max_size=args.max_states,
         strict=args.strict,
-        heart="local" if args.heart_local else "frame",
+        heart=args.heart,
         serial=args.serial,
     )
     try:
@@ -163,8 +163,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-states", type=int, default=3)
     p.add_argument("--strict", action=argparse.BooleanOptionalAction, default=True)
     heart = p.add_mutually_exclusive_group()
-    heart.add_argument("--heart-frame", action="store_true", default=False)
-    heart.add_argument("--heart-local", action="store_true", default=False)
+    heart.add_argument("--heart-frame", dest="heart", action="store_const",
+                       const="frame", default="frame")
+    heart.add_argument("--heart-local", dest="heart", action="store_const",
+                       const="local")
     p.add_argument("--serial", action="store_true", default=False)
     p.set_defaults(handler=_cmd_campaign)
 

@@ -10,6 +10,7 @@ one AST; the evaluators enforce the separation.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 
 class FormulaError(Exception):
@@ -109,106 +110,79 @@ class Iff(Formula):
     right: Formula
 
 
-def _check_dir(direction: str) -> None:
-    if direction not in ("ab", "ba"):
-        raise ValueError(f"modality direction must be 'ab' or 'ba', got {direction!r}")
+# The six modalities subclass one of two frozen bases, which hold the
+# fields, the check and the generated methods; repr, == and hash see the
+# subclass, so Box("ab", p) != Heart("ab", p).
+@dataclass(frozen=True)
+class _Directed(Formula):
+    """A modality between the type spaces, read in `direction` 'ab' or 'ba'."""
 
+    direction: str
+    body: Formula
 
-def _check_agent(agent: str) -> None:
-    if agent not in ("a", "b"):
-        raise ValueError(f"agent must be 'a' or 'b', got {agent!r}")
+    def __post_init__(self) -> None:
+        if self.direction not in ("ab", "ba"):
+            raise ValueError(f"modality direction must be 'ab' or 'ba', got {self.direction!r}")
 
 
 @dataclass(frozen=True)
-class Box(Formula):
+class _Agentive(Formula):
+    """A modality of one agent, 'a' or 'b'."""
+
+    agent: str
+    body: Formula
+
+    def __post_init__(self) -> None:
+        if self.agent not in ("a", "b"):
+            raise ValueError(f"agent must be 'a' or 'b', got {self.agent!r}")
+
+
+class Box(_Directed):
     """Directed belief `[ij]`: every successor of the opposite type satisfies the body."""
 
-    direction: str
-    body: Formula
 
-    def __post_init__(self) -> None:
-        _check_dir(self.direction)
-
-
-@dataclass(frozen=True)
-class Heart(Formula):
+class Heart(_Directed):
     """Directed assumption `Hij`: the successors of the opposite type are exactly the body's states."""
 
-    direction: str
-    body: Formula
 
-    def __post_init__(self) -> None:
-        _check_dir(self.direction)
+class Diamond(_Directed):
+    """Directed possibility `<ij>`: some successor of the opposite type satisfies the body."""
 
 
-@dataclass(frozen=True)
-class Diamond(Formula):
-    direction: str
-    body: Formula
-
-    def __post_init__(self) -> None:
-        _check_dir(self.direction)
-
-
-@dataclass(frozen=True)
-class TBel(Formula):
+class TBel(_Agentive):
     """Topological belief `Bi`: the agent's image is contained in the body's extension."""
 
-    agent: str
-    body: Formula
 
-    def __post_init__(self) -> None:
-        _check_agent(self.agent)
-
-
-@dataclass(frozen=True)
-class TAsm(Formula):
+class TAsm(_Agentive):
     """Topological assumption `Xi`: the agent's image equals the body's extension."""
 
-    agent: str
-    body: Formula
 
-    def __post_init__(self) -> None:
-        _check_agent(self.agent)
-
-
-@dataclass(frozen=True)
-class TDia(Formula):
-    agent: str
-    body: Formula
-
-    def __post_init__(self) -> None:
-        _check_agent(self.agent)
+class TDia(_Agentive):
+    """Topological possibility `Ei`: the agent's image meets the body's extension."""
 
 
 MODAL_TYPES = (Box, Heart, Diamond, TBel, TAsm, TDia)
 
+# The grammar, written once: the parser reads these three tables and the
+# printer's tables below are computed from them.
+#: word -> the leaf it names
+_CONSTANTS = {"true": Top(), "false": Bot(), "Ua": Ua(), "Ub": Ub(),
+              "D": Dclass(), "D+": Dplus(), "Dt": Dtopo()}
+#: prefix token -> constructor of the node over its operand
+_PREFIXES = {"!": Not, "~": Pneg,
+             "[ab]": partial(Box, "ab"), "[ba]": partial(Box, "ba"),
+             "Hab": partial(Heart, "ab"), "Hba": partial(Heart, "ba"),
+             "<ab>": partial(Diamond, "ab"), "<ba>": partial(Diamond, "ba"),
+             "Ba": partial(TBel, "a"), "Bb": partial(TBel, "b"),
+             "Xa": partial(TAsm, "a"), "Xb": partial(TAsm, "b"),
+             "Ea": partial(TDia, "a"), "Eb": partial(TDia, "b")}
+#: infix token -> (precedence, constructor, associates to the right?).
+#: Precedence climbs from <-> to &; every prefix binds tighter still.
+_INFIX = {"<->": (0, Iff, True), "->": (1, Imp, True),
+          "|": (2, Or, False), "&": (3, And, False)}
+
 #: Words that cannot be used as plain atoms.
-RESERVED_WORDS = frozenset(
-    ["true", "false", "Ua", "Ub", "D", "D+", "Dt",
-     "Hab", "Hba", "Ba", "Bb", "Xa", "Xb", "Ea", "Eb"]
-)
-
-_CONSTANTS = {
-    "true": Top(),
-    "false": Bot(),
-    "Ua": Ua(),
-    "Ub": Ub(),
-    "D": Dclass(),
-    "D+": Dplus(),
-    "Dt": Dtopo(),
-}
-
-_PREFIXES = {
-    "Hab": lambda f: Heart("ab", f),
-    "Hba": lambda f: Heart("ba", f),
-    "Ba": lambda f: TBel("a", f),
-    "Bb": lambda f: TBel("b", f),
-    "Xa": lambda f: TAsm("a", f),
-    "Xb": lambda f: TAsm("b", f),
-    "Ea": lambda f: TDia("a", f),
-    "Eb": lambda f: TDia("b", f),
-}
+RESERVED_WORDS = frozenset(w for w in (*_CONSTANTS, *_PREFIXES) if w[0].isalpha())
 
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
@@ -250,114 +224,82 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
     return tokens
 
 
-class _Parser:
-    def __init__(self, tokens: list[tuple[str, str, int]]):
-        self.tokens = tokens
-        self.i = 0
-
-    def peek(self) -> tuple[str, str, int]:
-        return self.tokens[self.i]
-
-    def take(self) -> tuple[str, str, int]:
-        tok = self.tokens[self.i]
-        self.i += 1
-        return tok
-
-    def formula(self) -> Formula:
-        return self.iff()
-
-    def iff(self) -> Formula:
-        left = self.imp()
-        if self.peek()[0] == "<->":
-            self.take()
-            return Iff(left, self.iff())
-        return left
-
-    def imp(self) -> Formula:
-        left = self.disj()
-        if self.peek()[0] == "->":
-            self.take()
-            return Imp(left, self.imp())
-        return left
-
-    def disj(self) -> Formula:
-        left = self.conj()
-        while self.peek()[0] == "|":
-            self.take()
-            left = Or(left, self.conj())
-        return left
-
-    def conj(self) -> Formula:
-        left = self.unary()
-        while self.peek()[0] == "&":
-            self.take()
-            left = And(left, self.unary())
-        return left
-
-    def unary(self) -> Formula:
-        kind, value, pos = self.peek()
-        if kind == "!":
-            self.take()
-            return Not(self.unary())
-        if kind == "~":
-            self.take()
-            return Pneg(self.unary())
-        if kind in ("[ab]", "[ba]"):
-            self.take()
-            return Box(value[1:3], self.unary())
-        if kind in ("<ab>", "<ba>"):
-            self.take()
-            return Diamond(value[1:3], self.unary())
-        if kind == "word" and value in _PREFIXES:
-            self.take()
-            return _PREFIXES[value](self.unary())
-        return self.atom()
-
-    def atom(self) -> Formula:
-        kind, value, pos = self.take()
-        if kind == "(":
-            inner = self.formula()
-            k, _, p = self.take()
-            if k != ")":
-                raise ParseError("expected ')'", p)
-            return inner
-        if kind == "word":
-            if value in _CONSTANTS:
-                return _CONSTANTS[value]
-            if value in RESERVED_WORDS:
-                raise ParseError(f"reserved word {value!r} cannot stand alone", pos)
-            return Atom(value)
-        raise ParseError(f"expected a formula, found {value or 'end of input'!r}", pos)
-
-
 def parse(text: str) -> Formula:
-    """Parse a formula from text; raises ParseError with a position."""
+    """Parse a formula from text; raises ParseError with a position.
+
+    One loop over the tokens, so a formula of any depth parses.  The
+    stack holds pending prefix constructors, open parentheses (as their
+    position) and, for an infix operator still waiting for its right
+    operand, (precedence, constructor, left operand).  `operand` is the
+    formula just completed, or None while one is expected.
+    """
     if not text.strip():
         raise ParseError("empty formula", 0)
-    parser = _Parser(_tokenize(text))
-    try:
-        result = parser.formula()
-    except RecursionError:
-        raise ParseError("formula nested too deeply", parser.peek()[2]) from None
-    kind, value, pos = parser.peek()
-    if kind != "eof":
-        raise ParseError(f"unexpected trailing input {value!r}", pos)
-    return result
+    stack: list = []
+    operand = None
+    # the last token is eof, on which the loop returns or raises
+    for kind, value, pos in _tokenize(text):
+        if operand is None:
+            if value in _PREFIXES:
+                stack.append(_PREFIXES[value])
+                continue
+            if kind == "(":
+                stack.append(pos)
+                continue
+            if kind != "word":
+                raise ParseError(f"expected a formula, found {value or 'end of input'!r}", pos)
+            operand = _CONSTANTS.get(value) or Atom(value)
+        elif value in _INFIX:
+            # the left operand takes every pending infix that binds at least
+            # as tightly, or strictly more tightly if this one associates right
+            prec, build, right = _INFIX[value]
+            while stack and type(stack[-1]) is tuple and stack[-1][0] >= prec + right:
+                _, inner, left = stack.pop()
+                operand = inner(left, operand)
+            stack.append((prec, build, operand))
+            operand = None
+            continue
+        else:
+            while stack and type(stack[-1]) is tuple:
+                _, build, left = stack.pop()
+                operand = build(left, operand)
+            if not stack:
+                if kind == "eof":
+                    return operand
+                raise ParseError(f"unexpected trailing input {value!r}", pos)
+            if kind != ")":
+                raise ParseError("expected ')'", pos)
+            stack.pop()
+        # a completed operand takes the prefixes pending on it
+        while stack and callable(stack[-1]):
+            operand = stack.pop()(operand)
 
 
-# The printer's tables.  Precedence climbs from <-> (0) to the prefix
-# operators (4); an operand is parenthesized when its connective binds
-# less tightly than its position requires, which only a binary one can.
-_LEAF_TEXT = {Top: "true", Bot: "false", Ua: "Ua", Ub: "Ub",
-              Dclass: "D", Dplus: "D+", Dtopo: "Dt"}
-#: connective -> (precedence, infix, least precedence of the left and of
-#: the right operand shown without parentheses)
-_INFIX = {Iff: (0, " <-> ", 1, 0), Imp: (1, " -> ", 2, 1),
-          Or: (2, " | ", 2, 3), And: (3, " & ", 3, 4)}
-_PREFIX = {Not: lambda f: "!", Pneg: lambda f: "~",
-           Box: lambda f: f"[{f.direction}] ", Diamond: lambda f: f"<{f.direction}> ",
-           Heart: lambda f: f"H{f.direction} ", TBel: lambda f: f"B{f.agent} ",
-           TAsm: lambda f: f"X{f.agent} ", TDia: lambda f: f"E{f.agent} "}
+def _prefix_texts() -> dict:
+    """Prefix node type -> its token, or for a modality a dict from its
+    direction or agent to its token; a token longer than one character
+    is followed by a space."""
+    texts: dict = {}
+    for token, build in _PREFIXES.items():
+        text = token if len(token) == 1 else token + " "
+        if isinstance(build, partial):
+            texts.setdefault(build.func, {})[build.args[0]] = text
+        else:
+            texts[build] = text
+    return texts
+
+
+# The printer's tables, computed from the grammar.  An operand is
+# parenthesized when its connective binds less tightly than its position
+# requires, which only a binary one can.
+_LEAF_TEXT = {type(leaf): word for word, leaf in _CONSTANTS.items()}
+_PREFIX_TEXT = _prefix_texts()
+#: connective -> (precedence, infix text, least precedence of the left
+#: and of the right operand shown without parentheses)
+_INFIX_TEXT = {build: (prec, f" {token} ", prec + right, prec + (not right))
+               for token, (prec, build, right) in _INFIX.items()}
+#: least precedence of a prefix's operand: above every connective
+_PREFIX_OPERAND = 1 + max(prec for prec, _, _ in _INFIX.values())
 
 
 def to_text(f: Formula) -> str:
@@ -376,11 +318,8 @@ def to_text(f: Formula) -> str:
             continue
         g, least = item
         t = type(g)
-        if t in _PREFIX:
-            out.append(_PREFIX[t](g))
-            stack.append((g.body, 4))
-        elif t in _INFIX:
-            prec, infix, left, right = _INFIX[t]
+        if t in _INFIX_TEXT:
+            prec, infix, left, right = _INFIX_TEXT[t]
             if prec < least:
                 out.append("(")
                 stack.append(")")
@@ -389,17 +328,29 @@ def to_text(f: Formula) -> str:
             out.append(g.name)
         elif t in _LEAF_TEXT:
             out.append(_LEAF_TEXT[t])
+        elif t in _PREFIX_TEXT:
+            text = _PREFIX_TEXT[t]
+            if type(text) is dict:
+                text = text[g.direction if isinstance(g, _Directed) else g.agent]
+            out.append(text)
+            stack.append((g.body, _PREFIX_OPERAND))
         else:
             raise TypeError(f"not a formula: {g!r}")
     return "".join(out)
 
 
 def modal_depth(f: Formula) -> int:
-    """Nesting depth of modal constructors."""
-    if isinstance(f, MODAL_TYPES):
-        return 1 + modal_depth(f.body)
-    if isinstance(f, (Not, Pneg)):
-        return modal_depth(f.body)
-    if isinstance(f, (And, Or, Imp, Iff)):
-        return max(modal_depth(f.left), modal_depth(f.right))
-    return 0
+    """Nesting depth of modal constructors (iterative, so of any formula)."""
+    depth = 0
+    stack = [(f, 0)]
+    while stack:
+        g, d = stack.pop()
+        if isinstance(g, MODAL_TYPES):
+            stack.append((g.body, d + 1))
+        elif isinstance(g, (Not, Pneg)):
+            stack.append((g.body, d))
+        elif isinstance(g, (And, Or, Imp, Iff)):
+            stack += ((g.left, d), (g.right, d))
+        else:
+            depth = max(depth, d)
+    return depth

@@ -26,20 +26,20 @@ def test_parse_command_reports_errors(tmp_path, capsys):
 
 
 def test_deep_nesting_exits_2(tmp_path, capsys):
+    # the parser and the printer loop, so `parse` echoes any depth
     deep = "!" * 3000 + "p"
+    chain = "p"
+    for _ in range(130):
+        chain = f"!(p & {chain})"
     path = tmp_path / "formulas.txt"
-    path.write_text(deep + "\n")
+    path.write_text(deep + "\n" + chain + "\n")
     code, out, err = run(["parse", str(path)], capsys)
-    assert code == 2
-    assert "line 1" in err and "nested too deeply" in err
+    assert code == 0 and out == deep + "\n" + chain + "\n"
+    # the compiler recurses: `check` ends in exit 2 through the last-resort guard
     model = tmp_path / "model.bk"
     model.write_text(dump_kripke(two_cycle()))
     code, _, err = run(["check", str(model), deep], capsys)
     assert code == 2 and "nested too deeply" in err
-    # what parses prints back: the printer does not recurse
-    path.write_text("!" * 700 + "p\n")
-    code, out, err = run(["parse", str(path)], capsys)
-    assert code == 0 and out == "!" * 700 + "p\n"
 
 
 def test_check_command(tmp_path, capsys):
@@ -118,6 +118,16 @@ def test_campaign_command(capsys):
     code, out, _ = run(["campaign", "adjunction", "--max-states", "2"], capsys)
     assert code == 0
     assert '"violations": 0' in out
+
+
+def test_campaign_heart_flags(capsys):
+    for flags, heart in (([], "frame"), (["--heart-frame"], "frame"),
+                         (["--heart-local"], "local")):
+        code, out, _ = run(["campaign", "theorem12", "--max-states", "2", *flags], capsys)
+        assert code == 0 and f'"heart": "{heart}"' in out
+    code, _, err = run(["campaign", "theorem12", "--max-states", "2",
+                        "--heart-frame", "--heart-local"], capsys)
+    assert code == 2 and "not allowed with" in err
 
 
 def test_campaign_rejects_oversized_bounds(capsys):

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -49,18 +50,32 @@ def test_print_examples():
 
 
 def test_parse_errors_carry_positions():
-    with pytest.raises(fm.ParseError):
-        fm.parse("")
-    with pytest.raises(fm.ParseError) as err:
-        fm.parse("p & ")
-    assert err.value.position == 4
-    with pytest.raises(fm.ParseError):
-        fm.parse("(p & q")
-    with pytest.raises(fm.ParseError) as err:
-        fm.parse("p q")
-    assert err.value.position == 2
-    with pytest.raises(fm.ParseError):
-        fm.parse("p & %")
+    # the exact message and position of each kind of error
+    table = [
+        ("", "empty formula", 0),
+        ("p & ", "expected a formula, found 'end of input'", 4),
+        ("(p q", "expected ')'", 3),
+        ("(p & q", "expected ')'", 6),
+        ("p)", "unexpected trailing input ')'", 1),
+        ("p q", "unexpected trailing input 'q'", 2),
+        ("p !q", "unexpected trailing input '!'", 2),
+        ("()", "expected a formula, found ')'", 1),
+        ("Hab", "expected a formula, found 'end of input'", 3),
+        ("[ab]", "expected a formula, found 'end of input'", 4),
+        ("p -> ", "expected a formula, found 'end of input'", 5),
+        ("p & %", "unexpected character '%'", 4),
+        ("   ", "empty formula", 0),
+    ]
+    for text, message, position in table:
+        with pytest.raises(fm.ParseError) as err:
+            fm.parse(text)
+        assert str(err.value) == f"{message} (at position {position})", text
+        assert err.value.position == position, text
+
+
+def test_reserved_words():
+    assert fm.RESERVED_WORDS == {"true", "false", "Ua", "Ub", "D", "D+", "Dt",
+                                 "Hab", "Hba", "Ba", "Bb", "Xa", "Xb", "Ea", "Eb"}
 
 
 def test_reserved_words_need_operands():
@@ -80,12 +95,26 @@ def test_direction_validation():
         fm.TBel("c", fm.Top())
 
 
+def test_modal_nodes_keep_their_identity():
+    p = fm.Atom("p")
+    assert fm.Box("ab", p) != fm.Heart("ab", p)
+    assert fm.TBel("a", p) != fm.TAsm("a", p)
+    assert fm.Box("ab", p) == fm.Box("ab", p) and fm.Box("ab", p) != fm.Box("ba", p)
+    assert hash(fm.TDia("b", p)) == hash(fm.TDia("b", p))
+    assert repr(fm.Diamond("ba", p)) == "Diamond(direction='ba', body=Atom(name='p'))"
+    assert repr(fm.TAsm("b", p)) == "TAsm(agent='b', body=Atom(name='p'))"
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        fm.Heart("ba", p).body = p
+
+
 def test_modal_depth():
     assert fm.modal_depth(fm.Ua()) == 0
     assert fm.modal_depth(fm.parse("[ab] Hba Ua")) == 2
     assert fm.modal_depth(fm.parse("[ab] [ba] [ab] Hba Ua")) == 4
     assert fm.modal_depth(fm.parse("[ab] p & q")) == 1
     assert fm.modal_depth(fm.parse("!Ba ~Xb p")) == 2
+    # iterative, like the parser
+    assert fm.modal_depth(fm.parse("[ab] " * 3000 + "p")) == 3000
 
 
 def test_roundtrip_random_asts():
@@ -95,33 +124,37 @@ def test_roundtrip_random_asts():
         assert fm.parse(fm.to_text(f)) == f
 
 
-def test_deep_nesting_is_a_parse_error():
-    with pytest.raises(fm.ParseError, match="nested too deeply"):
-        fm.parse("!" * 3000 + "p")
-    with pytest.raises(fm.ParseError, match="nested too deeply"):
-        fm.parse("(" * 3000 + "p" + ")" * 3000)
+def test_deep_nesting_parses():
+    # compared through to_text: dataclass equality recurses
+    deep = "!" * 3000 + "p"
+    assert fm.to_text(fm.parse(deep)) == deep
+    assert fm.parse("(" * 3000 + "p" + ")" * 3000) == fm.Atom("p")
+    for levels in (130, 1000):
+        text = "p"
+        for _ in range(levels):
+            text = f"!(p & {text})"
+        assert fm.to_text(fm.parse(text)) == text
 
 
 def test_deep_mixed_round_trip():
-    # 900 levels: 400 prefix operators under 150 left-nested &, 150
-    # left-nested |, 100 right-nested -> and 100 right-nested <->.  The
-    # printer is iterative; the parser recurses once per prefix, -> and
-    # <-> level, so this depth stays within its reach.
+    # 9000 levels: 4000 prefix operators under 1500 left-nested &, 1500
+    # left-nested |, 1000 right-nested -> and 1000 right-nested <->.  The
+    # parser and the printer both loop, so no depth is out of their reach.
     prefixes = (fm.Not, fm.Pneg, lambda g: fm.Box("ab", g),
                 lambda g: fm.Heart("ba", g), lambda g: fm.Diamond("ab", g),
                 lambda g: fm.TBel("a", g), lambda g: fm.TAsm("b", g),
                 lambda g: fm.TDia("a", g))
     p, q = fm.Atom("p"), fm.Atom("q")
     f = p
-    for i in range(400):
+    for i in range(4000):
         f = prefixes[i % len(prefixes)](f)
-    for _ in range(150):
+    for _ in range(1500):
         f = fm.And(f, fm.Not(q))
-    for _ in range(150):
+    for _ in range(1500):
         f = fm.Or(f, fm.And(fm.Ua(), fm.Ub()))
-    for _ in range(100):
+    for _ in range(1000):
         f = fm.Imp(fm.Or(p, q), f)
-    for _ in range(100):
+    for _ in range(1000):
         f = fm.Iff(fm.Imp(p, q), f)
     text = fm.to_text(f)
     assert text.startswith("p -> q <-> p -> q <-> ") and "(" not in text
