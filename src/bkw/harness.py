@@ -23,6 +23,12 @@ judged with one broadcast call per block.  theorem22 first drops the
 lanes with no special node (no urelement and no Quine state): they hold
 and count as degenerate without being evaluated.  A block is scanned for
 its first hits (``_first_hits``) only when it has a violation.
+
+The co-Heyting law campaigns run on point masks.  They walk
+``topology._hull_tables`` and build no ``ClosedTopology``: each table
+comes with its closure table, from which ``_MaskLattice`` reads
+subtraction, negation, interior and boundary, so that all closed triples
+(or sets) of a topology are judged in one broadcast.
 """
 
 from __future__ import annotations
@@ -181,8 +187,12 @@ def _first_hits(found: list, bad: np.ndarray, lanes: _Lanes,
     ``bad`` flags the chunk's lanes, or is a block of such rows (one per
     formula, say) whose keys rise with the row.  Records rise with the
     lane within a chunk, so the block's first entries lie in its first
-    _FAIL_DUMP_CAP lanes with a hit, taken lane by lane and row by row.
+    _FAIL_DUMP_CAP lanes with a hit, taken lane by lane and row by row;
+    and once ``found`` is full, a chunk that starts past its last record
+    cannot change it.
     """
+    if len(found) == _FAIL_DUMP_CAP and found[-1][0] < lanes.record[0]:
+        return found
     if bad.ndim == 1:
         hits = [(lane, 0) for lane in np.flatnonzero(bad)[:_FAIL_DUMP_CAP]]
     else:
@@ -495,40 +505,64 @@ def _run_validity_lists(c: Campaign) -> CampaignReport:
     return CampaignReport(tuple(lines), summary)
 
 
+class _MaskLattice(NamedTuple):
+    """The co-Heyting operations of one topology on point masks, read from
+    its closure table; each takes ints or _LANE arrays, which broadcast."""
+
+    clo: np.ndarray  # each mask's closure, as a _LANE table indexed by the mask
+    full: int  # the carrier's mask
+
+    def subtraction(self, a, b):
+        return self.clo[a & ~b]
+
+    def pneg(self, s):
+        return self.clo[self.full & ~s]
+
+    def interior(self, s):
+        return self.full & ~self.pneg(s)
+
+    def boundary(self, s):
+        return self.clo[s] & ~self.interior(s)
+
+
+def _point_names(mask: int) -> list[str]:
+    """The points x1, x2, ... of a mask, in bit order."""
+    return [f"x{i + 1}" for i in range(mask.bit_length()) if mask >> i & 1]
+
+
 def _run_lattice_laws(c: Campaign) -> CampaignReport:
     if not 0 <= c.max_size <= 4:
         raise ValueError("carrier bound must be between 0 and 4")
     totals = {"topologies": 0, "checks": 0, "violations": 0}
     dumps: list[str] = []
     for n in range(c.max_size + 1):
-        carrier = [f"x{i + 1}" for i in range(n)]
-        for t in tp.enumerate_topologies(carrier):
+        # the dump order of sets: by size, then by their points
+        order = sorted(range(1 << n), key=lambda m: (m.bit_count(), _point_names(m)))
+        for _, closure in tp._hull_tables(n):
             totals["topologies"] += 1
-            closed = sorted(t.closed, key=lambda s: (len(s), tuple(sorted(s))))
-            family = f"closed={[sorted(s) for s in closed]}"
+            lat = _MaskLattice(np.array(closure, dtype=_LANE), (1 << n) - 1)
+            closed = [m for m in order if closure[m] == m]
+            s = np.array(closed, dtype=_LANE)
             if c.target == "adjunction":
-                for a in closed:
-                    for b in closed:
-                        sub = tp.subtraction(t, a, b)
-                        for x in closed:
-                            totals["checks"] += 1
-                            if (sub <= x) != (a <= x | b):
-                                totals["violations"] += 1
-                                if len(dumps) < _FAIL_DUMP_CAP:
-                                    dumps.append(
-                                        f"A={sorted(a)} B={sorted(b)} X={sorted(x)} {family}")
+                a, b, x = s[:, None, None], s[None, :, None], s[None, None, :]
+                # sub <= x against a <= x | b, for every closed triple (A, B, X)
+                bad = (lat.subtraction(a, b) & ~x == 0) != (a & ~(x | b) == 0)
             else:
-                for s in closed:
-                    totals["checks"] += 2
-                    neg = tp.pneg(t, s)
-                    if s | neg != t.carrier:
-                        totals["violations"] += 1
-                        if len(dumps) < _FAIL_DUMP_CAP:
-                            dumps.append(f"join law: S={sorted(s)} {family}")
-                    if s & neg != tp.boundary(t, s):
-                        totals["violations"] += 1
-                        if len(dumps) < _FAIL_DUMP_CAP:
-                            dumps.append(f"overlap law: S={sorted(s)} {family}")
+                neg = lat.pneg(s)
+                # the join and overlap laws, side by side for each closed S
+                bad = np.stack([s | neg != lat.full, s & neg != lat.boundary(s)], axis=1)
+            totals["checks"] += bad.size
+            violations = int(np.count_nonzero(bad))
+            totals["violations"] += violations
+            if violations and len(dumps) < _FAIL_DUMP_CAP:
+                family = f"closed={[_point_names(m) for m in closed]}"
+                for hit in np.argwhere(bad)[:_FAIL_DUMP_CAP - len(dumps)]:
+                    if c.target == "adjunction":
+                        sets = (_point_names(closed[i]) for i in hit)
+                        dumps.append("A={} B={} X={} ".format(*sets) + family)
+                    else:
+                        law = ("join", "overlap")[hit[1]]
+                        dumps.append(f"{law} law: S={_point_names(closed[hit[0]])} {family}")
 
     lines = _header(c)
     claim = ("subtraction adjunction over all closed triples"

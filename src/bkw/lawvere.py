@@ -106,16 +106,23 @@ class SearchResult:
 
 def search_wps(size_a: int, size_y: int) -> SearchResult:
     """Enumerate every g on carriers of the given sizes; return the first
-    weakly point-surjective instance, or report exhaustion."""
+    weakly point-surjective instance, or report exhaustion.
+
+    A candidate g is a tuple of row indices into the total maps A -> Y in
+    lexicographic order, and it is weakly point-surjective when its rows
+    cover all of them.  Only the witness becomes a ``FiniteSelfMap``,
+    confirmed by ``is_weakly_point_surjective``.
+    """
     if not (1 <= size_a <= 3 and 1 <= size_y <= 3):
         raise ValueError("search is guarded to carrier sizes 1..3")
-    domain = tuple(range(size_a))
-    codomain = tuple(range(size_y))
-    all_rows = list(iproduct(codomain, repeat=size_a))
-    checked = 0
-    for rows in iproduct(all_rows, repeat=size_a):
-        checked += 1
-        s = FiniteSelfMap(domain=domain, codomain=codomain, rows=tuple(rows))
-        if is_weakly_point_surjective(s).is_wps:
+    maps = size_y ** size_a
+    for checked, rows in enumerate(iproduct(range(maps), repeat=size_a), start=1):
+        if len(set(rows)) == maps:
+            all_rows = list(iproduct(range(size_y), repeat=size_a))
+            s = FiniteSelfMap(domain=tuple(range(size_a)), codomain=tuple(range(size_y)),
+                              rows=tuple(all_rows[r] for r in rows))
+            if not is_weakly_point_surjective(s).is_wps:
+                raise RuntimeError(f"row indices {rows} cover every map, "
+                                   "but their rows are not weakly point-surjective")
             return SearchResult(witness=s, candidates_checked=checked)
     return SearchResult(witness=None, candidates_checked=checked)

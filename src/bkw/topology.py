@@ -36,13 +36,30 @@ class ClosedTopology:
         return ClosedTopology(frozenset(carrier), frozenset(frozenset(c) for c in closed))
 
 
-def _closed_masks(hulls: Sequence[int]) -> list[int]:
-    """The masks equal to their own closure, the union of their bits' hulls;
-    hulls[i] is the hull mask of bit i."""
+def _closure_table(hulls: Sequence[int]) -> list[int]:
+    """Every mask's closure, the union of its bits' hulls, indexed by the
+    mask; hulls[i] is the hull mask of bit i."""
     closure = [0]
     for mask in range(1, 1 << len(hulls)):  # add the lowest bit's hull
         closure.append(closure[mask & mask - 1] | hulls[(mask & -mask).bit_length() - 1])
-    return [mask for mask, c in enumerate(closure) if c == mask]
+    return closure
+
+
+def _closed_masks(hulls: Sequence[int]) -> list[int]:
+    """The masks equal to their own closure."""
+    return [mask for mask, c in enumerate(_closure_table(hulls)) if c == mask]
+
+
+def _hull_tables(n: int) -> list[tuple[tuple[int, ...], list[int]]]:
+    """Every transitive hull table on n bits (a preorder: each hull holds
+    its bits' hulls) with its closure table, in ascending order of the bit
+    set of their closed masks."""
+    bits = range(n)
+    choices = [[h for h in range(1 << n) if h >> i & 1] for i in bits]
+    tables = [(hulls, _closure_table(hulls)) for hulls in iproduct(*choices)
+              if all(hulls[j] | h == h for h in hulls for j in bits if h >> j & 1)]
+    tables.sort(key=lambda table: sum(1 << m for m, c in enumerate(table[1]) if c == m))
+    return tables
 
 
 def _from_hulls(points: Sequence, hulls: Sequence[int]) -> ClosedTopology:
@@ -146,14 +163,9 @@ def product(ta: ClosedTopology, tb: ClosedTopology) -> ClosedTopology:
 
 def enumerate_topologies(carrier: Iterable) -> Iterator[ClosedTopology]:
     """All closed-set topologies on up to 4 points, one per transitive hull
-    table (a preorder: each hull holds its points' hulls), in ascending
-    order of the bit set of their closed masks."""
+    table, in ascending order of the bit set of their closed masks."""
     points = sorted(carrier)
     if len(points) > 4:
         raise ValueError("carrier too large for exhaustive topology enumeration")
-    bits = range(len(points))
-    choices = [[h for h in range(1 << len(points)) if h >> i & 1] for i in bits]
-    tables = [hulls for hulls in iproduct(*choices)
-              if all(hulls[j] | h == h for h in hulls for j in bits if h >> j & 1)]
-    for hulls in sorted(tables, key=lambda h: sum(1 << m for m in _closed_masks(h))):
+    for hulls, _ in _hull_tables(len(points)):
         yield _from_hulls(points, hulls)

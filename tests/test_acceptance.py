@@ -90,13 +90,31 @@ def test_criterion_3_true_assumption_campaign():
             f"{report.summary['models']} overlap models")
 
 
+#: topologies on up to n points (cumulative, OEIS A000798 summed) and the
+#: adjunction and boundary_law checks, by n
+LAW_COUNTS = {
+    0: (1, 1, 2),
+    1: (2, 9, 6),
+    2: (6, 135, 30),
+    3: (35, 3439, 290),
+    4: (390, 139211, 4966),
+}
+
+
 def test_criterion_4_co_heyting_law_suite():
-    adj = hn.run_campaign(hn.Campaign(target="adjunction", max_size=4))
-    bnd = hn.run_campaign(hn.Campaign(target="boundary_law", max_size=4))
+    counts = {}
+    violations = 0
+    for n in LAW_COUNTS:
+        adj = hn.run_campaign(hn.Campaign(target="adjunction", max_size=n))
+        bnd = hn.run_campaign(hn.Campaign(target="boundary_law", max_size=n))
+        assert adj.summary["topologies"] == bnd.summary["topologies"]
+        counts[n] = (adj.summary["topologies"], adj.summary["checks"], bnd.summary["checks"])
+        violations += adj.summary["violations"] + bnd.summary["violations"]
     _report(4, "subtraction adjunction, join law, boundary overlap law",
-            adj.summary["violations"] == 0 and bnd.summary["violations"] == 0,
+            violations == 0 and counts == LAW_COUNTS,
             f"{adj.summary['topologies']} topologies, "
-            f"{adj.summary['checks'] + bnd.summary['checks']} checks")
+            f"{adj.summary['checks'] + bnd.summary['checks']} checks"
+            + (f"; counts {counts}" if counts != LAW_COUNTS else ""))
 
 
 def test_criterion_5_diagonal_fixed_point_scan():

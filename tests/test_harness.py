@@ -9,7 +9,9 @@ from bkw import harness as hn
 from bkw import hyperset as hs
 from bkw import kripke as kr
 from bkw import program as pg
+from bkw import topology as tp
 from bkw.modelio import dump_nwf, load_model
+from bkw.topology import _closure_table
 from conftest import (kripke_truth, nwf_truth, random_hyperset,
                       random_relational_formula)
 
@@ -370,6 +372,117 @@ def test_theorem22_report_does_not_depend_on_chunk_and_block_sizes(monkeypatch, 
     heights = {height for height, _ in shapes}
     assert len(heights) > 3 and any(602 % h for h in heights)
     assert max(n for _, n in shapes) <= 997
+
+
+def test_first_hits_skips_only_a_chunk_past_full_dumps():
+    lanes = next(hn._membership_lanes(2, False, False, []))
+    first = int(lanes.record[0])
+    # full dumps that all precede the chunk: returned as they are, unread
+    before = [(first - 1, j, ()) for j in range(hn._FAIL_DUMP_CAP)]
+    assert hn._first_hits(before, None, lanes) is before
+    # full dumps at the chunk's first record: its lane 0 can still enter
+    tied = [(first, 10 + j, ()) for j in range(hn._FAIL_DUMP_CAP)]
+    bad = np.zeros((1, len(lanes.record)), dtype=bool)
+    bad[0, 0] = True
+    assert hn._first_hits(tied, bad, lanes, lambda row: (row,)) == (
+        [(first, 0, lanes.compact(0))] + tied[:-1])
+
+
+def _bits(n, mask):
+    """The points x1..xn of a mask, as a frozenset."""
+    return frozenset(f"x{i + 1}" for i in range(n) if mask >> i & 1)
+
+
+def test_mask_lattice_matches_the_frozenset_operations():
+    # the campaign's mask arithmetic against the topology module's
+    # frozenset functions, on every topology of up to 4 points
+    for n in range(5):
+        points = [f"x{i + 1}" for i in range(n)]
+        bit = {p: 1 << i for i, p in enumerate(points)}
+        for hulls, closure in tp._hull_tables(n):
+            t = tp._from_hulls(points, hulls)
+            assert tp.validate(t) == []
+            lat = hn._MaskLattice(np.array(closure, dtype=hn._LANE), (1 << n) - 1)
+            for m in range(1 << n):
+                assert _bits(n, closure[m]) == tp.closure(t, _bits(n, m))
+            closed = [sum(bit[p] for p in s) for s in t.closed]
+            for s in closed:
+                as_set = _bits(n, s)
+                assert _bits(n, lat.pneg(s)) == tp.pneg(t, as_set)
+                assert _bits(n, lat.interior(s)) == tp.interior(t, as_set)
+                assert _bits(n, lat.boundary(s)) == tp.boundary(t, as_set)
+                for b in closed:
+                    assert (_bits(n, lat.subtraction(s, b))
+                            == tp.subtraction(t, as_set, _bits(n, b)))
+
+
+def _broken_closure_table(hulls):
+    """The closure table with the lowest point of each non-closed mask
+    dropped from its closure: the closed sets stay, the laws break."""
+    return [c if c == m else c ^ (m & -m)
+            for m, c in enumerate(_closure_table(hulls))]
+
+
+def _reference_lattice_laws(target, max_size, cap):
+    """The law campaign judged one closed triple or set at a time on
+    frozensets, reading each closure from the broken table and taking a
+    set's closure for its boundary."""
+    totals = {"topologies": 0, "checks": 0, "violations": 0}
+    dumps = []
+    for n in range(max_size + 1):
+        carrier = _bits(n, (1 << n) - 1)
+        for _, table in tp._hull_tables(n):
+            totals["topologies"] += 1
+
+            def clo(s):
+                return _bits(n, table[sum(1 << int(p[1:]) - 1 for p in s)])
+
+            closed = sorted({_bits(n, m) for m, c in enumerate(table) if c == m},
+                            key=lambda s: (len(s), tuple(sorted(s))))
+            family = f"closed={[sorted(s) for s in closed]}"
+            hits = []
+            if target == "adjunction":
+                for a, b, x in iproduct(closed, repeat=3):
+                    totals["checks"] += 1
+                    if (clo(a - b) <= x) != (a <= x | b):
+                        hits.append(f"A={sorted(a)} B={sorted(b)} X={sorted(x)} {family}")
+            else:
+                for s in closed:
+                    totals["checks"] += 2
+                    neg = clo(carrier - s)
+                    if s | neg != carrier:
+                        hits.append(f"join law: S={sorted(s)} {family}")
+                    if s & neg != clo(s):
+                        hits.append(f"overlap law: S={sorted(s)} {family}")
+            totals["violations"] += len(hits)
+            dumps += hits
+    c = hn.Campaign(target=target, max_size=max_size)
+    lines = hn._header(c)
+    lines.append("claim: " + ("subtraction adjunction over all closed triples"
+                              if target == "adjunction" else
+                              "S | ~S covers and S & ~S is the boundary, for closed S"))
+    lines.append(" ".join(f"{key}={value}" for key, value in totals.items()))
+    for i, body in enumerate(dumps[:cap], start=1):
+        hn._dump_block(lines, f"violation {i} of {totals['violations']}", body)
+    return hn.CampaignReport(tuple(lines), {"target": target, "max_size": max_size,
+                                            **totals}).text
+
+
+@pytest.mark.parametrize("cap", [5, 10 ** 6])
+def test_lattice_law_campaigns_report_violations_like_the_per_set_loop(monkeypatch, cap):
+    # the real closure tables never break a law; the broken ones do, so the
+    # counts, the dump order (A, B, X, or S then law) and the closed= text
+    # are checked against the loop, for the first five dumps and for all.
+    # A closed set's boundary is its meet with its negation for any table,
+    # so the overlap law breaks only with the boundary broken too.
+    monkeypatch.setattr(tp, "_closure_table", _broken_closure_table)
+    monkeypatch.setattr(hn._MaskLattice, "boundary", lambda lat, s: lat.clo[s])
+    monkeypatch.setattr(hn, "_FAIL_DUMP_CAP", cap)
+    for target in ("adjunction", "boundary_law"):
+        report = hn.run_campaign(hn.Campaign(target=target, max_size=3))
+        assert report.summary["violations"] > 100
+        assert report.text == _reference_lattice_laws(target, 3, cap)
+    assert "join law" in report.text and "overlap law" in report.text
 
 
 def test_sweeps_reject_unenumerated_atoms():

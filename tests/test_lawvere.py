@@ -64,6 +64,25 @@ def test_search_exhausts_on_two_valued_codomains():
     assert lv.search_wps(3, 2).candidates_checked == 512
 
 
+def _search_by_selfmaps(size_a, size_y):
+    """The first weakly point-surjective FiniteSelfMap in lexicographic
+    order of its rows, and the candidates tried up to it."""
+    domain, codomain = tuple(range(size_a)), tuple(range(size_y))
+    checked = 0
+    for rows in product(product(codomain, repeat=size_a), repeat=size_a):
+        checked += 1
+        s = lv.FiniteSelfMap(domain=domain, codomain=codomain, rows=rows)
+        if lv.is_weakly_point_surjective(s).is_wps:
+            return s, checked
+    return None, checked
+
+
+@pytest.mark.parametrize("size_a, size_y", list(product((1, 2, 3), repeat=2)))
+def test_search_matches_the_selfmap_loop(size_a, size_y):
+    result = lv.search_wps(size_a, size_y)
+    assert (result.witness, result.candidates_checked) == _search_by_selfmaps(size_a, size_y)
+
+
 def test_search_guard():
     with pytest.raises(ValueError):
         lv.search_wps(4, 1)
