@@ -25,10 +25,12 @@ and count as degenerate without being evaluated.  A block is scanned for
 its first hits (``_first_hits``) only when it has a violation.
 
 The co-Heyting law campaigns run on point masks.  They walk
-``topology._hull_tables`` and build no ``ClosedTopology``: each table
-comes with its closure table, from which ``_MaskLattice`` reads
-subtraction, negation, interior and boundary, so that all closed triples
-(or sets) of a topology are judged in one broadcast.
+``topology._hull_tables`` and build no ``ClosedTopology``: each hull
+table comes with its closure table, and ``topology.MaskLattice`` over a
+lookup in that table gives subtraction and negation for all closed
+triples (or sets) of a topology in one broadcast.  The boundary that the
+overlap law is checked against is read from the hulls instead, through
+each point's least open neighbourhood, so that the law can fail.
 """
 
 from __future__ import annotations
@@ -505,26 +507,6 @@ def _run_validity_lists(c: Campaign) -> CampaignReport:
     return CampaignReport(tuple(lines), summary)
 
 
-class _MaskLattice(NamedTuple):
-    """The co-Heyting operations of one topology on point masks, read from
-    its closure table; each takes ints or _LANE arrays, which broadcast."""
-
-    clo: np.ndarray  # each mask's closure, as a _LANE table indexed by the mask
-    full: int  # the carrier's mask
-
-    def subtraction(self, a, b):
-        return self.clo[a & ~b]
-
-    def pneg(self, s):
-        return self.clo[self.full & ~s]
-
-    def interior(self, s):
-        return self.full & ~self.pneg(s)
-
-    def boundary(self, s):
-        return self.clo[s] & ~self.interior(s)
-
-
 def _point_names(mask: int) -> list[str]:
     """The points x1, x2, ... of a mask, in bit order."""
     return [f"x{i + 1}" for i in range(mask.bit_length()) if mask >> i & 1]
@@ -538,9 +520,16 @@ def _run_lattice_laws(c: Campaign) -> CampaignReport:
     for n in range(c.max_size + 1):
         # the dump order of sets: by size, then by their points
         order = sorted(range(1 << n), key=lambda m: (m.bit_count(), _point_names(m)))
-        for _, closure in tp._hull_tables(n):
+        tables = tp._hull_tables(n)
+        bits = np.arange(n, dtype=_LANE)
+        weights = 1 << bits
+        # ups[t, x]: x's least open neighbourhood in table t, the points
+        # whose hulls hold x
+        hulls = np.array([h for h, _ in tables], dtype=_LANE)[:, None, :]
+        ups = (hulls >> bits[:, None] & 1).dot(weights)
+        for t, (_, closure) in enumerate(tables):
             totals["topologies"] += 1
-            lat = _MaskLattice(np.array(closure, dtype=_LANE), (1 << n) - 1)
+            lat = tp.MaskLattice(np.array(closure, dtype=_LANE).__getitem__, (1 << n) - 1)
             closed = [m for m in order if closure[m] == m]
             s = np.array(closed, dtype=_LANE)
             if c.target == "adjunction":
@@ -549,8 +538,11 @@ def _run_lattice_laws(c: Campaign) -> CampaignReport:
                 bad = (lat.subtraction(a, b) & ~x == 0) != (a & ~(x | b) == 0)
             else:
                 neg = lat.pneg(s)
+                # S's interior: the points whose least open neighbourhood
+                # stays in S; the rest of closed S is its boundary
+                inner = (ups[t] & ~s[:, None] == 0).dot(weights)
                 # the join and overlap laws, side by side for each closed S
-                bad = np.stack([s | neg != lat.full, s & neg != lat.boundary(s)], axis=1)
+                bad = np.stack([s | neg != lat.full, s & neg != s & ~inner], axis=1)
             totals["checks"] += bad.size
             violations = int(np.count_nonzero(bad))
             totals["violations"] += violations

@@ -3,7 +3,8 @@
 A file starts with a header line (``kripke``, ``nwf`` or ``paratopo``),
 followed by ``key: values`` declarations.  ``#`` starts a comment,
 identifiers are whitespace-separated, arrows write pairs (``x->y``),
-braces write sets (``{x y}``).  Duplicate declarations are errors.
+braces write sets (``{x y}``).  Duplicate declarations, and a source
+named twice in an image map (``tA``, ``tB``), are errors.
 """
 
 from __future__ import annotations
@@ -83,6 +84,8 @@ def _image_map(value: str, number: int) -> list[tuple[str, frozenset]]:
         source, _, braced = chunk.partition("->")
         if not _IDENT.match(source):
             raise ModelFormatError(f"bad identifier {source!r}", number)
+        if any(source == seen for seen, _ in entries):
+            raise ModelFormatError(f"source {source!r} is given twice", number)
         entries.append((source, _brace_sets(braced, number)[0]))
     leftovers = re.sub(r"\S+->\{[^}]*\}", "", value).strip()
     if leftovers:

@@ -11,6 +11,7 @@ complement, so a formula and its negation overlap on boundaries.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from itertools import combinations, product as iproduct
 from typing import Iterable, Mapping
 
@@ -95,26 +96,19 @@ def evaluate(m: ParaTopoModel, f: fm.Formula) -> frozenset:
 
     Assumption compares the image with the extension inside the opposite
     carrier (the evaluator's ``local`` heart rule), and ``~`` is the
-    closure of the complement; the diagonal and the closure are built only
-    when the formula uses them.
+    closure of the complement: the union of the hull masks of both
+    topologies, A's points on the low bits and B's above them.  The
+    diagonal and the closure are built only when the formula uses them.
     """
     ops, (slot,) = pg.compile_program([f], "topo")
-    names = sorted(m.universe)
+    names = m.tau_a.points + m.tau_b.points
     frame = pg.model_frame(
         names, m.a, m.b, [m.image_a[x] if x in m.a else m.image_b[x] for x in names],
         m.val, "local")
     used = {op[0] for op in ops}
     if pg.PNEG in used or pg.DIAG in used:
-        mask, hulls = pg.masker(names), m.tau_a.hulls | m.tau_b.hulls
-        hull = [mask(hulls[x]) for x in names]
-
-        def close(s: int) -> int:  # the union of the hulls of s's points
-            out = 0
-            for i, h in enumerate(hull):
-                if s >> i & 1:
-                    out |= h
-            return out
-
+        shift = len(m.tau_a.points)
+        close = partial(tp.hull_union, m.tau_a.hulls + tuple(h << shift for h in m.tau_b.hulls))
         diag = _diagonal(frame, close) if pg.DIAG in used else None
         frame = frame._replace(diag=diag, closure=close)
     return pg.names_of(names, pg.run(ops, frame)[slot])
@@ -132,16 +126,26 @@ def bk_witnesses(m: ParaTopoModel) -> frozenset:
     return evaluate(m, _BK_SENTENCE)
 
 
+def _slices_closed(t: tp.ClosedTopology, pairs: Iterable[tuple]) -> bool:
+    """Is each slice {p : (key, p) in pairs} a closed set of t?"""
+    slices: dict = {}
+    for key, p in pairs:
+        if p not in t.carrier:
+            return False
+        slices[key] = slices.get(key, 0) | 1 << t.points.index(p)
+    return all(tp.hull_union(t.hulls, s) == s for s in slices.values())
+
+
 def horizontally_closed(m: ParaTopoModel, s: Iterable[tuple[str, str]]) -> bool:
-    """Every point of s extends to a closed A-slice inside s: its hull's slice."""
-    s, hulls = frozenset(s), m.tau_a.hulls
-    return all(x in hulls and all((x2, y) in s for x2 in hulls[x]) for x, y in s)
+    """Every point of s extends to a closed A-slice inside s: each
+    A-slice {x : (x, y) in s} is closed in the A topology."""
+    return _slices_closed(m.tau_a, ((y, x) for x, y in s))
 
 
 def vertically_closed(m: ParaTopoModel, s: Iterable[tuple[str, str]]) -> bool:
-    """Every point of s extends to a closed B-slice inside s: its hull's slice."""
-    s, hulls = frozenset(s), m.tau_b.hulls
-    return all(y in hulls and all((x, y2) in s for y2 in hulls[y]) for x, y in s)
+    """Every point of s extends to a closed B-slice inside s: each
+    B-slice {y : (x, y) in s} is closed in the B topology."""
+    return _slices_closed(m.tau_b, s)
 
 
 def _nonempty_subsets(points: Iterable) -> list[frozenset]:

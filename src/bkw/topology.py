@@ -2,38 +2,81 @@
 
 A topology is stored by its closed sets, which must contain the empty set
 and the carrier and be closed under union and intersection (``validate``).
-Each point then has a smallest closed superset, its *hull*; the hulls,
-computed once per topology, decide all closure: a set's closure is the
-union of its points' hulls, and the closed sets are the sets equal to
-their closure (Alexandroff 1937: a finite topology is the set of down-sets
-of a preorder).  ``discrete``, ``product`` and ``enumerate_topologies``
-build topologies from hulls by that rule.
+Each point then has a smallest closed superset, its *hull*.  A topology
+derives its ``points`` (the sorted carrier; bit i of a point mask stands
+for points[i]) and their ``hulls`` as masks once; they decide all closure:
+a set's closure is the union of its points' hulls (``hull_union``), and
+the closed sets are the sets equal to their closure (Alexandroff 1937: a
+finite topology is the set of down-sets of a preorder).  ``discrete``,
+``product`` and ``enumerate_topologies`` build topologies by that rule.
+``MaskLattice`` is the one implementation of the co-Heyting operations, on
+point masks over a closure callable: one topology's hull union, or a
+lookup in a closure table, which takes numpy arrays of masks.  The
+frozenset functions ``closure`` ... ``exponent`` are adapters over it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from itertools import combinations, product as iproduct
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 
 @dataclass(frozen=True)
 class ClosedTopology:
     carrier: frozenset
     closed: frozenset
-    #: The hull table: each point's smallest closed superset.
-    hulls: dict = field(init=False, repr=False, compare=False)
+    #: The carrier in sorted order; bit i of a point mask stands for points[i].
+    points: tuple = field(init=False, repr=False, compare=False)
+    #: Each point's hull, its smallest closed superset, as a point mask.
+    hulls: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        hulls = dict.fromkeys(self.carrier, self.carrier)
+        points = tuple(sorted(self.carrier))
+        hulls = [(1 << len(points)) - 1] * len(points)
         for c in self.closed:
-            for p in c & self.carrier:
-                hulls[p] &= c
-        object.__setattr__(self, "hulls", hulls)
+            mask = sum(1 << i for i, p in enumerate(points) if p in c)
+            hulls = [h & mask if mask >> i & 1 else h for i, h in enumerate(hulls)]
+        object.__setattr__(self, "points", points)
+        object.__setattr__(self, "hulls", tuple(hulls))
 
     @staticmethod
     def make(carrier: Iterable, closed: Iterable[Iterable]) -> "ClosedTopology":
         return ClosedTopology(frozenset(carrier), frozenset(frozenset(c) for c in closed))
+
+
+def hull_union(hulls: Sequence[int], s: int) -> int:
+    """The closure of the point mask s: the union of its bits' hulls."""
+    out = 0
+    for i, h in enumerate(hulls):
+        if s >> i & 1:
+            out |= h
+    return out
+
+
+class MaskLattice(NamedTuple):
+    """The co-Heyting operations on point masks over a closure; each takes
+    ints, or numpy arrays of masks when ``close`` is a table lookup."""
+
+    close: Callable  # a mask's closure
+    full: int  # the carrier's mask
+
+    def subtraction(self, a, b):
+        """The smallest closed x with a <= x | b, for closed a and b."""
+        return self.close(a & ~b)
+
+    def pneg(self, s):
+        return self.close(self.full & ~s)
+
+    def interior(self, s):
+        return self.full & ~self.pneg(s)
+
+    def boundary(self, s):
+        return self.close(s) & ~self.interior(s)
+
+    def ineg(self, s):
+        return self.interior(self.full & ~s)
 
 
 def _closure_table(hulls: Sequence[int]) -> list[int]:
@@ -43,11 +86,6 @@ def _closure_table(hulls: Sequence[int]) -> list[int]:
     for mask in range(1, 1 << len(hulls)):  # add the lowest bit's hull
         closure.append(closure[mask & mask - 1] | hulls[(mask & -mask).bit_length() - 1])
     return closure
-
-
-def _closed_masks(hulls: Sequence[int]) -> list[int]:
-    """The masks equal to their own closure."""
-    return [mask for mask, c in enumerate(_closure_table(hulls)) if c == mask]
 
 
 def _hull_tables(n: int) -> list[tuple[tuple[int, ...], list[int]]]:
@@ -62,17 +100,17 @@ def _hull_tables(n: int) -> list[tuple[tuple[int, ...], list[int]]]:
     return tables
 
 
-def _from_hulls(points: Sequence, hulls: Sequence[int]) -> ClosedTopology:
-    """The topology that the hulls generate; bit i stands for points[i]."""
+def _from_hulls(points: Sequence, closure: Sequence[int]) -> ClosedTopology:
+    """The topology of a closure table's fixed points; bit i stands for points[i]."""
     return ClosedTopology(frozenset(points), frozenset(
         frozenset(p for i, p in enumerate(points) if mask >> i & 1)
-        for mask in _closed_masks(hulls)))
+        for mask, c in enumerate(closure) if c == mask))
 
 
 def discrete(carrier: Iterable) -> ClosedTopology:
     """Topology in which every subset is closed."""
     points = sorted(carrier)
-    return _from_hulls(points, [1 << i for i in range(len(points))])
+    return _from_hulls(points, range(1 << len(points)))
 
 
 def validate(t: ClosedTopology) -> list[str]:
@@ -94,41 +132,40 @@ def validate(t: ClosedTopology) -> list[str]:
     return problems
 
 
+def _apply(t: ClosedTopology, op: str, *sets: Iterable) -> frozenset:
+    """The lattice operation op of t on the point masks of the sets, as names."""
+    masks = []
+    for s in map(frozenset, sets):
+        if not s <= t.carrier:
+            raise ValueError(f"points {sorted(s - t.carrier)} are outside the carrier")
+        masks.append(sum(1 << t.points.index(p) for p in s))
+    lattice = MaskLattice(partial(hull_union, t.hulls), (1 << len(t.points)) - 1)
+    out = getattr(lattice, op)(*masks)
+    return frozenset(p for i, p in enumerate(t.points) if out >> i & 1)
+
+
 def closure(t: ClosedTopology, s: Iterable) -> frozenset:
     """Smallest closed superset of s: the union of its points' hulls."""
-    s = frozenset(s)
-    if not s <= t.carrier:
-        raise ValueError(f"points {sorted(s - t.carrier)} are outside the carrier")
-    return frozenset().union(*map(t.hulls.__getitem__, s))
-
-
-def _complement(t: ClosedTopology, s: Iterable) -> frozenset:
-    """The carrier minus s, after the same carrier check as ``closure``:
-    a complement would silently drop the points of s outside it."""
-    s = frozenset(s)
-    if not s <= t.carrier:
-        raise ValueError(f"points {sorted(s - t.carrier)} are outside the carrier")
-    return t.carrier - s
+    return _apply(t, "close", s)
 
 
 def interior(t: ClosedTopology, s: Iterable) -> frozenset:
     """Largest open subset of s (opens are complements of closed sets)."""
-    return t.carrier - closure(t, _complement(t, s))
+    return _apply(t, "interior", s)
 
 
 def boundary(t: ClosedTopology, s: Iterable) -> frozenset:
-    s = frozenset(s)
-    return closure(t, s) - interior(t, s)
+    return _apply(t, "boundary", s)
 
 
 def pneg(t: ClosedTopology, s: Iterable) -> frozenset:
     """Paraconsistent negation: closure of the complement."""
-    return closure(t, _complement(t, s))
+    return _apply(t, "pneg", s)
 
 
 def ineg(t: ClosedTopology, s: Iterable) -> frozenset:
     """Intuitionistic negation: interior of the complement."""
-    return interior(t, _complement(t, s))
+    return _apply(t, "ineg", s)
 
 
 def _require_closed(t: ClosedTopology, s: frozenset, role: str) -> None:
@@ -141,24 +178,25 @@ def subtraction(t: ClosedTopology, a: Iterable, b: Iterable) -> frozenset:
     a, b = frozenset(a), frozenset(b)
     _require_closed(t, a, "minuend")
     _require_closed(t, b, "subtrahend")
-    return closure(t, a - b)
+    return _apply(t, "subtraction", a, b)
 
 
 def exponent(t: ClosedTopology, c1: Iterable, c2: Iterable) -> frozenset:
-    """Exponent object of the closed-set category: Clo(complement(c1) & c2)."""
+    """Exponent object of the closed-set category: Clo(complement(c1) & c2) = c2 - c1."""
     c1, c2 = frozenset(c1), frozenset(c2)
     _require_closed(t, c1, "base")
     _require_closed(t, c2, "exponent")
-    return closure(t, (t.carrier - c1) & c2)
+    return _apply(t, "subtraction", c2, c1)
 
 
 def product(ta: ClosedTopology, tb: ClosedTopology) -> ClosedTopology:
     """Product topology: closed sets are all unions of closed rectangles,
-    so the hull of a pair is the rectangle of its coordinates' hulls."""
-    points = list(iproduct(ta.carrier, tb.carrier))
-    bit = {p: 1 << i for i, p in enumerate(points)}
-    return _from_hulls(points, [sum(bit[q] for q in iproduct(ta.hulls[x], tb.hulls[y]))
-                                for x, y in points])
+    so the hull of a pair is the rectangle of its coordinates' hulls; the
+    pair (ta.points[i], tb.points[j]) is bit i * |B| + j."""
+    nb = len(tb.points)
+    hulls = [sum(hb << i * nb for i in range(len(ta.points)) if ha >> i & 1)
+             for ha, hb in iproduct(ta.hulls, tb.hulls)]
+    return _from_hulls(list(iproduct(ta.points, tb.points)), _closure_table(hulls))
 
 
 def enumerate_topologies(carrier: Iterable) -> Iterator[ClosedTopology]:
@@ -167,5 +205,5 @@ def enumerate_topologies(carrier: Iterable) -> Iterator[ClosedTopology]:
     points = sorted(carrier)
     if len(points) > 4:
         raise ValueError("carrier too large for exhaustive topology enumeration")
-    for hulls, _ in _hull_tables(len(points)):
-        yield _from_hulls(points, hulls)
+    for _, table in _hull_tables(len(points)):
+        yield _from_hulls(points, table)

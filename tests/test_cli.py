@@ -79,6 +79,9 @@ def test_check_command_input_errors(tmp_path, capsys):
     code, _, err = run(["check", str(bad), "p"], capsys)
     assert code == 2
     assert "duplicate" in err
+    bad.write_text(dump_paratopo(fixture_bk_topo()).replace("tA: ", "tA: a1->{} "))
+    code, _, err = run(["check", str(bad), "p"], capsys)
+    assert code == 2 and "source 'a1' is given twice" in err
     # a closed family without {} and not closed under union
     bad.write_text("paratopo\nA: a1 a2 a3\nB: b1\nclosedA: {a1} {a2} {a1 a2 a3}\n"
                    "closedB: {} {b1}\ntB: b1->{a1}\nval p: a3\n")

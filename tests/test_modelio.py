@@ -1,13 +1,14 @@
 import random
 
 import pytest
+from hypothesis import given, seed, settings, strategies as st
 
 from bkw import modelio as mio
 from bkw.harness import (enumerate_hypersets, enumerate_kripke, fixture_bk_topo,
                          fixture_ninestate, two_cycle)
 from bkw.hyperset import HypersetModel
 from bkw.kripke import KripkeModel
-from conftest import random_hyperset, random_kripke
+from conftest import random_hyperset, random_kripke, random_paratopo
 
 KRIPKE_TEXT = """\
 kripke
@@ -122,6 +123,27 @@ def test_paratopo_roundtrip():
     assert mio.dump_paratopo(again) == text
     assert again.tau_a.closed == m.tau_a.closed
     assert again.t_a == m.t_a and again.t_b == m.t_b
+
+
+def test_image_source_given_twice_is_rejected():
+    # a repeated source used to load as the union of its images
+    for number, line, source in ((6, "tA: a1->{b1} a2->{b1 b2}", "a1"),
+                                 (7, "tB: b1->{a1} b2->{a1 a2}", "b2")):
+        text = PARATOPO_TEXT.replace(line, f"{line} {source}->{{}}")
+        with pytest.raises(mio.ModelFormatError,
+                           match=rf"^line {number}: source '{source}' is given twice$"):
+            mio.load_model(text)
+
+
+@seed(9)
+@settings(max_examples=60, database=None, deadline=None)
+@given(st.randoms(use_true_random=False))
+def test_paratopo_roundtrip_keeps_every_field(rng):
+    m = random_paratopo(rng)
+    again = mio.load_model(mio.dump_model(m))
+    assert vars(again) == vars(m)
+    for t, u in ((again.tau_a, m.tau_a), (again.tau_b, m.tau_b)):
+        assert (t.carrier, t.closed, t.points, t.hulls) == (u.carrier, u.closed, u.points, u.hulls)
 
 
 def test_dump_model_dispatch():

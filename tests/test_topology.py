@@ -1,5 +1,8 @@
+from functools import partial, reduce
 from itertools import chain, combinations, product
+from operator import and_, or_
 
+import numpy as np
 import pytest
 
 from bkw import topology as tp
@@ -127,6 +130,44 @@ def test_boundary_overlap_law():
         for t in tp.enumerate_topologies([f"x{i}" for i in range(size)]):
             for s in t.closed:
                 assert s & tp.pneg(t, s) == tp.boundary(t, s)
+
+
+def _least(masks):
+    """The mask below every mask of a nonempty list, checked to be one of them."""
+    least = reduce(and_, masks)
+    assert least in masks
+    return least
+
+
+def _largest(masks):
+    """The mask above every mask of a nonempty list, checked to be one of them."""
+    largest = reduce(or_, masks)
+    assert largest in masks
+    return largest
+
+
+def test_mask_lattice_matches_brute_force_definitions():
+    # both closure forms, a closure-table lookup and the hull union, on
+    # every topology of up to 4 points, against the definitions over t.closed
+    for n in range(5):
+        full = (1 << n) - 1
+        for hulls, table in tp._hull_tables(n):
+            t = tp._from_hulls([f"x{i}" for i in range(n)], table)
+            assert tp.validate(t) == [] and t.hulls == hulls
+            closed = [sum(1 << t.points.index(p) for p in c) for c in t.closed]
+            opens = [full & ~c for c in closed]
+            for lat in (tp.MaskLattice(np.array(table, dtype=np.uint8).__getitem__, full),
+                        tp.MaskLattice(partial(tp.hull_union, t.hulls), full)):
+                for s in range(1 << n):
+                    clo = _least([c for c in closed if s & ~c == 0])
+                    inner = _largest([o for o in opens if o & ~s == 0])
+                    assert lat.close(s) == clo and lat.interior(s) == inner
+                    assert lat.boundary(s) == clo & ~inner
+                    assert lat.pneg(s) == _least([c for c in closed if s | c == full])
+                    assert lat.ineg(s) == _largest([o for o in opens if s & o == 0])
+                for a, b in product(closed, repeat=2):
+                    assert lat.subtraction(a, b) == _least([x for x in closed
+                                                            if a & ~(x | b) == 0])
 
 
 def test_boundary_of_negation_is_not_always_symmetric():
