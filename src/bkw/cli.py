@@ -191,7 +191,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
     except RecursionError:
-        # last resort: input too deeply nested for a recursive printer or evaluator
+        # last resort: a formula too deeply nested for the recursive compiler
         print("error: input nested too deeply", file=sys.stderr)
         return EXIT_INPUT_ERROR
 

@@ -136,8 +136,8 @@ def _relation_lanes(max_states: int, strict: bool, serial: bool, heart: str,
                     keep = np.logical_and.reduce([row != 0 for row in rows])
                     ids, rows = ids[keep], [row[keep] for row in rows]
                 if len(ids):
-                    yield _Lanes(offset + ids, 0,
-                                 pg.Frame(k, ua, (1 << k) - 1 - ua, rows, {}, heart))
+                    yield _Lanes(offset + ids, 0, pg.Frame(k, ua, (1 << k) - 1 - ua, rows,
+                                                           {}, heart, pg.complement(k)))
             offset += total
 
 
@@ -177,7 +177,8 @@ def _membership_lanes(max_nodes: int, overlap: bool, with_atom: bool,
                     rows[w] = member_row[option]
                     ure = ure | (option == 0) * _LANE(1 << w)
                 atoms = {"p": pval.astype(_LANE)} if with_atom else {}
-                yield _Lanes(record, ure, pg.Frame(k, ua, ub, rows, atoms, "membership"))
+                yield _Lanes(record, ure, pg.Frame(k, ua, ub, rows, atoms, "membership",
+                                                   pg.complement(k)))
         offset += per_block * len(assignments)
 
 

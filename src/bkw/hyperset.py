@@ -110,7 +110,7 @@ def to_frame(m: HypersetModel) -> tuple[list[str], pg.Frame]:
     """The model as an evaluator frame over its sorted node names."""
     names = sorted(m.nodes)
     return names, pg.model_frame(names, m.ua, m.ub, map(m.members, names), m.val,
-                                 "membership")
+                                 "membership", pg.complement(len(names)))
 
 
 def nwf_extension(m: HypersetModel, f: fm.Formula) -> frozenset:
@@ -214,15 +214,15 @@ def bisimilar(m1: HypersetModel, n1: str, m2: HypersetModel, n2: str) -> bool:
 # Named finite checks
 
 
-def bounded_formula_family(max_modal_depth: int = 2, atom: str = "p") -> tuple[fm.Formula, ...]:
-    """Deterministic family of formulas with bounded modal nesting.
+def bounded_formula_family() -> tuple[fm.Formula, ...]:
+    """Deterministic family of formulas of modal depth at most 2.
 
-    Base layer: the type atoms, one propositional atom, the constants,
-    their negations, and the pairwise conjunctions/disjunctions; each
-    further layer applies all six directed modalities to the previous
+    Base layer: the type atoms, the atom p, the constants, their
+    negations, and the pairwise conjunctions/disjunctions; each of the two
+    further layers applies all six directed modalities to the previous
     layer.
     """
-    p = fm.Atom(atom)
+    p = fm.Atom("p")
     literals = [fm.Ua(), fm.Ub(), p]
     base: list[fm.Formula] = [*literals, fm.Top(), fm.Bot()]
     base += [fm.Not(l) for l in literals]
@@ -232,7 +232,7 @@ def bounded_formula_family(max_modal_depth: int = 2, atom: str = "p") -> tuple[f
             base.append(fm.Or(left, right))
     family = list(base)
     layer = base
-    for _ in range(max_modal_depth):
+    for _ in range(2):
         layer = [ctor(d, f)
                  for ctor in (fm.Box, fm.Heart, fm.Diamond)
                  for d in ("ab", "ba")
@@ -265,8 +265,7 @@ def theorem22_faults(frame: pg.Frame, w: int, body):
     return assumes == (body >> w & 1 == 1), need & body != need
 
 
-def check_theorem_2_2(m: HypersetModel,
-                      formulas: Iterable[fm.Formula] | None = None) -> list[TheoremViolation]:
+def check_theorem_2_2(m: HypersetModel) -> list[TheoremViolation]:
     """Quine/urelement states assume exactly what they falsify and believe everything.
 
     Requires disjoint type spaces.  Returns the violations found over the
@@ -275,7 +274,7 @@ def check_theorem_2_2(m: HypersetModel,
     if not m.disjoint_types or (m.ua & m.ub):
         raise ValueError("the assumption-of-falsehoods check requires "
                          "disjoint type spaces")
-    formulas = bounded_formula_family() if formulas is None else tuple(formulas)
+    formulas = bounded_formula_family()
     names, frame = to_frame(m)
     ops, slots = pg.compile_program(formulas, "nwf")
     vals = pg.run(ops, frame)
@@ -380,6 +379,11 @@ def graph_to_structure(nodes: Iterable[str], edges: Iterable[tuple[str, str]],
         if a not in out or b not in out:
             raise ValueError(f"edge ({a}, {b}) uses unknown nodes")
         out[a].add(b)
+    if root not in out:
+        raise ValueError(f"unknown root {root!r}")
+    for n in nodes:
+        if n not in types:
+            raise ValueError(f"node {n!r} has no type")
     seen = {root}
     stack = [root]
     while stack:

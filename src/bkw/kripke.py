@@ -101,7 +101,8 @@ def to_frame(m: KripkeModel, heart: str = "frame") -> tuple[list[str], pg.Frame]
     if heart not in HEART_SEMANTICS:
         raise ValueError(f"unknown heart semantics {heart!r}")
     names = sorted(m.states)
-    return names, pg.model_frame(names, m.ua, m.ub, map(m.successors, names), m.val, heart)
+    return names, pg.model_frame(names, m.ua, m.ub, map(m.successors, names), m.val, heart,
+                                 pg.complement(len(names)))
 
 
 def extension(m: KripkeModel, f: fm.Formula, heart: str = "frame") -> frozenset:

@@ -83,35 +83,21 @@ def diagonal(m: ParaTopoModel) -> frozenset:
     return evaluate(m, fm.Dtopo())
 
 
-def _diagonal(frame: pg.Frame, close) -> int:
-    """``diagonal`` on masks: x in A lies in close(A - tB(y)) for each y in tA(x)."""
-    rows = frame.rows
-    return sum(1 << x for x in range(frame.k)
-               if frame.ua >> x & 1 and all(close(frame.ua & ~rows[y]) >> x & 1
-                                            for y in range(frame.k) if rows[x] >> y & 1))
+def to_frame(m: ParaTopoModel) -> tuple[list[str], pg.Frame]:
+    """The model as an evaluator frame over A's points, then B's, with the
+    ``local`` heart rule and, for ``~`` and ``Dt``, the closure of the
+    complement under both topologies' hull masks as its negation."""
+    names = [*m.tau_a.points, *m.tau_b.points]
+    hulls = m.tau_a.hulls + tuple(h << len(m.tau_a.points) for h in m.tau_b.hulls)
+    neg = tp.MaskLattice(partial(tp.hull_union, hulls), (1 << len(names)) - 1).pneg
+    return names, pg.model_frame(
+        names, m.a, m.b, [m.image_a[x] if x in m.a else m.image_b[x] for x in names],
+        m.val, "local", neg)
 
 
 def evaluate(m: ParaTopoModel, f: fm.Formula) -> frozenset:
-    """Extension of a topological-language formula over both carriers.
-
-    Assumption compares the image with the extension inside the opposite
-    carrier (the evaluator's ``local`` heart rule), and ``~`` is the
-    closure of the complement: the union of the hull masks of both
-    topologies, A's points on the low bits and B's above them.  The
-    diagonal and the closure are built only when the formula uses them.
-    """
-    ops, (slot,) = pg.compile_program([f], "topo")
-    names = m.tau_a.points + m.tau_b.points
-    frame = pg.model_frame(
-        names, m.a, m.b, [m.image_a[x] if x in m.a else m.image_b[x] for x in names],
-        m.val, "local")
-    used = {op[0] for op in ops}
-    if pg.PNEG in used or pg.DIAG in used:
-        shift = len(m.tau_a.points)
-        close = partial(tp.hull_union, m.tau_a.hulls + tuple(h << shift for h in m.tau_b.hulls))
-        diag = _diagonal(frame, close) if pg.DIAG in used else None
-        frame = frame._replace(diag=diag, closure=close)
-    return pg.names_of(names, pg.run(ops, frame)[slot])
+    """Extension of a topological-language formula over both carriers."""
+    return pg.extension(f, "topo", *to_frame(m))
 
 
 _BK_SENTENCE = fm.parse("Ba Xb Dt & Ea true")

@@ -13,12 +13,14 @@ per-state skip of states outside the modality's source type is the same
 in both cases.
 
 The three semantics differ only in the frame: the successor rows, the
-heart rule of the assumption modality, the diagonal atom, and the
-closure used by paraconsistent negation ``~``.
+heart rule of the assumption modality, and the negation, which ``~`` and
+the one diagonal of ``D``, ``D+`` and ``Dt`` (``no_return``) both read.
 """
 
 from __future__ import annotations
 
+from functools import partial
+from operator import xor
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from . import formula as fm
@@ -74,6 +76,8 @@ def compile_program(formulas: Iterable[fm.Formula], language: str,
         if code >= BOX:  # a modality whose source type is a ("ab", agent "a") or b
             side = f.direction[0] if t in _RELATIONAL else f.agent
             op = (code, 0 if side == "a" else 1, emit(f.body))
+        elif code == DIAG:  # Dt is restricted to A's points, D and D+ are not
+            op = (DIAG, t is fm.Dtopo)
         elif code >= AND:
             op = (code, emit(f.left), emit(f.right))
         elif code >= NOT:
@@ -101,9 +105,8 @@ class Frame(NamedTuple):
     heart rule of ``Hij``/``Xi`` at a source state with image ``img =
     row & tgt``: ``frame`` asks ``img == body``, ``local`` asks ``img ==
     body & tgt``, ``membership`` asks ``body & (row | self) == img``.
-    ``diag`` is the diagonal mask; ``None`` means the no-return diagonal
-    of the rows (``D`` and ``D+``).  ``closure`` maps a mask to its
-    closure, for ``~``.
+    ``neg`` is the frame's negation of a mask, read by ``~`` and by the
+    diagonal: ``complement(k)``, or the closure of the complement.
     """
 
     k: int
@@ -112,8 +115,12 @@ class Frame(NamedTuple):
     rows: Sequence
     atoms: Mapping[str, object]
     heart: str
-    diag: object = None
-    closure: Callable | None = None
+    neg: Callable
+
+
+def complement(k: int) -> Callable:
+    """The classical negation on k states: a mask's complement."""
+    return partial(xor, (1 << k) - 1)
 
 
 def _one(rows: Sequence):
@@ -123,15 +130,18 @@ def _one(rows: Sequence):
     return rows[0].dtype.type(1) if rows and hasattr(rows[0], "dtype") else 1
 
 
-def no_return(rows: Sequence):
-    """States none of whose successors has them as a successor in turn."""
+def no_return(rows: Sequence, neg: Callable, src):
+    """The states w in ``src`` each of whose successors z has w in
+    ``neg(rows[z])`` (Lawvere 1969); under the complement, no z has w back."""
     one = _one(rows)
+    negs = [neg(row) for row in rows]
     d = 0
     for w, row in enumerate(rows):
-        back = 0
-        for z, row_z in enumerate(rows):
-            back = back | (row >> z & row_z >> w & 1)
-        d = d | (back == 0) * (one << w)
+        off = ~row  # bit z: z is not a successor of w
+        ok = off | negs[0] >> w
+        for z in range(1, len(rows)):
+            ok = ok & (off >> z | negs[z] >> w)
+        d = d | (ok & 1) * (src & one << w)
     return d
 
 
@@ -190,9 +200,9 @@ def run(ops: Sequence[tuple], frame: Frame) -> list:
         elif code == ATOM:
             push(atoms.get(op[1], 0))
         elif code == DIAG:
-            push(no_return(rows) if frame.diag is None else frame.diag)
+            push(no_return(rows, frame.neg, ua if op[1] else full))
         else:
-            push(frame.closure(vals[op[1]] ^ full))
+            push(frame.neg(vals[op[1]]))
     return vals
 
 
@@ -207,11 +217,11 @@ def names_of(names: Sequence[str], mask: int) -> frozenset:
 
 
 def model_frame(names: Sequence[str], ua, ub, rows: Iterable, val: Mapping,
-                heart: str, **extra) -> Frame:
+                heart: str, neg: Callable) -> Frame:
     """The frame of one model whose sets are given by name; bit i is names[i]."""
     mask = masker(names)
     return Frame(len(names), mask(ua), mask(ub), [mask(row) for row in rows],
-                 {atom: mask(sts) for atom, sts in val.items()}, heart, **extra)
+                 {atom: mask(sts) for atom, sts in val.items()}, heart, neg)
 
 
 def extension(f: fm.Formula, language: str, names: Sequence[str], frame: Frame) -> frozenset:

@@ -82,6 +82,31 @@ def random_relational_formula(rng: random.Random, depth: int,
     return fm.Diamond(rng.choice(("ab", "ba")), sub())
 
 
+def random_topo_formula(rng: random.Random, depth: int) -> fm.Formula:
+    """Random AST in the topological language over atoms p and q."""
+    leaves = [fm.Atom("p"), fm.Atom("q"), fm.Top(), fm.Bot(), fm.Ua(), fm.Ub(),
+              fm.Dtopo()]
+    if depth == 0:
+        return rng.choice(leaves)
+    kind = rng.randrange(8)
+    sub = lambda: random_topo_formula(rng, depth - 1)
+    if kind == 0:
+        return rng.choice(leaves)
+    if kind == 1:
+        return fm.Pneg(sub())
+    if kind == 2:
+        return fm.Not(sub())
+    if kind == 3:
+        return fm.And(sub(), sub())
+    if kind == 4:
+        return fm.Or(sub(), sub())
+    if kind == 5:
+        return fm.TBel(rng.choice("ab"), sub())
+    if kind == 6:
+        return fm.TAsm(rng.choice("ab"), sub())
+    return fm.TDia(rng.choice("ab"), sub())
+
+
 def kripke_truth(m: KripkeModel, f: fm.Formula, x: str, heart: str = "frame") -> bool:
     """Oracle: truth at one state by quantifier unfolding."""
     if isinstance(f, fm.Atom):

@@ -1,4 +1,6 @@
-"""Smoke test: every narrative script in demos/ runs to completion."""
+"""Every narrative script in demos/ runs to completion and prints the
+stdout recorded for it in tests/demo_output/ (one ``<script stem>.txt``
+each); rerecord a file there only when a demo's story changes."""
 
 import os
 import subprocess
@@ -9,6 +11,7 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
+OUTPUT = Path(__file__).resolve().parent / "demo_output"
 
 
 def test_demos_are_found():
@@ -21,3 +24,4 @@ def test_demo_runs(demo):
     result = subprocess.run([sys.executable, str(demo)], env=env, cwd=ROOT,
                             capture_output=True, text=True, timeout=300)
     assert result.returncode == 0, result.stderr
+    assert result.stdout == (OUTPUT / f"{demo.stem}.txt").read_text()

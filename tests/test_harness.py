@@ -8,12 +8,13 @@ from bkw import formula as fm
 from bkw import harness as hn
 from bkw import hyperset as hs
 from bkw import kripke as kr
+from bkw import paratopo as pt
 from bkw import program as pg
 from bkw import topology as tp
 from bkw.modelio import dump_nwf, load_model
 from bkw.topology import _closure_table
 from conftest import (kripke_truth, nwf_truth, random_hyperset,
-                      random_relational_formula)
+                      random_relational_formula, random_topo_formula)
 
 
 def test_enumerate_kripke_counts():
@@ -569,7 +570,8 @@ def test_claim_helpers_take_constant_bodies_beside_byte_lanes():
     rng = np.random.default_rng(64)
     k, full = 3, 7
     lane = lambda: rng.integers(0, 1 << k, 300, dtype=np.uint8)
-    narrow = pg.Frame(k, 0b011, 0b110, [lane() for _ in range(k)], {}, "membership")
+    narrow = pg.Frame(k, 0b011, 0b110, [lane() for _ in range(k)], {}, "membership",
+                      pg.complement(k))
     wide = narrow._replace(rows=[_widened(row) for row in narrow.rows])
     bodies = [0, full, narrow.ua, narrow.ub, 0b101, lane(), lane()]
     wide_bodies = [_widened(b) for b in bodies]
@@ -597,20 +599,36 @@ def test_claim_helpers_take_constant_bodies_beside_byte_lanes():
                        + len(slots) + 5 * len(quads))
 
 
-@pytest.mark.parametrize("heart", ["frame", "local", "membership"])
+@pytest.mark.parametrize("heart", ["frame", "local", "membership", "topo"])
 def test_run_keeps_the_lane_dtype(heart):
     # byte lanes give byte results, not int64 ones, equal to the results
-    # on the same lanes widened to int64
-    language, diag = ("nwf", fm.Dplus()) if heart == "membership" else ("kripke", fm.Dclass())
-    family = hs.bounded_formula_family() + (diag, fm.Heart("ab", diag),
-                                            fm.Box("ba", fm.Not(diag)))
-    ops, _ = pg.compile_program(family, language, atoms=("p",))
-    rng = np.random.default_rng(65)
+    # on the same lanes widened to int64; the topo case negates through a
+    # closure table of the lanes' dtype, for ~ and for Dt
     k = 4
+    if heart == "topo":
+        frng = random.Random(65)
+        family = [random_topo_formula(frng, 3) for _ in range(80)]
+        family += [fm.Dtopo(), fm.Pneg(fm.Dtopo()), fm.parse("Ba Xb Dt & Ea true")]
+        language, heart, ub, atoms = "topo", "local", 0b1100, ("p", "q")
+        table = _closure_table((0b0001, 0b0011, 0b0100, 0b1100))  # two Sierpinski spaces
+        narrow_neg, wide_neg = (tp.MaskLattice(np.array(table, dtype=dtype).__getitem__,
+                                               (1 << k) - 1).pneg
+                                for dtype in (np.uint8, np.int64))
+    else:
+        language, diag = (("nwf", fm.Dplus()) if heart == "membership"
+                          else ("kripke", fm.Dclass()))
+        family = hs.bounded_formula_family() + (diag, fm.Heart("ab", diag),
+                                                fm.Box("ba", fm.Not(diag)))
+        ub, atoms = 0b1110, ("p",)
+        narrow_neg = wide_neg = pg.complement(k)
+    ops, _ = pg.compile_program(family, language, atoms=atoms)
+    rng = np.random.default_rng(65)
     lane = lambda: rng.integers(0, 1 << k, 200, dtype=np.uint8)
-    narrow = pg.Frame(k, 0b0011, 0b1110, [lane() for _ in range(k)], {"p": lane()}, heart)
+    narrow = pg.Frame(k, 0b0011, ub, [lane() for _ in range(k)],
+                      {atom: lane() for atom in atoms}, heart, narrow_neg)
     wide = narrow._replace(rows=[_widened(row) for row in narrow.rows],
-                           atoms={"p": _widened(narrow.atoms["p"])})
+                           atoms={atom: _widened(v) for atom, v in narrow.atoms.items()},
+                           neg=wide_neg)
     lanes = 0
     for got, want in zip(pg.run(ops, narrow), pg.run(ops, wide), strict=True):
         if isinstance(got, np.ndarray):
@@ -618,7 +636,51 @@ def test_run_keeps_the_lane_dtype(heart):
             lanes += 1
         assert np.array_equal(got, want)
     assert lanes > len(ops) // 2
-    assert pg.no_return(narrow.rows).dtype == np.uint8
+    assert pg.no_return(narrow.rows, narrow.neg, narrow.ua).dtype == np.uint8
+
+
+@pytest.mark.parametrize("points", [(2, 2), (3, 2), (2, 3)], ids=lambda p: "%d+%d" % p)
+def test_topo_lanes_match_paratopo_evaluate(points):
+    # every image assignment of fixed topologies on A and B as uint8 lanes,
+    # negated through their joint closure table, against the single-model
+    # evaluator on each rebuilt model
+    na, nb = points
+    a, b = [f"a{i}" for i in range(na)], [f"b{i}" for i in range(nb)]
+    chain = lambda pts: tp.ClosedTopology.make(pts, [pts[:i] for i in range(len(pts) + 1)])
+    pairs = [(chain(a), chain(b[::-1])), (tp.discrete(a), tp.ClosedTopology.make(b, [[], b])),
+             (chain(a), tp.discrete(b))]
+    rng = random.Random(66)
+    family = [random_topo_formula(rng, 3) for _ in range(24)]
+    family += [fm.Dtopo(), fm.Pneg(fm.Dtopo()), fm.parse("Ba Xb Dt & Ea true")]
+    ops, slots = pg.compile_program(family, "topo", atoms=("p", "q"))
+    k, ua = na + nb, (1 << na) - 1
+    full = (1 << k) - 1
+    nrng = np.random.default_rng(66)
+    checked = 0
+    for tau_a, tau_b in pairs:
+        names = [*tau_a.points, *tau_b.points]
+        mask = pg.masker(names)
+        options = [sorted(map(mask, tau_b.closed))] * na + [sorted(map(mask, tau_a.closed))] * nb
+        rows = [np.array(col, dtype=np.uint8) for col in zip(*iproduct(*options))]
+        n = len(rows[0])
+        hulls = tau_a.hulls + tuple(h << na for h in tau_b.hulls)
+        table = np.array(_closure_table(hulls), dtype=np.uint8)
+        atoms = {atom: nrng.integers(0, 1 << k, n, dtype=np.uint8) for atom in ("p", "q")}
+        frame = pg.Frame(k, ua, full ^ ua, rows, atoms, "local",
+                         tp.MaskLattice(table.__getitem__, full).pneg)
+        vals = [np.broadcast_to(v, n) for v in pg.run(ops, frame)]
+        for lane in range(n):
+            edges = lambda src: [(names[x], names[y]) for x in src for y in range(k)
+                                 if rows[x][lane] >> y & 1]
+            m = pt.ParaTopoModel(
+                tau_a, tau_b, edges(range(na)), edges(range(na, k)),
+                {atom: pg.names_of(names, int(v[lane])) for atom, v in atoms.items()})
+            for f, slot in zip(family, slots):
+                assert pt.evaluate(m, f) == pg.names_of(names, int(vals[slot][lane])), \
+                    (m, fm.to_text(f))
+                checked += 1
+    assert checked == len(family) * sum(
+        len(tb.closed) ** na * len(ta.closed) ** nb for ta, tb in pairs)
 
 
 def test_fixture_registry_all_pass():

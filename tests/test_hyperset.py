@@ -252,6 +252,13 @@ def test_graph_to_structure_rejects_disconnected():
         hs.graph_to_structure(["a", "b"], [], "a", {"a": "a", "b": "b"})
 
 
+def test_graph_to_structure_names_an_unknown_root_or_untyped_node():
+    with pytest.raises(ValueError, match="unknown root 'c'"):
+        hs.graph_to_structure(["a", "b"], [("a", "b")], "c", {"a": "a", "b": "b"})
+    with pytest.raises(ValueError, match="node 'b' has no type"):
+        hs.graph_to_structure(["a", "b"], [("a", "b")], "a", {"a": "a"})
+
+
 def test_isomorphic_graphs_give_bisimilar_structures():
     cycle1 = hs.graph_to_structure(
         ["a", "b", "c"], [("a", "b"), ("b", "c"), ("c", "a")], "a",

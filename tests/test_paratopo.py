@@ -6,7 +6,7 @@ from bkw import formula as fm
 from bkw import paratopo as pt
 from bkw import topology as tp
 from bkw.harness import fixture_bk_topo
-from conftest import classical_topo_ext, random_paratopo, topo_truth
+from conftest import classical_topo_ext, random_paratopo, random_topo_formula, topo_truth
 
 FIXTURE = fixture_bk_topo()
 
@@ -24,30 +24,6 @@ def random_discrete_model(rng):
     val = {"p": [s for s in a + b if rng.random() < 0.5],
            "q": [s for s in a + b if rng.random() < 0.5]}
     return discrete_model(a, b, t_a, t_b, val)
-
-
-def random_topo_formula(rng, depth):
-    leaves = [fm.Atom("p"), fm.Atom("q"), fm.Top(), fm.Bot(), fm.Ua(), fm.Ub(),
-              fm.Dtopo()]
-    if depth == 0:
-        return rng.choice(leaves)
-    kind = rng.randrange(8)
-    sub = lambda: random_topo_formula(rng, depth - 1)
-    if kind == 0:
-        return rng.choice(leaves)
-    if kind == 1:
-        return fm.Pneg(sub())
-    if kind == 2:
-        return fm.Not(sub())
-    if kind == 3:
-        return fm.And(sub(), sub())
-    if kind == 4:
-        return fm.Or(sub(), sub())
-    if kind == 5:
-        return fm.TBel(rng.choice("ab"), sub())
-    if kind == 6:
-        return fm.TAsm(rng.choice("ab"), sub())
-    return fm.TDia(rng.choice("ab"), sub())
 
 
 def test_validation():
