@@ -185,41 +185,36 @@ _INFIX = {"<->": (0, Iff, True), "->": (1, Imp, True),
 RESERVED_WORDS = frozenset(w for w in (*_CONSTANTS, *_PREFIXES) if w[0].isalpha())
 
 
+#: The tokens that are not words, longest first.
+_SYMBOL_TOKENS = sorted((t for t in (*_PREFIXES, *_INFIX, "(", ")") if not t[0].isalpha()),
+                        key=len, reverse=True)
+#: first character -> the symbol tokens it starts, in that order
+_SYMBOLS = {t[0]: [s for s in _SYMBOL_TOKENS if s[0] == t[0]] for t in _SYMBOL_TOKENS}
+
+
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
+    """(kind, value, position) tokens ending in eof: a word (or ``D+``) is
+    kind "word", and a symbol token is its own kind."""
     tokens = []
     i, n = 0, len(text)
     while i < n:
         c = text[i]
         if c.isspace():
             i += 1
-            continue
-        if text.startswith("<->", i):
-            tokens.append(("<->", "<->", i))
-            i += 3
-        elif text.startswith("->", i):
-            tokens.append(("->", "->", i))
-            i += 2
-        elif text.startswith("[ab]", i) or text.startswith("[ba]", i):
-            tokens.append((text[i:i + 4], text[i:i + 4], i))
-            i += 4
-        elif text.startswith("<ab>", i) or text.startswith("<ba>", i):
-            tokens.append((text[i:i + 4], text[i:i + 4], i))
-            i += 4
-        elif c in "&|!~()":
-            tokens.append((c, c, i))
-            i += 1
         elif c.isalpha() or c == "_":
             j = i
             while j < n and (text[j].isalnum() or text[j] == "_"):
                 j += 1
-            word = text[i:j]
-            if word == "D" and j < n and text[j] == "+":
-                word = "D+"
+            if text.startswith("+", j) and text[i:j] + "+" in _CONSTANTS:
                 j += 1
-            tokens.append(("word", word, i))
+            tokens.append(("word", text[i:j], i))
             i = j
         else:
-            raise ParseError(f"unexpected character {c!r}", i)
+            symbol = next((s for s in _SYMBOLS.get(c, ()) if text.startswith(s, i)), None)
+            if symbol is None:
+                raise ParseError(f"unexpected character {c!r}", i)
+            tokens.append((symbol, symbol, i))
+            i += len(symbol)
     tokens.append(("eof", "", n))
     return tokens
 

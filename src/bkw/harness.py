@@ -9,20 +9,19 @@ for membership graphs.  Each lane carries a record index (its place in
 the enumeration order) and reads back as a compact record, which
 ``_rebuild_kripke``/``_rebuild_hyperset`` turn into a model; the public
 ``enumerate_kripke``/``enumerate_hypersets`` are such rebuild loops.
-Each sweep compiles its formulas once (``program.compile_program``) and
-runs them with the one evaluator (``program.run``) on the lanes.  The
-claims themselves (lemma 1, the hole scan, theorems 2.2 and 2.3, the
-validity lists) live next to their single-model helpers in ``kripke``
-and ``hyperset`` and are written over masks, so the same code judges one
-model and a chunk of lanes.
 
-The membership theorems judge a stack of formula masks at once:
-``_stacked`` copies the masks into 2-D (formulas × lanes) blocks, whose
-height keeps a block within 1/128 of ``_LANE_BYTES``, and each state is
-judged with one broadcast call per block.  theorem22 first drops the
-lanes with no special node (no urelement and no Quine state): they hold
-and count as degenerate without being evaluated.  A block is scanned for
-its first hits (``_first_hits``) only when it has a violation.
+The lane campaigns (lemma1, theorem12, theorem22, theorem23) are the
+entries of one table, ``_SWEEPS``, run by one loop, ``_run_sweep``; a
+new one is an enumerator, a judge and one entry (``_Sweep``), which also
+holds the program and the report's claim, totals and formats.  A judge
+runs the program (``program.run``) on a chunk, counts it and yields its
+blocks of failing lanes, of which ``_first_hits`` keeps the first;
+``_report`` writes the report, the law campaigns' too.  The claims live
+next to their single-model helpers in ``kripke`` and ``hyperset``,
+written over masks, so the same code judges one model and a chunk of
+lanes.  The membership theorems judge each state on ``_stacked`` blocks
+of formula masks; theorem22 first drops the lanes with no urelement and
+no Quine state, which hold and count as degenerate unevaluated.
 
 The co-Heyting law campaigns run on point masks.  They walk
 ``topology._hull_tables`` and build no ``ClosedTopology``: each hull
@@ -56,6 +55,7 @@ TARGETS = ("lemma1", "theorem12", "theorem22", "theorem23",
            "validity_lists", "adjunction", "boundary_law", "lawvere_scan")
 
 _FAIL_DUMP_CAP = 5
+_VIOLATIONS = "violation {} of {violations}"  # the dump title of most campaigns
 #: The dtype of every lane mask (successor rows, urelements, valuations and
 #: the extensions computed from them): frames have at most 5 states and
 #: membership graphs at most 4 nodes, so a byte holds a mask.
@@ -222,7 +222,7 @@ def _stacked(vals: list, slots: Sequence[int], n: int) -> Iterator[tuple[int, np
     formulas in one broadcast.  A block, and each temporary of its shape
     that the claim makes, holds one row or at most 1/128 of _LANE_BYTES:
     the few rows of a wide chunk stay in cache next to its masks."""
-    height = max(1, _LANE_BYTES // 128 // n)
+    height = max(1, _LANE_BYTES // 128 // max(n, 1))
     for start in range(0, len(slots), height):
         block = slots[start:start + height]
         body = np.empty((len(block), n), dtype=_LANE)
@@ -324,27 +324,13 @@ class CampaignReport:
 
 
 def run_campaign(c: Campaign) -> CampaignReport:
-    runner = {
-        "lemma1": _run_kripke_campaign,
-        "theorem12": _run_kripke_campaign,
-        "theorem22": _run_theorem22,
-        "theorem23": _run_theorem23,
-        "validity_lists": _run_validity_lists,
-        "adjunction": _run_lattice_laws,
-        "boundary_law": _run_lattice_laws,
-        "lawvere_scan": _run_lawvere_scan,
-    }[c.target]
-    return runner(c)
+    runner = {"validity_lists": _run_validity_lists, "lawvere_scan": _run_lawvere_scan,
+              "adjunction": _run_lattice_laws, "boundary_law": _run_lattice_laws}.get(c.target)
+    return runner(c) if runner else _run_sweep(c, _SWEEPS[c.target])
 
 
-def _header(c: Campaign, extra: str = "") -> list[str]:
-    lines = [f"campaign: {c.target}", f"bounds: max_size={c.max_size}"]
-    if c.target in ("lemma1", "theorem12"):
-        lines.append(f"flags: strict={'on' if c.strict else 'off'} "
-                     f"heart={c.heart} serial={'on' if c.serial else 'off'}")
-    if extra:
-        lines.append(extra)
-    return lines
+def _header(c: Campaign, *extra: str) -> list[str]:
+    return [f"campaign: {c.target}", f"bounds: max_size={c.max_size}", *extra]
 
 
 def _dump_block(lines: list[str], title: str, body: str) -> None:
@@ -353,129 +339,148 @@ def _dump_block(lines: list[str], title: str, body: str) -> None:
         lines.append(f"  {row}")
 
 
-def _run_kripke_campaign(c: Campaign) -> CampaignReport:
-    totals = {"models": 0, "holds": 0, "fails": 0, "degenerate": 0}
-    found: list[tuple] = []  # the first (record, compact record) that fail
-    lemma1 = c.target == "lemma1"
-    ops, slots = kr.lemma1_program() if lemma1 else kr.hole_program("kripke")
-    for lanes in _relation_lanes(c.max_size, c.strict, c.serial, c.heart, ops):
-        n = len(lanes.record)
-        vals = pg.run(ops, lanes.frame)
-        if lemma1:
-            premise, part1_fails, part2_body = (np.broadcast_to(mask, n) for mask in
-                kr.lemma1_masks(vals, slots, (1 << lanes.frame.k) - 1))
-            part1, part2 = part1_fails == 0, part2_body == 0
-            fails = (premise & ~part1) | ~part2
-            totals["holds"] += int(np.count_nonzero(premise & part1 & part2))
-            totals["degenerate"] += int(np.count_nonzero(~premise & part2))
-        else:
-            holds = np.zeros(n, dtype=bool)
-            for _, hole in kr.hole_masks(vals, slots):
-                holds |= hole
-            fails = ~holds
-            totals["holds"] += int(np.count_nonzero(holds))
-        totals["models"] += n
-        totals["fails"] += int(np.count_nonzero(fails))
-        found = _first_hits(found, fails, lanes)
-    dumps = [dump_kripke(_rebuild_kripke(rec, c.strict)) for _, rec in found]
-
-    lines = _header(c)
-    lines.extend(_two_cycle_verdict(c.heart))
-    claim = ("premise -> chain-implication, and the negative sentence is valid"
-             if lemma1 else "every model has one of the seven holes")
-    lines.append(f"claim: {claim}")
-    lines.append(f"models={totals['models']} holds={totals['holds']} "
-                 f"fails={totals['fails']} degenerate={totals['degenerate']}")
+def _report(c: Campaign, head: Sequence[str], claim: str, tally: str, title: str,
+            totals: dict, dumps: Sequence[str], **fields) -> CampaignReport:
+    """Header, ``head``, claim, tally and numbered dumps, the formats filled
+    in from the totals; the SUMMARY adds ``fields`` and the totals."""
+    lines = _header(c, *head, f"claim: {claim}", tally.format(**totals))
     for i, body in enumerate(dumps, start=1):
-        _dump_block(lines, f"fail-dump {i} of {totals['fails']}", body)
-    summary = {"target": c.target, "max_size": c.max_size,
-               "strict": c.strict, "heart": c.heart, "serial": c.serial, **totals}
-    return CampaignReport(tuple(lines), summary)
+        _dump_block(lines, title.format(i, **totals), body)
+    return CampaignReport(tuple(lines), {"target": c.target, "max_size": c.max_size,
+                                         **fields, **totals})
 
 
-def _two_cycle_verdict(heart: str) -> list[str]:
+class _Sweep(NamedTuple):
+    """A lane campaign: ``judge(lanes, ops, slots, totals)`` counts a chunk of
+    ``chunks(c, ops)`` and yields its failures as ``_first_hits`` arguments,
+    and ``dump(c, *key, compact record)`` shows one.  The defaults count
+    violations, as the theorems do."""
+
+    program: Callable  # () -> (ops, slots)
+    chunks: Callable
+    judge: Callable
+    claim: str
+    dump: Callable
+    totals: tuple = ("models", "holds", "violations")
+    tally: str = "models={models} holds={holds} violations={violations}"
+    title: str = _VIOLATIONS
+    head: Callable = lambda c: []
+    fields: Callable = lambda c: {}
+
+
+def _run_sweep(c: Campaign, spec: _Sweep) -> CampaignReport:
+    ops, slots = spec.program()
+    totals = dict.fromkeys(spec.totals, 0)
+    found: list[tuple] = []  # the first (record, *key, compact record) that fail
+    for lanes in spec.chunks(c, ops):
+        totals["models"] += len(lanes.record)
+        for hits in spec.judge(lanes, ops, slots, totals):
+            found = _first_hits(found, *hits)
+    return _report(c, spec.head(c), spec.claim, spec.tally, spec.title, totals,
+                   [spec.dump(c, *hit[1:]) for hit in found], **spec.fields(c))
+
+
+def _judge_lemma1(lanes: _Lanes, ops, slots, totals: dict) -> Iterator[tuple]:
+    premise, part1_fails, part2_body = (np.broadcast_to(mask, len(lanes.record)) for mask in
+        kr.lemma1_masks(pg.run(ops, lanes.frame), slots, (1 << lanes.frame.k) - 1))
+    part1, part2 = part1_fails == 0, part2_body == 0
+    fails = (premise & ~part1) | ~part2
+    totals["holds"] += int(np.count_nonzero(premise & part1 & part2))
+    totals["degenerate"] += int(np.count_nonzero(~premise & part2))
+    totals["fails"] += int(np.count_nonzero(fails))
+    yield fails, lanes
+
+
+def _judge_holes(lanes: _Lanes, ops, slots, totals: dict) -> Iterator[tuple]:
+    holds = np.zeros(len(lanes.record), dtype=bool)
+    for _, hole in kr.hole_masks(pg.run(ops, lanes.frame), slots):
+        holds |= hole
+    totals["holds"] += int(np.count_nonzero(holds))
+    totals["fails"] += int(np.count_nonzero(~holds))
+    yield ~holds, lanes
+
+
+def _judge_states(lanes: _Lanes, ops, slots, totals: dict, fault: Callable,
+                  key: Callable) -> Iterator[tuple]:
+    """Judges each state w on each ``_stacked`` block: ``fault(frame, w,
+    block)`` flags the failing lanes of each formula, keyed ``key(formula, w)``."""
+    model_violations = 0  # per-lane counts from the first violating block on
+    # the masks live only in the block generator, so they are freed
+    # before the next chunk is evaluated
+    for start, block in _stacked(pg.run(ops, lanes.frame), slots, len(lanes.record)):
+        for w in range(lanes.frame.k):
+            bad = fault(lanes.frame, w, block)
+            if bad.any():
+                model_violations += np.count_nonzero(bad, axis=0)
+                yield bad, lanes, lambda j: key(start + j, w)
+    totals["holds"] += len(lanes.record) - int(np.count_nonzero(model_violations))
+    totals["violations"] += int(np.sum(model_violations))
+
+
+def _judge_theorem22(lanes: _Lanes, ops, slots, totals: dict) -> Iterator[tuple]:
+    special = np.array([hs.is_special(lanes.frame, lanes.ure, w) for w in range(lanes.frame.k)])
+    live = special.any(axis=0)  # a lane without a special node holds
+    n = int(np.count_nonzero(live))
+    totals["holds"] += len(live) - n
+    totals["degenerate"] += len(live) - n
+    totals["states_checked"] += int(np.count_nonzero(special))
+    if n < len(live):
+        lanes, special = _take_lanes(lanes, live), special[:, live]
+
+    def fault(frame, w, body):
+        wrong_assumption, belief_fails = hs.theorem22_faults(frame, w, body)
+        return special[w] & (wrong_assumption | belief_fails)
+    yield from _judge_states(lanes, ops, slots, totals, fault, lambda i, w: (i, w))
+
+
+def _kripke_head(c: Campaign) -> list[str]:
+    """The flags and the verdicts on the landmark two-state frame."""
     m = two_cycle()
-    record = kr.check_lemma_1(m, heart)
-    holes = kr.find_holes(m, heart)
-    return [
-        "landmark two_cycle (x<->y): "
-        f"premise={record.premise_holds} part1_valid={record.part1_valid} "
-        f"part1_counterwitnesses={list(record.part1_counterwitnesses)} "
-        f"part2_valid={record.part2_valid} any_hole={holes.any_hole}"
-    ]
+    record = kr.check_lemma_1(m, c.heart)
+    holes = kr.find_holes(m, c.heart)
+    return [f"flags: strict={'on' if c.strict else 'off'} heart={c.heart} "
+            f"serial={'on' if c.serial else 'off'}",
+            "landmark two_cycle (x<->y): "
+            f"premise={record.premise_holds} part1_valid={record.part1_valid} "
+            f"part1_counterwitnesses={list(record.part1_counterwitnesses)} "
+            f"part2_valid={record.part2_valid} any_hole={holes.any_hole}"]
 
 
-def _run_theorem22(c: Campaign) -> CampaignReport:
-    family = hs.bounded_formula_family()
-    ops, slots = pg.compile_program(family, "nwf", atoms=("p",))
-    totals = {"models": 0, "holds": 0, "degenerate": 0,
-              "states_checked": 0, "violations": 0}
-    found: list[tuple] = []  # the first (record, formula, state, compact record)
-    for lanes in _membership_lanes(c.max_size, False, True, ops):
-        special = np.array([hs.is_special(lanes.frame, lanes.ure, w)
-                            for w in range(lanes.frame.k)])
-        live = special.any(axis=0)  # a lane without a special node holds
-        n = int(np.count_nonzero(live))
-        totals["models"] += len(live)
-        totals["holds"] += len(live)
-        totals["degenerate"] += len(live) - n
-        totals["states_checked"] += int(np.count_nonzero(special))
-        if n == 0:
-            continue
-        if n < len(live):
-            lanes, special = _take_lanes(lanes, live), special[:, live]
-        model_violations = 0  # per-lane counts from the first violating block on
-        # the masks live only in the block generator, so they are freed
-        # before the next chunk is evaluated
-        for start, body in _stacked(pg.run(ops, lanes.frame), slots, n):
-            for w in range(lanes.frame.k):
-                wrong_assumption, belief_fails = hs.theorem22_faults(lanes.frame, w, body)
-                bad = special[w] & (wrong_assumption | belief_fails)
-                if bad.any():
-                    model_violations += np.count_nonzero(bad, axis=0)
-                    found = _first_hits(found, bad, lanes, lambda j: (start + j, w))
-        totals["holds"] -= int(np.count_nonzero(model_violations))
-        totals["violations"] += int(np.sum(model_violations))
-
-    lines = _header(c, f"formula family: {len(family)} formulas, modal depth <= 2")
-    lines.append("claim: quine/urelement states assume exactly their falsehoods "
-                 "and believe everything")
-    lines.append(f"models={totals['models']} holds={totals['holds']} "
-                 f"violations={totals['violations']}")
-    for n, (_, i, w, rec) in enumerate(found, start=1):
-        _dump_block(lines, f"violation {n} of {totals['violations']}",
-                    f"state n{w}, formula {fm.to_text(family[i])}\n"
-                    + dump_nwf(_rebuild_hyperset(rec)))
-    summary = {"target": c.target, "max_size": c.max_size, **totals}
-    return CampaignReport(tuple(lines), summary)
-
-
-def _run_theorem23(c: Campaign) -> CampaignReport:
-    ops, slots = pg.compile_program([f for _, f in hs.TRUE_ASSUMPTIONS], "nwf", atoms=())
-    totals = {"models": 0, "holds": 0, "violations": 0}
-    found: list[tuple] = []  # the first (record, state, direction, compact record)
-    for lanes in _membership_lanes(c.max_size, True, False, ops):
-        n = len(lanes.record)
-        model_violations = 0  # per-lane counts from the first violating block on
-        for start, assumed in _stacked(pg.run(ops, lanes.frame), slots, n):
-            for w in range(lanes.frame.k):
-                bad = hs.theorem23_fault(lanes.frame, w, assumed)
-                if bad.any():
-                    model_violations += np.count_nonzero(bad, axis=0)
-                    found = _first_hits(found, bad, lanes, lambda d: (w, start + d))
-        totals["models"] += n
-        totals["holds"] += n - int(np.count_nonzero(model_violations))
-        totals["violations"] += int(np.sum(model_violations))
-
-    lines = _header(c)
-    lines.append("claim: quine states with a true assumption sit in both type spaces")
-    lines.append(f"models={totals['models']} holds={totals['holds']} "
-                 f"violations={totals['violations']}")
-    for n, (_, w, _, rec) in enumerate(found, start=1):
-        _dump_block(lines, f"violation {n} of {totals['violations']}",
-                    f"quine state n{w}\n" + dump_nwf(_rebuild_hyperset(rec)))
-    summary = {"target": c.target, "max_size": c.max_size, **totals}
-    return CampaignReport(tuple(lines), summary)
+_LEMMA1 = _Sweep(
+    program=kr.lemma1_program,
+    chunks=lambda c, ops: _relation_lanes(c.max_size, c.strict, c.serial, c.heart, ops),
+    judge=_judge_lemma1, totals=("models", "holds", "fails", "degenerate"),
+    claim="premise -> chain-implication, and the negative sentence is valid",
+    tally="models={models} holds={holds} fails={fails} degenerate={degenerate}",
+    title="fail-dump {} of {fails}", head=_kripke_head,
+    dump=lambda c, rec: dump_kripke(_rebuild_kripke(rec, c.strict)),
+    fields=lambda c: {"strict": c.strict, "heart": c.heart, "serial": c.serial})
+_SWEEPS = {
+    "lemma1": _LEMMA1,
+    "theorem12": _LEMMA1._replace(program=lambda: kr.hole_program("kripke"),
+                                  judge=_judge_holes,
+                                  claim="every model has one of the seven holes"),
+    "theorem22": _Sweep(
+        program=lambda: pg.compile_program(hs.bounded_formula_family(), "nwf", atoms=("p",)),
+        chunks=lambda c, ops: _membership_lanes(c.max_size, False, True, ops),
+        judge=_judge_theorem22,
+        totals=("models", "holds", "degenerate", "states_checked", "violations"),
+        claim="quine/urelement states assume exactly their falsehoods "
+              "and believe everything",
+        dump=lambda c, i, w, rec: (f"state n{w}, formula "
+                                   f"{fm.to_text(hs.bounded_formula_family()[i])}\n"
+                                   + dump_nwf(_rebuild_hyperset(rec))),
+        head=lambda c: [f"formula family: {len(hs.bounded_formula_family())} formulas, "
+                        "modal depth <= 2"]),
+    "theorem23": _Sweep(
+        program=lambda: pg.compile_program([f for _, f in hs.TRUE_ASSUMPTIONS], "nwf",
+                                           atoms=()),
+        chunks=lambda c, ops: _membership_lanes(c.max_size, True, False, ops),
+        judge=lambda lanes, ops, slots, totals: _judge_states(
+            lanes, ops, slots, totals, hs.theorem23_fault, lambda d, w: (w, d)),
+        claim="quine states with a true assumption sit in both type spaces",
+        dump=lambda c, w, _, rec: f"quine state n{w}\n" + dump_nwf(_rebuild_hyperset(rec))),
+}
 
 
 def _run_validity_lists(c: Campaign) -> CampaignReport:
@@ -557,17 +562,11 @@ def _run_lattice_laws(c: Campaign) -> CampaignReport:
                         law = ("join", "overlap")[hit[1]]
                         dumps.append(f"{law} law: S={_point_names(closed[hit[0]])} {family}")
 
-    lines = _header(c)
     claim = ("subtraction adjunction over all closed triples"
              if c.target == "adjunction"
              else "S | ~S covers and S & ~S is the boundary, for closed S")
-    lines.append(f"claim: {claim}")
-    lines.append(f"topologies={totals['topologies']} checks={totals['checks']} "
-                 f"violations={totals['violations']}")
-    for i, body in enumerate(dumps, start=1):
-        _dump_block(lines, f"violation {i} of {totals['violations']}", body)
-    summary = {"target": c.target, "max_size": c.max_size, **totals}
-    return CampaignReport(tuple(lines), summary)
+    return _report(c, [], claim, "topologies={topologies} checks={checks} "
+                   "violations={violations}", _VIOLATIONS, totals, dumps)
 
 
 def _run_lawvere_scan(c: Campaign) -> CampaignReport:

@@ -214,6 +214,7 @@ def bisimilar(m1: HypersetModel, n1: str, m2: HypersetModel, n2: str) -> bool:
 # Named finite checks
 
 
+@cache
 def bounded_formula_family() -> tuple[fm.Formula, ...]:
     """Deterministic family of formulas of modal depth at most 2.
 
@@ -368,7 +369,7 @@ def graph_to_structure(nodes: Iterable[str], edges: Iterable[tuple[str, str]],
 
     Each edge parent -> child makes the child a member of the parent.
     Sink nodes become urelements (game end states) unless ``leaf_kind``
-    is "empty_set".
+    is "empty_set".  ``types`` gives each node its type space, "a" or "b".
     """
     nodes = sorted(set(nodes))
     edges = sorted({(str(a), str(b)) for a, b in edges})
@@ -384,6 +385,8 @@ def graph_to_structure(nodes: Iterable[str], edges: Iterable[tuple[str, str]],
     for n in nodes:
         if n not in types:
             raise ValueError(f"node {n!r} has no type")
+        if types[n] not in ("a", "b"):
+            raise ValueError(f"node {n!r} has type {types[n]!r}, not 'a' or 'b'")
     seen = {root}
     stack = [root]
     while stack:

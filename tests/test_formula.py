@@ -73,6 +73,23 @@ def test_parse_errors_carry_positions():
         assert err.value.position == position, text
 
 
+def test_tokenizer_reads_the_grammar_tables():
+    # every token of the tables (and the parentheses) is read as one token
+    for token in (*fm._CONSTANTS, *fm._PREFIXES, *fm._INFIX, "(", ")"):
+        kind = "word" if token[0].isalpha() else token
+        assert fm._tokenize(f" {token} ") == [(kind, token, 1), ("eof", "", len(token) + 2)]
+    # symbols are matched longest first, with or without spaces between them
+    assert [value for _, value, _ in fm._tokenize("<ab><->[ba]->!~p&D+|(q)")] == [
+        "<ab>", "<->", "[ba]", "->", "!", "~", "p", "&", "D+", "|", "(", "q", ")", ""]
+    # a malformed spelling fails at the first character that starts no token
+    for text, position in (("<-", 0), ("p <- q", 2), ("[a", 0), ("[ab", 0), ("<ab", 0),
+                           ("<a b>", 0), ("- >", 0), ("D +", 2), ("Dt+", 2), ("D++", 2)):
+        with pytest.raises(fm.ParseError) as err:
+            fm._tokenize(text)
+        assert str(err.value) == (f"unexpected character {text[position]!r} "
+                                  f"(at position {position})"), text
+
+
 def test_reserved_words():
     assert fm.RESERVED_WORDS == {"true", "false", "Ua", "Ub", "D", "D+", "Dt",
                                  "Hab", "Hba", "Ba", "Bb", "Xa", "Xb", "Ea", "Eb"}

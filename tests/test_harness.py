@@ -350,6 +350,26 @@ def test_theorem_campaigns_report_violations_like_the_per_row_loop(monkeypatch):
         assert report.text == reference(size)
 
 
+def _quine_only_theorem22(real):
+    """Theorem 2.2 broken at Quine states only: one that satisfies a body
+    true nowhere is flagged.  Urelement lanes never fire, so the first
+    violations lie past the first live lanes of a chunk."""
+    def faults(frame, w, body):
+        wrong_assumption, belief_fails = real(frame, w, body)
+        return wrong_assumption | (frame.rows[w] == 1 << w) & (body == 0), belief_fails
+    return faults
+
+
+@pytest.mark.parametrize("size", [1, 2])
+def test_theorem22_dumps_the_filtered_lanes_that_fail(monkeypatch, size):
+    # a dump must name the lane that failed among the lanes left after the
+    # special-node filter, not the lane at its index in the whole chunk
+    monkeypatch.setattr(hs, "theorem22_faults", _quine_only_theorem22(hs.theorem22_faults))
+    report = hn.run_campaign(hn.Campaign(target="theorem22", max_size=size))
+    assert report.summary["violations"] > 0
+    assert report.text == _reference_theorem22(size)
+
+
 @pytest.mark.parametrize("mutated", [False, True])
 def test_theorem22_report_does_not_depend_on_chunk_and_block_sizes(monkeypatch, mutated):
     if mutated:  # first violations in 3-node chunks, which the budget below splits

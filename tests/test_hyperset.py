@@ -257,6 +257,8 @@ def test_graph_to_structure_names_an_unknown_root_or_untyped_node():
         hs.graph_to_structure(["a", "b"], [("a", "b")], "c", {"a": "a", "b": "b"})
     with pytest.raises(ValueError, match="node 'b' has no type"):
         hs.graph_to_structure(["a", "b"], [("a", "b")], "a", {"a": "a"})
+    with pytest.raises(ValueError, match="node 'b' has type 'x', not 'a' or 'b'"):
+        hs.graph_to_structure(["a", "b"], [("a", "b")], "a", {"a": "a", "b": "x"})
 
 
 def test_isomorphic_graphs_give_bisimilar_structures():
