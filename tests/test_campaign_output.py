@@ -1,5 +1,5 @@
 """Every campaign's report text, at the sizes that run in seconds, equals
-the text recorded in tests/campaign_output/reports.txt: the 88 reports
+the text recorded in tests/campaign_output/reports.txt: the 96 reports
 joined in ``CAMPAIGNS`` order.  Rerecord the file (``python
 tests/test_campaign_output.py``) only when a report is meant to change."""
 
@@ -21,6 +21,9 @@ CAMPAIGNS = (
     + [hn.Campaign(target, size) for target in ("adjunction", "boundary_law")
        for size in range(5)]
     + [hn.Campaign("lawvere_scan", size) for size in range(1, 4)]
+    + [hn.Campaign(target, 5, True, heart, serial)
+       for target, heart, serial in iproduct(
+           ("lemma1", "theorem12"), ("frame", "local"), (False, True))]
 )
 
 
@@ -29,7 +32,7 @@ def _reports() -> str:
 
 
 def test_campaign_reports_match_the_recorded_text():
-    assert len(CAMPAIGNS) == 88
+    assert len(CAMPAIGNS) == 96
     assert _reports() == RECORDED.read_text()
 
 
