@@ -4,18 +4,29 @@ Campaigns sweep an exhaustively enumerated model space and record how a
 named claim fares on every model.  They report; they do not assert.
 Each model kind has one enumerator, which yields numpy lane chunks, one
 lane per candidate model, blocked so that the type masks are fixed per
-chunk: ``_relation_lanes`` for classical frames and ``_membership_lanes``
-for membership graphs.  Each lane carries a record index (its place in
-the enumeration order) and reads back as a compact record, which
+chunk: ``_relation_blocks`` for classical frames (``_relation_lanes``
+reads its chunks in order) and ``_membership_lanes`` for membership
+graphs.  Each lane carries a record index (its place in the enumeration
+order) and reads back as a compact record, which
 ``_rebuild_kripke``/``_rebuild_hyperset`` turn into a model; the public
 ``enumerate_kripke``/``enumerate_hypersets`` are such rebuild loops.
 
+The frames come in one block per (k, Ua mask).  A state permutation maps
+the block of a mask onto the block of any mask with the same popcount a,
+and the classical claims name no state, so every total is the same in
+the blocks of a class (k, a).  Only the class's first block, whose Ua is
+the lowest a states, is judged, and its totals count C(k, a) times.  The
+other blocks are read only for the first five fail dumps, and only until
+no later lane of theirs can enter them, so the dumps are those of the
+whole sweep.  Each membership chunk is a class of its own, of weight 1.
+
 The lane campaigns (lemma1, theorem12, theorem22, theorem23) are the
 entries of one table, ``_SWEEPS``, run by one loop, ``_run_sweep``; a
-new one is an enumerator, a judge and one entry (``_Sweep``), which also
-holds the program and the report's claim, totals and formats.  A judge
-runs the program (``program.run``) on a chunk, counts it and yields its
-blocks of failing lanes, of which ``_first_hits`` keeps the first;
+new one is a block enumerator, a judge and one entry (``_Sweep``), which
+also holds the program and the report's claim, totals and formats.  A
+judge runs the program (``program.run``) on a chunk, counts it and
+yields its failing lanes, of which ``_first_hits`` keeps the first;
+``_run_sweep`` adds each block's counts times its weight, and
 ``_report`` writes the report, the law campaigns' too.  The claims live
 next to their single-model helpers in ``kripke`` and ``hyperset``,
 written over masks, so the same code judges one model and a chunk of
@@ -37,8 +48,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from itertools import product as iproduct
-from math import prod
-from typing import Callable, Iterator, NamedTuple, Sequence
+from math import comb, prod
+from typing import Callable, Hashable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -111,15 +122,29 @@ def _row_fields(k: int, ua: int, strict: bool) -> list[tuple[int, int, np.ndarra
     return fields
 
 
-def _relation_lanes(max_states: int, strict: bool, serial: bool, heart: str,
-                    ops: Sequence[tuple]) -> Iterator[_Lanes]:
-    """Every belief frame with up to ``max_states`` states as lane chunks,
-    blocked by (k, ua) and in relation-id order within a block
-    (``_row_fields`` reads the rows off the id).
+class _Block(NamedTuple):
+    """One block of an enumerator: its chunks, built only as they are read,
+    and its place in its class, the blocks whose totals are the same."""
 
-    ``serial`` drops the frames with a state that has no successor.
-    ``record`` is a frame's position in this order, counted before the
-    serial filter.
+    cls: Hashable
+    weight: int  # how many blocks of its class its totals count for: all or 0
+    first: int  # no record of the block is below it
+    chunks: Iterable[_Lanes]
+
+
+def _relation_blocks(max_states: int, strict: bool, serial: bool, heart: str,
+                     ops: Sequence[tuple]) -> Iterator[_Block]:
+    """Every belief frame with up to ``max_states`` states, as one block per
+    (k, ua), in relation-id order within a block (``_row_fields`` reads
+    the rows off the id).
+
+    A permutation of the states maps the block of ua onto the block of any
+    mask with the same popcount a, and the classical claims name no state,
+    so the blocks of a class (k, a) have the same totals.  The class's
+    first block, whose Ua is the lowest a states, weighs C(k, a); the
+    others weigh 0.  ``serial`` drops the frames with a state that has no
+    successor.  ``record`` is a frame's position in this order, counted
+    before the serial filter.
     """
     if not 1 <= max_states <= 5:
         raise ValueError("state bound must be between 1 and 5")
@@ -127,18 +152,37 @@ def _relation_lanes(max_states: int, strict: bool, serial: bool, heart: str,
     for k in range(1, max_states + 1):
         width = _lane_width(ops, k)
         for ua in range(1 << k):
+            a = ua.bit_count()
             fields = _row_fields(k, ua, strict)
-            total = prod(len(table) for _, _, table in fields)
-            for start in range(0, total, width):
-                ids = np.arange(start, min(start + width, total), dtype=np.int64)
-                rows = [table[ids >> shift & mask] for shift, mask, table in fields]
-                if serial:
-                    keep = np.logical_and.reduce([row != 0 for row in rows])
-                    ids, rows = ids[keep], [row[keep] for row in rows]
-                if len(ids):
-                    yield _Lanes(offset + ids, 0, pg.Frame(k, ua, (1 << k) - 1 - ua, rows,
-                                                           {}, heart, pg.complement(k)))
-            offset += total
+            yield _Block((k, a), comb(k, a) if ua == (1 << a) - 1 else 0, offset,
+                         _relation_chunks(k, ua, fields, offset, serial, heart, width))
+            offset += prod(len(table) for _, _, table in fields)
+
+
+def _relation_chunks(k: int, ua: int, fields: list[tuple[int, int, np.ndarray]], offset: int,
+                     serial: bool, heart: str, width: int) -> Iterator[_Lanes]:
+    """The lane chunks of the (k, ua) block whose first record is ``offset``.
+    The rows are looked up from int32 ids, which hold the 25 edge bits of
+    a non-strict 5-state frame."""
+    total = prod(len(table) for _, _, table in fields)
+    for start in range(0, total, width):
+        ids = np.arange(start, min(start + width, total), dtype=np.int32)
+        rows = [table[ids >> shift & mask] for shift, mask, table in fields]
+        if serial:
+            keep = np.logical_and.reduce([row != 0 for row in rows])
+            ids, rows = ids[keep], [row[keep] for row in rows]
+        record = np.add(ids, offset, dtype=np.int64)
+        del ids  # not kept alive while the chunk is judged
+        if len(record):
+            yield _Lanes(record, 0, pg.Frame(k, ua, (1 << k) - 1 - ua, rows, {}, heart,
+                                             pg.complement(k)))
+
+
+def _relation_lanes(max_states: int, strict: bool, serial: bool, heart: str,
+                    ops: Sequence[tuple]) -> Iterator[_Lanes]:
+    """The chunks of every block of ``_relation_blocks``, in order."""
+    for block in _relation_blocks(max_states, strict, serial, heart, ops):
+        yield from block.chunks
 
 
 def _membership_lanes(max_nodes: int, overlap: bool, with_atom: bool,
@@ -194,7 +238,7 @@ def _first_hits(found: list, bad: np.ndarray, lanes: _Lanes,
     and once ``found`` is full, a chunk that starts past its last record
     cannot change it.
     """
-    if len(found) == _FAIL_DUMP_CAP and found[-1][0] < lanes.record[0]:
+    if _settled(found, lanes.record[0]):
         return found
     if bad.ndim == 1:
         hits = [(lane, 0) for lane in np.flatnonzero(bad)[:_FAIL_DUMP_CAP]]
@@ -206,6 +250,18 @@ def _first_hits(found: list, bad: np.ndarray, lanes: _Lanes,
         return found
     found = found + [(int(lanes.record[i]), *key(j), lanes.compact(i)) for i, j in hits]
     return sorted(found)[:_FAIL_DUMP_CAP]
+
+
+def _settled(found: list, record: int) -> bool:
+    """Whether the first-hit list ``found`` is full and no lane from record
+    ``record`` on can enter it."""
+    return len(found) == _FAIL_DUMP_CAP and found[-1][0] < record
+
+
+def _unweighted(chunks: Iterable[_Lanes]) -> Iterator[_Block]:
+    """Each chunk as a block of weight 1 and a class of its own."""
+    for i, lanes in enumerate(chunks):
+        yield _Block(i, 1, int(lanes.record[0]), (lanes,))
 
 
 def _take_lanes(lanes: _Lanes, keep: np.ndarray) -> _Lanes:
@@ -352,16 +408,18 @@ def _report(c: Campaign, head: Sequence[str], claim: str, tally: str, title: str
 
 class _Sweep(NamedTuple):
     """A lane campaign: ``judge(lanes, ops, slots, totals)`` counts a chunk of
-    ``chunks(c, ops)`` and yields its failures as ``_first_hits`` arguments,
-    and ``dump(c, *key, compact record)`` shows one.  The defaults count
-    violations, as the theorems do."""
+    a block of ``blocks(c, ops)`` and yields its failures as ``_first_hits``
+    arguments, and ``dump(c, *key, compact record)`` shows one; ``failed``
+    is the total that counts them.  The defaults count violations, as the
+    theorems do."""
 
     program: Callable  # () -> (ops, slots)
-    chunks: Callable
+    blocks: Callable
     judge: Callable
     claim: str
     dump: Callable
     totals: tuple = ("models", "holds", "violations")
+    failed: str = "violations"
     tally: str = "models={models} holds={holds} violations={violations}"
     title: str = _VIOLATIONS
     head: Callable = lambda c: []
@@ -369,13 +427,26 @@ class _Sweep(NamedTuple):
 
 
 def _run_sweep(c: Campaign, spec: _Sweep) -> CampaignReport:
+    """Judges the first block of each class and adds its totals times its
+    weight.  A block of weight 0 only looks for dumps: it is skipped when
+    its class has no failures, and left as soon as no later lane of it can
+    enter the full dumps."""
     ops, slots = spec.program()
     totals = dict.fromkeys(spec.totals, 0)
     found: list[tuple] = []  # the first (record, *key, compact record) that fail
-    for lanes in spec.chunks(c, ops):
-        totals["models"] += len(lanes.record)
-        for hits in spec.judge(lanes, ops, slots, totals):
-            found = _first_hits(found, *hits)
+    failed = {}  # class -> the failures in its first block
+    for cls, weight, first, chunks in spec.blocks(c, ops):
+        counts = dict.fromkeys(spec.totals, 0)
+        if weight or (failed[cls] and not _settled(found, first)):
+            for lanes in chunks:
+                counts["models"] += len(lanes.record)
+                for hits in spec.judge(lanes, ops, slots, counts):
+                    found = _first_hits(found, *hits)
+                if not weight and _settled(found, lanes.record[-1] + 1):
+                    break
+        failed.setdefault(cls, counts[spec.failed])
+        for key, n in counts.items():
+            totals[key] += weight * n
     return _report(c, spec.head(c), spec.claim, spec.tally, spec.title, totals,
                    [spec.dump(c, *hit[1:]) for hit in found], **spec.fields(c))
 
@@ -448,8 +519,8 @@ def _kripke_head(c: Campaign) -> list[str]:
 
 _LEMMA1 = _Sweep(
     program=kr.lemma1_program,
-    chunks=lambda c, ops: _relation_lanes(c.max_size, c.strict, c.serial, c.heart, ops),
-    judge=_judge_lemma1, totals=("models", "holds", "fails", "degenerate"),
+    blocks=lambda c, ops: _relation_blocks(c.max_size, c.strict, c.serial, c.heart, ops),
+    judge=_judge_lemma1, totals=("models", "holds", "fails", "degenerate"), failed="fails",
     claim="premise -> chain-implication, and the negative sentence is valid",
     tally="models={models} holds={holds} fails={fails} degenerate={degenerate}",
     title="fail-dump {} of {fails}", head=_kripke_head,
@@ -462,7 +533,7 @@ _SWEEPS = {
                                   claim="every model has one of the seven holes"),
     "theorem22": _Sweep(
         program=lambda: pg.compile_program(hs.bounded_formula_family(), "nwf", atoms=("p",)),
-        chunks=lambda c, ops: _membership_lanes(c.max_size, False, True, ops),
+        blocks=lambda c, ops: _unweighted(_membership_lanes(c.max_size, False, True, ops)),
         judge=_judge_theorem22,
         totals=("models", "holds", "degenerate", "states_checked", "violations"),
         claim="quine/urelement states assume exactly their falsehoods "
@@ -475,7 +546,7 @@ _SWEEPS = {
     "theorem23": _Sweep(
         program=lambda: pg.compile_program([f for _, f in hs.TRUE_ASSUMPTIONS], "nwf",
                                            atoms=()),
-        chunks=lambda c, ops: _membership_lanes(c.max_size, True, False, ops),
+        blocks=lambda c, ops: _unweighted(_membership_lanes(c.max_size, True, False, ops)),
         judge=lambda lanes, ops, slots, totals: _judge_states(
             lanes, ops, slots, totals, hs.theorem23_fault, lambda d, w: (w, d)),
         claim="quine states with a true assumption sit in both type spaces",

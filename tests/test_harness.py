@@ -1,5 +1,7 @@
 import random
+from collections import Counter
 from itertools import groupby, product as iproduct
+from math import comb
 
 import numpy as np
 import pytest
@@ -11,7 +13,7 @@ from bkw import kripke as kr
 from bkw import paratopo as pt
 from bkw import program as pg
 from bkw import topology as tp
-from bkw.modelio import dump_nwf, load_model
+from bkw.modelio import dump_kripke, dump_nwf, load_model
 from bkw.topology import _closure_table
 from conftest import (kripke_truth, nwf_truth, random_hyperset,
                       random_relational_formula, random_topo_formula)
@@ -570,6 +572,102 @@ def test_relation_lanes_at_five_states_use_25_bit_ids():
         got = table[ids >> shift & mask]
         assert got.dtype == np.uint8 and np.array_equal(got, want)
         assert got[-1] == 0b11111
+
+
+def _block_totals(target, max_size, strict, heart, serial):
+    """Every (k, ua) block of a classical sweep judged on its own, not
+    through the weighted loop, in enumeration order: (class, weight, totals)."""
+    spec = hn._SWEEPS[target]
+    ops, slots = spec.program()
+    blocks = []
+    for block in hn._relation_blocks(max_size, strict, serial, heart, ops):
+        totals = dict.fromkeys(spec.totals, 0)
+        for lanes in block.chunks:
+            totals["models"] += len(lanes.record)
+            for _ in spec.judge(lanes, ops, slots, totals):
+                pass
+        blocks.append((block.cls, block.weight, totals))
+    return blocks
+
+
+@pytest.mark.parametrize("target", ["lemma1", "theorem12"])
+@pytest.mark.parametrize("strict,max_size", [(True, 5), (False, 4)])
+def test_classical_block_totals_depend_only_on_the_popcount(target, strict, max_size):
+    # the premise of the orbit weights: a block's totals depend on (k, |Ua|)
+    # alone; the class's first block, Ua = the lowest states, weighs C(k, a)
+    for heart, serial in iproduct(("frame", "local"), (False, True)):
+        blocks = iter(_block_totals(target, max_size, strict, heart, serial))
+        summed = Counter()
+        for k in range(1, max_size + 1):
+            first = {}  # popcount -> the totals of its first block
+            for ua in range(1 << k):
+                cls, weight, totals = next(blocks)
+                a = ua.bit_count()
+                assert cls == (k, a)
+                assert weight == (comb(k, a) if ua == (1 << a) - 1 else 0)
+                assert first.setdefault(a, totals) == totals, (k, ua)
+                summed.update(totals)
+        assert next(blocks, None) is None
+        summary = hn.run_campaign(hn.Campaign(target, max_size, strict, heart, serial)).summary
+        assert {key: summary[key] for key in summed} == summed
+        assert summed["fails"] > 0
+
+
+def _reference_kripke(target, max_size, strict, cap):
+    """lemma1 or theorem12 judged chunk by chunk over every labelled frame,
+    the first ``cap`` failing frames dumped."""
+    c = hn.Campaign(target, max_size, strict)
+    ops, slots = kr.lemma1_program() if target == "lemma1" else kr.hole_program("kripke")
+    totals = dict.fromkeys(("models", "holds", "fails", "degenerate"), 0)
+    found = []
+    for lanes in hn._relation_lanes(max_size, strict, False, "frame", ops):
+        n = len(lanes.record)
+        vals = pg.run(ops, lanes.frame)
+        if target == "lemma1":
+            premise, part1_fails, part2_body = (np.broadcast_to(mask, n) for mask in
+                kr.lemma1_masks(vals, slots, (1 << lanes.frame.k) - 1))
+            fails = premise & (part1_fails != 0) | (part2_body != 0)
+            holds = premise & (part1_fails == 0) & (part2_body == 0)
+            totals["degenerate"] += int(np.count_nonzero(~premise & (part2_body == 0)))
+        else:
+            holds = np.zeros(n, dtype=bool)
+            for _, hole in kr.hole_masks(vals, slots):
+                holds |= hole
+            fails = ~holds
+        totals["models"] += n
+        totals["holds"] += int(np.count_nonzero(holds))
+        totals["fails"] += int(np.count_nonzero(fails))
+        found += [(int(lanes.record[i]), lanes.compact(i)) for i in np.flatnonzero(fails)]
+    claim = ("premise -> chain-implication, and the negative sentence is valid"
+             if target == "lemma1" else "every model has one of the seven holes")
+    lines = hn._header(c, *hn._kripke_head(c), f"claim: {claim}")
+    lines.append("models={models} holds={holds} fails={fails} "
+                 "degenerate={degenerate}".format(**totals))
+    for i, (_, rec) in enumerate(found[:cap], start=1):
+        hn._dump_block(lines, f"fail-dump {i} of {totals['fails']}",
+                       dump_kripke(hn._rebuild_kripke(rec, strict)))
+    return found, hn.CampaignReport(tuple(lines), {
+        "target": target, "max_size": max_size, "strict": strict, "heart": "frame",
+        "serial": False, **totals}).text
+
+
+@pytest.mark.parametrize("target", ["lemma1", "theorem12"])
+@pytest.mark.parametrize("strict", [True, False])
+@pytest.mark.parametrize("cap", [5, 10**6])
+@pytest.mark.parametrize("small_chunks", [False, True])
+def test_weighted_sweeps_dump_like_the_labelled_loop(monkeypatch, target, strict, cap,
+                                                     small_chunks):
+    # with no cap on the dumps, every block of a class with failures is
+    # scanned to its end, and each of its failing frames is dumped in order;
+    # with chunks of a few lanes, a block that weighs 0 is left mid-way
+    # once the five dumps are full
+    monkeypatch.setattr(hn, "_FAIL_DUMP_CAP", cap)
+    found, expected = _reference_kripke(target, 3, strict, cap)
+    if small_chunks:
+        monkeypatch.setattr(hn, "_LANE_BYTES", 200)
+    # failures in blocks that weigh 0, whose Ua is not the lowest states
+    assert any(ua & ua + 1 for _, (_, _, _, ua, _, _) in found)
+    assert hn.run_campaign(hn.Campaign(target, 3, strict)).text == expected
 
 
 def _widened(x):
