@@ -34,21 +34,26 @@ lanes.  The membership theorems judge each state on ``_stacked`` blocks
 of formula masks; theorem22 first drops the lanes with no urelement and
 no Quine state, which hold and count as degenerate unevaluated.
 
-The co-Heyting law campaigns run on point masks.  They walk
+The co-Heyting law campaigns run on point masks.  They read
 ``topology._hull_tables`` and build no ``ClosedTopology``: each hull
-table comes with its closure table, and ``topology.MaskLattice`` over a
-lookup in that table gives subtraction and negation for all closed
-triples (or sets) of a topology in one broadcast.  The boundary that the
-overlap law is checked against is read from the hulls instead, through
-each point's least open neighbourhood, so that the law can fail.
+table comes with its closure table.  A carrier size's closure tables are
+stacked into one array and its topologies grouped by their count of
+closed sets; ``topology.MaskLattice`` over a lookup in the stacked
+tables gives subtraction and negation for all closed triples (or sets)
+of a group in one broadcast.  The dumps are read in topology order all
+the same.  The boundary that the overlap law is checked against is read
+from the hulls instead, through each point's least open neighbourhood,
+so that the law can fail.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import partial
 from itertools import product as iproduct
 from math import comb, prod
+from operator import itemgetter
 from typing import Callable, Hashable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -589,49 +594,68 @@ def _point_names(mask: int) -> list[str]:
     return [f"x{i + 1}" for i in range(mask.bit_length()) if mask >> i & 1]
 
 
+def _lookup(tables: np.ndarray, masks: np.ndarray) -> np.ndarray:
+    """tables[g][masks[g, ...]] for each g: one closure table per leading row."""
+    return tables[np.arange(len(tables)).reshape(-1, *[1] * (masks.ndim - 1)), masks]
+
+
 def _run_lattice_laws(c: Campaign) -> CampaignReport:
+    """Judges the topologies of each carrier size in one broadcast per count
+    of closed sets; the dumps follow the topologies' order, and within a
+    topology ``np.argwhere``'s (A, B, X, or S then law)."""
     if not 0 <= c.max_size <= 4:
         raise ValueError("carrier bound must be between 0 and 4")
     totals = {"topologies": 0, "checks": 0, "violations": 0}
     dumps: list[str] = []
     for n in range(c.max_size + 1):
         # the dump order of sets: by size, then by their points
-        order = sorted(range(1 << n), key=lambda m: (m.bit_count(), _point_names(m)))
+        order = np.array(sorted(range(1 << n), key=lambda m: (m.bit_count(), _point_names(m))),
+                         dtype=_LANE)
         tables = tp._hull_tables(n)
+        totals["topologies"] += len(tables)
         bits = np.arange(n, dtype=_LANE)
         weights = 1 << bits
         # ups[t, x]: x's least open neighbourhood in table t, the points
         # whose hulls hold x
         hulls = np.array([h for h, _ in tables], dtype=_LANE)[:, None, :]
         ups = (hulls >> bits[:, None] & 1).dot(weights)
-        for t, (_, closure) in enumerate(tables):
-            totals["topologies"] += 1
-            lat = tp.MaskLattice(np.array(closure, dtype=_LANE).__getitem__, (1 << n) - 1)
-            closed = [m for m in order if closure[m] == m]
-            s = np.array(closed, dtype=_LANE)
+        closures = np.array([closure for _, closure in tables], dtype=_LANE)
+        is_closed = closures[:, order] == order  # [t, j]: order[j] is closed in t
+        counts = is_closed.sum(axis=1)
+        failing = []  # (t, closed masks, bad) of the first failing topologies per count
+        # the counts that occur, ascending; np.unique would import numpy.ma (1 MB)
+        for count in np.flatnonzero(np.bincount(counts)):
+            group = np.flatnonzero(counts == count)
+            # s[g, i]: the i-th closed set of topology group[g], in dump order
+            s = order[is_closed[group].nonzero()[1]].reshape(len(group), count)
+            lat = tp.MaskLattice(partial(_lookup, closures[group]), (1 << n) - 1)
             if c.target == "adjunction":
-                a, b, x = s[:, None, None], s[None, :, None], s[None, None, :]
+                a, b, x = s[:, :, None, None], s[:, None, :, None], s[:, None, None, :]
                 # sub <= x against a <= x | b, for every closed triple (A, B, X)
                 bad = (lat.subtraction(a, b) & ~x == 0) != (a & ~(x | b) == 0)
             else:
                 neg = lat.pneg(s)
                 # S's interior: the points whose least open neighbourhood
                 # stays in S; the rest of closed S is its boundary
-                inner = (ups[t] & ~s[:, None] == 0).dot(weights)
+                inner = (ups[group][:, None, :] & ~s[:, :, None] == 0).dot(weights)
                 # the join and overlap laws, side by side for each closed S
-                bad = np.stack([s | neg != lat.full, s & neg != s & ~inner], axis=1)
+                bad = np.stack([s | neg != lat.full, s & neg != s & ~inner], axis=-1)
             totals["checks"] += bad.size
-            violations = int(np.count_nonzero(bad))
-            totals["violations"] += violations
-            if violations and len(dumps) < _FAIL_DUMP_CAP:
-                family = f"closed={[_point_names(m) for m in closed]}"
-                for hit in np.argwhere(bad)[:_FAIL_DUMP_CAP - len(dumps)]:
-                    if c.target == "adjunction":
-                        sets = (_point_names(closed[i]) for i in hit)
-                        dumps.append("A={} B={} X={} ".format(*sets) + family)
-                    else:
-                        law = ("join", "overlap")[hit[1]]
-                        dumps.append(f"{law} law: S={_point_names(closed[hit[0]])} {family}")
+            totals["violations"] += int(np.count_nonzero(bad))
+            # each failing topology gives a dump, so only the first few can
+            # be read; their rows are copied out and the group's arrays freed
+            keep = np.flatnonzero(bad.reshape(len(group), -1).any(axis=1))
+            keep = keep[:_FAIL_DUMP_CAP - len(dumps)]
+            failing += zip(group[keep], s[keep].tolist(), bad[keep])
+        for _, closed, bad in sorted(failing, key=itemgetter(0)):
+            family = f"closed={[_point_names(m) for m in closed]}"
+            for hit in np.argwhere(bad)[:_FAIL_DUMP_CAP - len(dumps)]:
+                if c.target == "adjunction":
+                    sets = (_point_names(closed[i]) for i in hit)
+                    dumps.append("A={} B={} X={} ".format(*sets) + family)
+                else:
+                    law = ("join", "overlap")[hit[1]]
+                    dumps.append(f"{law} law: S={_point_names(closed[hit[0]])} {family}")
 
     claim = ("subtraction adjunction over all closed triples"
              if c.target == "adjunction"

@@ -8,7 +8,9 @@ for points[i]) and their ``hulls`` as masks once; they decide all closure:
 a set's closure is the union of its points' hulls (``hull_union``), and
 the closed sets are the sets equal to their closure (Alexandroff 1937: a
 finite topology is the set of down-sets of a preorder).  ``discrete``,
-``product`` and ``enumerate_topologies`` build topologies by that rule.
+``product`` and ``enumerate_topologies`` build topologies by that rule;
+``_hull_tables`` grows the preorders point by point, so its work follows
+the number of topologies, not of candidate hull tables.
 ``MaskLattice`` is the one implementation of the co-Heyting operations, on
 point masks over a closure callable: one topology's hull union, or a
 lookup in a closure table, which takes numpy arrays of masks.  The
@@ -20,6 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import partial
 from itertools import combinations, product as iproduct
+from operator import itemgetter, or_
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 
@@ -83,21 +86,42 @@ def _closure_table(hulls: Sequence[int]) -> list[int]:
     """Every mask's closure, the union of its bits' hulls, indexed by the
     mask; hulls[i] is the hull mask of bit i."""
     closure = [0]
-    for mask in range(1, 1 << len(hulls)):  # add the lowest bit's hull
-        closure.append(closure[mask & mask - 1] | hulls[(mask & -mask).bit_length() - 1])
+    for h in hulls:  # the masks with bit i as their top bit add its hull
+        closure += [c | h for c in closure]
     return closure
 
 
 def _hull_tables(n: int) -> list[tuple[tuple[int, ...], list[int]]]:
-    """Every transitive hull table on n bits (a preorder: each hull holds
-    its bits' hulls) with its closure table, in ascending order of the bit
-    set of their closed masks."""
-    bits = range(n)
-    choices = [[h for h in range(1 << n) if h >> i & 1] for i in bits]
-    tables = [(hulls, _closure_table(hulls)) for hulls in iproduct(*choices)
-              if all(hulls[j] | h == h for h in hulls for j in bits if h >> j & 1)]
-    tables.sort(key=lambda table: sum(1 << m for m, c in enumerate(table[1]) if c == m))
-    return tables
+    """Every preorder on n bits as its hull table (hulls[i] holds i and the
+    bits below it) with its closure table, in ascending order of the bit
+    set of their closed masks.  The preorders on bits 0..m grow those on
+    0..m-1 by bit m: m's hull is m plus a closed set D of the old bits (the
+    bits below m), and an open set U of the old bits lies above m.  The
+    pair is kept when every hull in U holds D, and each hull in U then
+    gains m.  Each preorder carries its family, the bit set of its closed
+    masks (its down-sets): the old ones that miss U, and those that hold D
+    with m added; the family is also the sort key."""
+    grown = [((), 1)]  # (hulls, family) of the one preorder on 0 bits
+    for m in range(n):
+        bit, masks = 1 << m, range(1 << m)
+        # as bit sets: the masks that miss u, and the masks that hold d
+        misses = [sum(1 << x for x in masks if x & u == 0) for u in masks]
+        holds = [sum(1 << x for x in masks if x & d == d) for d in masks]
+        # gains[u][i]: what bit i's hull gains when u lies above m
+        gains = [[bit if u >> i & 1 else 0 for i in range(m)] for u in masks]
+        extended = []
+        for hulls, family in grown:
+            closed = [x for x in masks if family >> x & 1]
+            for d in closed:
+                holds_d = sum(1 << i for i, h in enumerate(hulls) if h & d == d)
+                for c in closed:
+                    up = bit - 1 & ~c
+                    if up & ~holds_d == 0:
+                        extended.append((tuple(map(or_, hulls, gains[up])) + (d | bit,),
+                                         (family & misses[up]) | (family & holds[d]) << bit))
+        grown = extended
+    grown.sort(key=itemgetter(1))
+    return [(hulls, _closure_table(hulls)) for hulls, _ in grown]
 
 
 def _from_hulls(points: Sequence, closure: Sequence[int]) -> ClosedTopology:

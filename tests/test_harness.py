@@ -488,6 +488,30 @@ def test_lattice_law_campaigns_report_violations_like_the_per_set_loop(monkeypat
     assert "join law" in report.text and "overlap law" in report.text
 
 
+def _selectively_broken_closure_table(hulls):
+    """The broken closure table for the hull tables whose masks sum to a
+    multiple of 5, the real one for the rest."""
+    return _broken_closure_table(hulls) if sum(hulls) % 5 == 0 else _closure_table(hulls)
+
+
+@pytest.mark.parametrize("cap", [5, 10 ** 6])
+def test_lattice_law_dumps_follow_topology_order_across_closed_counts(monkeypatch, cap):
+    # the campaigns judge a carrier size's topologies grouped by their count
+    # of closed sets.  Breaking only some topologies makes the failing ones
+    # fall in several groups and interleave in topology order, so a sweep
+    # that dumps group by group reports other dumps than the per-set loop.
+    monkeypatch.setattr(tp, "_closure_table", _selectively_broken_closure_table)
+    monkeypatch.setattr(hn, "_FAIL_DUMP_CAP", cap)
+    for target, size in (("adjunction", 3), ("boundary_law", 3), ("boundary_law", 4)):
+        text = hn.run_campaign(hn.Campaign(target=target, max_size=size)).text
+        assert text == _reference_lattice_laws(target, size, cap)
+        if cap == 10 ** 6:  # every failing topology is dumped
+            families = [line.split(" closed=")[1] for line in text.splitlines()
+                        if " closed=" in line]
+            counts = [family.count("[") - 1 for family, _ in groupby(families)]
+            assert len(set(counts)) > 1 and counts != sorted(counts)
+
+
 def test_sweeps_reject_unenumerated_atoms():
     # a sweep values only p, so q must not silently read as empty
     with pytest.raises(fm.LanguageError):
