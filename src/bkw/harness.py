@@ -35,15 +35,14 @@ of formula masks; theorem22 first drops the lanes with no urelement and
 no Quine state, which hold and count as degenerate unevaluated.
 
 The co-Heyting law campaigns run on point masks.  They read
-``topology._hull_tables`` and build no ``ClosedTopology``: each hull
-table comes with its closure table.  A carrier size's closure tables are
-stacked into one array and its topologies grouped by their count of
-closed sets; ``topology.MaskLattice`` over a lookup in the stacked
-tables gives subtraction and negation for all closed triples (or sets)
-of a group in one broadcast.  The dumps are read in topology order all
-the same.  The boundary that the overlap law is checked against is read
-from the hulls instead, through each point's least open neighbourhood,
-so that the law can fail.
+``topology._hull_tables`` and build no ``ClosedTopology``: one call of
+``_closure_table`` builds a carrier size's closure tables from its stack
+of hull tables.  Its topologies are grouped by their count of closed sets,
+and ``topology.MaskLattice`` over a lookup in the stacked tables gives
+subtraction and negation for all closed triples (or sets) of a group in
+one broadcast; the dumps are read in topology order all the same.  The
+overlap law's boundary is read from the hulls instead, through each
+point's least open neighbourhood, so that the law can fail.
 """
 
 from __future__ import annotations
@@ -594,6 +593,14 @@ def _point_names(mask: int) -> list[str]:
     return [f"x{i + 1}" for i in range(mask.bit_length()) if mask >> i & 1]
 
 
+def _closure_table(hulls: Sequence[Sequence[int]]) -> np.ndarray:
+    """Row t: each mask's closure, the union of its bits' hulls in hulls[t]."""
+    tables = np.zeros((len(hulls), 1), dtype=_LANE)
+    for hull in np.asarray(hulls, dtype=_LANE).T:  # the masks with this top bit add its hull
+        tables = np.concatenate([tables, tables | hull[:, None]], axis=1)
+    return tables
+
+
 def _lookup(tables: np.ndarray, masks: np.ndarray) -> np.ndarray:
     """tables[g][masks[g, ...]] for each g: one closure table per leading row."""
     return tables[np.arange(len(tables)).reshape(-1, *[1] * (masks.ndim - 1)), masks]
@@ -611,15 +618,14 @@ def _run_lattice_laws(c: Campaign) -> CampaignReport:
         # the dump order of sets: by size, then by their points
         order = np.array(sorted(range(1 << n), key=lambda m: (m.bit_count(), _point_names(m))),
                          dtype=_LANE)
-        tables = tp._hull_tables(n)
-        totals["topologies"] += len(tables)
+        hulls = np.array(tp._hull_tables(n), dtype=_LANE)
+        totals["topologies"] += len(hulls)
         bits = np.arange(n, dtype=_LANE)
         weights = 1 << bits
         # ups[t, x]: x's least open neighbourhood in table t, the points
         # whose hulls hold x
-        hulls = np.array([h for h, _ in tables], dtype=_LANE)[:, None, :]
-        ups = (hulls >> bits[:, None] & 1).dot(weights)
-        closures = np.array([closure for _, closure in tables], dtype=_LANE)
+        ups = (hulls[:, None, :] >> bits[:, None] & 1).dot(weights)
+        closures = _closure_table(hulls)
         is_closed = closures[:, order] == order  # [t, j]: order[j] is closed in t
         counts = is_closed.sum(axis=1)
         failing = []  # (t, closed masks, bad) of the first failing topologies per count

@@ -8,13 +8,13 @@ for points[i]) and their ``hulls`` as masks once; they decide all closure:
 a set's closure is the union of its points' hulls (``hull_union``), and
 the closed sets are the sets equal to their closure (Alexandroff 1937: a
 finite topology is the set of down-sets of a preorder).  ``discrete``,
-``product`` and ``enumerate_topologies`` build topologies by that rule;
+``product`` and ``enumerate_topologies`` pass hull tables to ``_from_hulls``;
 ``_hull_tables`` grows the preorders point by point, so its work follows
 the number of topologies, not of candidate hull tables.
 ``MaskLattice`` is the one implementation of the co-Heyting operations, on
 point masks over a closure callable: one topology's hull union, or a
-lookup in a closure table, which takes numpy arrays of masks.  The
-frozenset functions ``closure`` ... ``exponent`` are adapters over it.
+numpy lookup in a closure table built by ``harness._closure_table``.
+The frozenset functions ``closure`` ... ``exponent`` are adapters over it.
 """
 
 from __future__ import annotations
@@ -82,25 +82,16 @@ class MaskLattice(NamedTuple):
         return self.interior(self.full & ~s)
 
 
-def _closure_table(hulls: Sequence[int]) -> list[int]:
-    """Every mask's closure, the union of its bits' hulls, indexed by the
-    mask; hulls[i] is the hull mask of bit i."""
-    closure = [0]
-    for h in hulls:  # the masks with bit i as their top bit add its hull
-        closure += [c | h for c in closure]
-    return closure
-
-
-def _hull_tables(n: int) -> list[tuple[tuple[int, ...], list[int]]]:
+def _hull_tables(n: int) -> list[tuple[int, ...]]:
     """Every preorder on n bits as its hull table (hulls[i] holds i and the
-    bits below it) with its closure table, in ascending order of the bit
-    set of their closed masks.  The preorders on bits 0..m grow those on
-    0..m-1 by bit m: m's hull is m plus a closed set D of the old bits (the
-    bits below m), and an open set U of the old bits lies above m.  The
-    pair is kept when every hull in U holds D, and each hull in U then
-    gains m.  Each preorder carries its family, the bit set of its closed
-    masks (its down-sets): the old ones that miss U, and those that hold D
-    with m added; the family is also the sort key."""
+    bits below it), in ascending order of the bit set of its closed masks.
+    The preorders on bits 0..m grow those on 0..m-1 by bit m: m's hull is
+    m plus a closed set D of the old bits (the bits below m), and an open
+    set U of the old bits lies above m.  The pair is kept when every hull
+    in U holds D, and each hull in U then gains m.  Each preorder carries
+    its family, the bit set of its closed masks (its down-sets): the old
+    ones that miss U, and those that hold D with m added; the family is
+    also the sort key."""
     grown = [((), 1)]  # (hulls, family) of the one preorder on 0 bits
     for m in range(n):
         bit, masks = 1 << m, range(1 << m)
@@ -121,20 +112,23 @@ def _hull_tables(n: int) -> list[tuple[tuple[int, ...], list[int]]]:
                                          (family & misses[up]) | (family & holds[d]) << bit))
         grown = extended
     grown.sort(key=itemgetter(1))
-    return [(hulls, _closure_table(hulls)) for hulls, _ in grown]
+    return [hulls for hulls, _ in grown]
 
 
-def _from_hulls(points: Sequence, closure: Sequence[int]) -> ClosedTopology:
-    """The topology of a closure table's fixed points; bit i stands for points[i]."""
+def _from_hulls(points: Sequence, hulls: Sequence[int]) -> ClosedTopology:
+    """The topology closed on the unions of hulls, the fixed points of
+    hull_union; bit i stands for points[i]."""
+    closed = {0}
+    for h in hulls:
+        closed |= {c | h for c in closed}
     return ClosedTopology(frozenset(points), frozenset(
-        frozenset(p for i, p in enumerate(points) if mask >> i & 1)
-        for mask, c in enumerate(closure) if c == mask))
+        frozenset(p for i, p in enumerate(points) if mask >> i & 1) for mask in closed))
 
 
 def discrete(carrier: Iterable) -> ClosedTopology:
     """Topology in which every subset is closed."""
     points = sorted(carrier)
-    return _from_hulls(points, range(1 << len(points)))
+    return _from_hulls(points, [1 << i for i in range(len(points))])
 
 
 def validate(t: ClosedTopology) -> list[str]:
@@ -220,14 +214,14 @@ def product(ta: ClosedTopology, tb: ClosedTopology) -> ClosedTopology:
     nb = len(tb.points)
     hulls = [sum(hb << i * nb for i in range(len(ta.points)) if ha >> i & 1)
              for ha, hb in iproduct(ta.hulls, tb.hulls)]
-    return _from_hulls(list(iproduct(ta.points, tb.points)), _closure_table(hulls))
+    return _from_hulls(list(iproduct(ta.points, tb.points)), hulls)
 
 
 def enumerate_topologies(carrier: Iterable) -> Iterator[ClosedTopology]:
-    """All closed-set topologies on up to 4 points, one per transitive hull
+    """All closed-set topologies on up to 6 points, one per transitive hull
     table, in ascending order of the bit set of their closed masks."""
     points = sorted(carrier)
-    if len(points) > 4:
+    if len(points) > 6:
         raise ValueError("carrier too large for exhaustive topology enumeration")
-    for _, table in _hull_tables(len(points)):
-        yield _from_hulls(points, table)
+    for hulls in _hull_tables(len(points)):
+        yield _from_hulls(points, hulls)

@@ -14,7 +14,7 @@ from bkw import paratopo as pt
 from bkw import program as pg
 from bkw import topology as tp
 from bkw.modelio import dump_kripke, dump_nwf, load_model
-from bkw.topology import _closure_table
+from bkw.harness import _closure_table
 from conftest import (kripke_truth, nwf_truth, random_hyperset,
                       random_relational_formula, random_topo_formula)
 
@@ -417,10 +417,12 @@ def _bits(n, mask):
 
 
 def _broken_closure_table(hulls):
-    """The closure table with each non-closed mask's closure replaced by
-    the mask less its lowest point: the closed sets stay, the laws break."""
-    return [c if c == m else m ^ (m & -m)
-            for m, c in enumerate(_closure_table(hulls))]
+    """The closure tables of a stack of hull tables with each non-closed
+    mask's closure replaced by the mask less its lowest point: the closed
+    sets stay, the laws break."""
+    tables = _closure_table(hulls)
+    masks = np.arange(tables.shape[1], dtype=tables.dtype)
+    return np.where(tables == masks, tables, masks ^ (masks & -masks))
 
 
 def _reference_lattice_laws(target, max_size, cap):
@@ -431,7 +433,7 @@ def _reference_lattice_laws(target, max_size, cap):
     dumps = []
     for n in range(max_size + 1):
         carrier = _bits(n, (1 << n) - 1)
-        for _, table in tp._hull_tables(n):
+        for table in hn._closure_table(tp._hull_tables(n)).tolist():
             totals["topologies"] += 1
 
             def clo(s):
@@ -479,7 +481,7 @@ def test_lattice_law_campaigns_report_violations_like_the_per_set_loop(monkeypat
     # table alone breaks it.  100 is the most boundary_law can report: both
     # laws on each of the 50 closed sets that are not open, since a clopen
     # set's complement is closed and keeps its closure.
-    monkeypatch.setattr(tp, "_closure_table", _broken_closure_table)
+    monkeypatch.setattr(hn, "_closure_table", _broken_closure_table)
     monkeypatch.setattr(hn, "_FAIL_DUMP_CAP", cap)
     for target, violations in (("adjunction", 199), ("boundary_law", 100)):
         report = hn.run_campaign(hn.Campaign(target=target, max_size=3))
@@ -489,9 +491,10 @@ def test_lattice_law_campaigns_report_violations_like_the_per_set_loop(monkeypat
 
 
 def _selectively_broken_closure_table(hulls):
-    """The broken closure table for the hull tables whose masks sum to a
-    multiple of 5, the real one for the rest."""
-    return _broken_closure_table(hulls) if sum(hulls) % 5 == 0 else _closure_table(hulls)
+    """The closure tables of a stack of hull tables, broken in the rows
+    whose hull masks sum to a multiple of 5, real in the rest."""
+    broken = np.asarray(hulls, dtype=np.int64).sum(axis=1) % 5 == 0
+    return np.where(broken[:, None], _broken_closure_table(hulls), _closure_table(hulls))
 
 
 @pytest.mark.parametrize("cap", [5, 10 ** 6])
@@ -500,7 +503,7 @@ def test_lattice_law_dumps_follow_topology_order_across_closed_counts(monkeypatc
     # of closed sets.  Breaking only some topologies makes the failing ones
     # fall in several groups and interleave in topology order, so a sweep
     # that dumps group by group reports other dumps than the per-set loop.
-    monkeypatch.setattr(tp, "_closure_table", _selectively_broken_closure_table)
+    monkeypatch.setattr(hn, "_closure_table", _selectively_broken_closure_table)
     monkeypatch.setattr(hn, "_FAIL_DUMP_CAP", cap)
     for target, size in (("adjunction", 3), ("boundary_law", 3), ("boundary_law", 4)):
         text = hn.run_campaign(hn.Campaign(target=target, max_size=size)).text
@@ -752,7 +755,7 @@ def test_run_keeps_the_lane_dtype(heart):
         family = [random_topo_formula(frng, 3) for _ in range(80)]
         family += [fm.Dtopo(), fm.Pneg(fm.Dtopo()), fm.parse("Ba Xb Dt & Ea true")]
         language, heart, ub, atoms = "topo", "local", 0b1100, ("p", "q")
-        table = _closure_table((0b0001, 0b0011, 0b0100, 0b1100))  # two Sierpinski spaces
+        table = _closure_table([(0b0001, 0b0011, 0b0100, 0b1100)])[0]  # two Sierpinski spaces
         narrow_neg, wide_neg = (tp.MaskLattice(np.array(table, dtype=dtype).__getitem__,
                                                (1 << k) - 1).pneg
                                 for dtype in (np.uint8, np.int64))
@@ -806,7 +809,7 @@ def test_topo_lanes_match_paratopo_evaluate(points):
         rows = [np.array(col, dtype=np.uint8) for col in zip(*iproduct(*options))]
         n = len(rows[0])
         hulls = tau_a.hulls + tuple(h << na for h in tau_b.hulls)
-        table = np.array(_closure_table(hulls), dtype=np.uint8)
+        table = _closure_table([hulls])[0]
         atoms = {atom: nrng.integers(0, 1 << k, n, dtype=np.uint8) for atom in ("p", "q")}
         frame = pg.Frame(k, ua, full ^ ua, rows, atoms, "local",
                          tp.MaskLattice(table.__getitem__, full).pneg)

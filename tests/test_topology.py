@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from bkw import topology as tp
+from bkw.harness import _closure_table
 
 SIERPINSKI = tp.ClosedTopology.make("ab", [[], ["a"], ["a", "b"]])
 
@@ -153,37 +154,41 @@ def _transitive(hulls):
 
 def _filtered_hull_tables(n):
     """The transitive hull tables on n bits found by filtering every
-    candidate table (bit i in hulls[i]), each with its closure table, in
-    ascending order of the bit set of its closed masks."""
+    candidate table (bit i in hulls[i]), in ascending order of the bit set
+    of their closed masks, the fixed points of hull_union."""
     choices = [[h for h in range(1 << n) if h >> i & 1] for i in range(n)]
-    tables = [(hulls, tp._closure_table(hulls)) for hulls in product(*choices)
-              if _transitive(hulls)]
-    tables.sort(key=lambda table: sum(1 << m for m, c in enumerate(table[1]) if c == m))
+    tables = [hulls for hulls in product(*choices) if _transitive(hulls)]
+    tables.sort(key=lambda hulls: sum(1 << m for m in range(1 << n)
+                                      if tp.hull_union(hulls, m) == m))
     return tables
 
 
 def test_hull_tables_grow_the_filtered_preorders():
-    # the same tables, closure tables and order as the filter up to 4 points
+    # the same tables in the same order as the filter up to 4 points
     for n in range(5):
         assert tp._hull_tables(n) == _filtered_hull_tables(n)
-    # 6,942 preorders on 5 points (OEIS A000798), where the filter would
-    # read 2^20 candidates
-    hulls = [h for h, _ in tp._hull_tables(5)]
+    # 6,942 preorders on 5 points and 209,527 on 6 (OEIS A000798), where
+    # the filter would read 2^20 and 2^30 candidates
+    hulls = tp._hull_tables(5)
     assert len(set(hulls)) == len(hulls) == 6942
     assert all(_transitive(h) for h in hulls)
+    hulls = tp._hull_tables(6)
+    assert len(set(hulls)) == len(hulls) == 209527
 
 
 def test_mask_lattice_matches_brute_force_definitions():
-    # both closure forms, a closure-table lookup and the hull union, on
-    # every topology of up to 4 points, against the definitions over t.closed
+    # both closure forms, a lookup in the stacked closure tables and the
+    # hull union, on every topology of up to 4 points, against the
+    # definitions over t.closed
     for n in range(5):
         full = (1 << n) - 1
-        for hulls, table in tp._hull_tables(n):
-            t = tp._from_hulls([f"x{i}" for i in range(n)], table)
+        stack = tp._hull_tables(n)
+        for hulls, table in zip(stack, _closure_table(stack), strict=True):
+            t = tp._from_hulls([f"x{i}" for i in range(n)], hulls)
             assert tp.validate(t) == [] and t.hulls == hulls
             closed = [sum(1 << t.points.index(p) for p in c) for c in t.closed]
             opens = [full & ~c for c in closed]
-            for lat in (tp.MaskLattice(np.array(table, dtype=np.uint8).__getitem__, full),
+            for lat in (tp.MaskLattice(table.__getitem__, full),
                         tp.MaskLattice(partial(tp.hull_union, t.hulls), full)):
                 for s in range(1 << n):
                     clo = _least([c for c in closed if s & ~c == 0])
@@ -264,5 +269,7 @@ def test_enumerate_topologies_counts():
     assert all(tp.validate(t) == [] for t in four)
     keys = [_family_key(t, points) for t in four]
     assert all(a < b for a, b in zip(keys, keys[1:]))
+    # 6,942 on 5 points; the 209,527 on 6 points take about 20 s
+    assert sum(1 for _ in tp.enumerate_topologies("abcde")) == 6942
     with pytest.raises(ValueError):
-        next(tp.enumerate_topologies("abcde"))
+        next(tp.enumerate_topologies("abcdefg"))
