@@ -10,8 +10,9 @@ import argparse
 import sys
 from pathlib import Path
 
+from . import TARGETS
 from . import formula as fm
-from . import harness, hyperset, kripke, lawvere, paratopo
+from . import hyperset, kripke, lawvere, paratopo
 from .modelio import ModelFormatError, load_model
 
 EXIT_OK = 0
@@ -26,7 +27,7 @@ class SystemExit2(Exception):
 def _read(path: str) -> str:
     try:
         return Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise SystemExit2(f"cannot read {path}: {exc}")
 
 
@@ -92,12 +93,14 @@ def _cmd_holes(args) -> int:
 
 
 def _cmd_fixtures(args) -> int:
+    from . import harness
     report = harness.verify_fixtures()
     print(report.text, end="")
     return EXIT_OK if report.ok else EXIT_FIXTURE_FAILURE
 
 
 def _cmd_campaign(args) -> int:
+    from . import harness
     campaign = harness.Campaign(
         target=args.target,
         max_size=args.max_states,
@@ -159,7 +162,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_fixtures)
 
     p = sub.add_parser("campaign", help="sweep a claim across an enumerated space")
-    p.add_argument("target", choices=harness.TARGETS)
+    p.add_argument("target", choices=TARGETS)
     p.add_argument("--max-states", type=int, default=3)
     p.add_argument("--strict", action=argparse.BooleanOptionalAction, default=True)
     heart = p.add_mutually_exclusive_group()

@@ -57,6 +57,7 @@ from typing import Callable, Hashable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
+from . import TARGETS
 from . import formula as fm
 from . import hyperset as hs
 from . import kripke as kr
@@ -65,9 +66,6 @@ from . import paratopo as pt
 from . import program as pg
 from . import topology as tp
 from .modelio import dump_kripke, dump_nwf
-
-TARGETS = ("lemma1", "theorem12", "theorem22", "theorem23",
-           "validity_lists", "adjunction", "boundary_law", "lawvere_scan")
 
 _FAIL_DUMP_CAP = 5
 _VIOLATIONS = "violation {} of {violations}"  # the dump title of most campaigns

@@ -1,3 +1,10 @@
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import bkw
 from bkw import cli
 from bkw.harness import fixture_bk_topo, fixture_ninestate, two_cycle
 from bkw.modelio import dump_kripke, dump_nwf, dump_paratopo
@@ -40,6 +47,15 @@ def test_deep_nesting_exits_2(tmp_path, capsys):
     model.write_text(dump_kripke(two_cycle()))
     code, _, err = run(["check", str(model), deep], capsys)
     assert code == 2 and "nested too deeply" in err
+
+
+def test_non_utf8_input_exits_2(tmp_path, capsys):
+    raw = tmp_path / "raw.txt"
+    raw.write_bytes(b"p & \xff q\n")
+    for argv in (["parse", str(raw)], ["check", str(raw), "p"], ["holes", str(raw)]):
+        code, out, err = run(argv, capsys)
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: cannot read {raw}: ") and "utf-8" in err
 
 
 def test_check_command(tmp_path, capsys):
@@ -150,3 +166,56 @@ def test_lawvere_command(capsys):
 def test_usage_errors_exit_2(capsys):
     assert cli.main(["campaign", "not-a-target"]) == 2
     capsys.readouterr()
+
+
+# ``bkw.__all__``, the lazily loaded campaign names and ``harness`` included
+PUBLIC_NAMES = [
+    "Campaign", "CampaignReport", "ClosedTopology", "FiniteSelfMap", "Formula",
+    "HoleReport", "HypersetModel", "KripkeModel", "LanguageError", "ParaTopoModel",
+    "ParseError", "bisimilar", "bk_witnesses", "boundary", "canonicalize",
+    "check_fixed_point_property", "check_lemma_1", "classify_state", "closure",
+    "diagonal", "diagonal_D", "diagonal_Dplus", "dump_model", "enumerate_hypersets",
+    "enumerate_kripke", "evaluate", "exponent", "extension", "find_holes", "formula",
+    "graph_to_structure", "harness", "horizontally_closed", "hyperset", "ineg",
+    "interior", "is_assumption_complete", "is_satisfiable", "is_valid",
+    "is_weak_assumption_complete", "is_weakly_point_surjective", "kripke", "lawvere",
+    "load_model", "modal_depth", "modelio", "nwf_extension", "nwf_find_holes",
+    "paratopo", "parse", "pneg", "product", "program", "run_campaign", "search_wps",
+    "subtraction", "to_text", "topology", "validate", "verify_fixtures",
+    "vertically_closed",
+]
+
+COLD_START = """
+import contextlib, io, json, sys
+loaded = lambda: [m for m in ("numpy", "bkw.harness") if m in sys.modules]
+import bkw
+seen = {"import bkw": loaded()}
+from bkw import cli
+formulas, model = sys.argv[1:]
+for argv in (["parse", formulas], ["check", model, "Hab Ub"], ["holes", model],
+             ["lawvere", "--sizeA", "2", "--sizeY", "2"]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main(argv)
+    seen[argv[0]] = [code, loaded()]
+seen["same"] = bkw.run_campaign is bkw.harness.run_campaign
+seen["all"] = sorted(bkw.__all__)
+print(json.dumps(seen))
+"""
+
+
+def test_cold_start_loads_no_numpy(tmp_path):
+    # a fresh interpreter: this one has loaded the harness and numpy already
+    formulas = tmp_path / "formulas.txt"
+    formulas.write_text("[ab] Hba (Ua & D)\n")
+    model = tmp_path / "model.bk"
+    model.write_text(dump_kripke(two_cycle()))
+    src = str(Path(bkw.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    out = subprocess.run([sys.executable, "-c", COLD_START, str(formulas), str(model)],
+                         env=env, capture_output=True, text=True, check=True).stdout
+    seen = json.loads(out)
+    assert seen.pop("import bkw") == []
+    for command in ("parse", "check", "holes", "lawvere"):
+        assert seen.pop(command) == [0, []], command
+    assert seen == {"same": True, "all": PUBLIC_NAMES}

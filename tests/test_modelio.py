@@ -146,6 +146,51 @@ def test_paratopo_roundtrip_keeps_every_field(rng):
         assert (t.carrier, t.closed, t.points, t.hulls) == (u.carrier, u.closed, u.points, u.hulls)
 
 
+@seed(11)
+@settings(max_examples=60, database=None, deadline=None)
+@given(st.randoms(use_true_random=False), st.booleans())
+def test_kripke_roundtrip_keeps_every_field(rng, strict):
+    m = random_kripke(rng, 5, strict=strict)
+    again = mio.load_model(mio.dump_model(m))
+    assert vars(again) == vars(m)
+
+
+@seed(12)
+@settings(max_examples=60, database=None, deadline=None)
+@given(st.randoms(use_true_random=False), st.booleans())
+def test_nwf_roundtrip_keeps_every_field(rng, allow_overlap):
+    m = random_hyperset(rng, 6, allow_overlap=allow_overlap)
+    again = mio.load_model(mio.dump_model(m))
+    assert vars(again) == vars(m)  # urelements and the type flag included
+
+
+_DUMPS = (KRIPKE_TEXT, NWF_TEXT, PARATOPO_TEXT,
+          mio.dump_model(KripkeModel("xy", [("x", "x")], ["x"], ["y"], strict=False)),
+          mio.dump_model(HypersetModel("uv", [("v", "v")], ["u", "v"], ["v"],
+                                       urelements=["u"], disjoint_types=False)))
+# edits: (position, characters cut, text inserted), the text drawn from the
+# characters that carry the file syntax
+_EDITS = st.lists(st.tuples(st.integers(min_value=0), st.integers(0, 3),
+                            st.text("{}-> :#\n\t_xyab12pDU", max_size=4)), max_size=6)
+
+
+def _mutate(text: str, edits) -> str:
+    for position, cut, insert in edits:
+        at = position % (len(text) + 1)
+        text = text[:at] + insert + text[at + cut:]
+    return text
+
+
+@seed(13)
+@settings(max_examples=400, database=None, deadline=None)
+@given(st.one_of(st.text(max_size=60), st.builds(_mutate, st.sampled_from(_DUMPS), _EDITS)))
+def test_load_model_raises_only_model_format_error(text):
+    try:
+        mio.load_model(text)
+    except mio.ModelFormatError:
+        pass
+
+
 def test_dump_model_dispatch():
     assert mio.dump_model(two_cycle()).startswith("kripke")
     assert mio.dump_model(fixture_ninestate()).startswith("nwf")
