@@ -30,90 +30,137 @@ class LanguageError(FormulaError):
 
 
 class Formula:
+    """A node of the AST.  ``==`` and ``repr()`` walk the tree with an
+    explicit stack, reading a node's fields in order from its
+    ``__match_args__``, and ``hash()`` hashes the ``to_text`` of the
+    formula, so all three take a formula of any depth."""
+
     def __str__(self) -> str:
         return to_text(self)
 
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Formula):
+            return NotImplemented
+        stack = [(self, other)]
+        while stack:
+            f, g = stack.pop()
+            if f is g:
+                continue
+            if type(f) is not type(g):
+                return False
+            for name in type(f).__match_args__:
+                x, y = getattr(f, name), getattr(g, name)
+                if isinstance(x, Formula):
+                    stack.append((x, y))
+                elif x != y:
+                    return False
+        return True
 
-@dataclass(frozen=True)
+    def __hash__(self) -> int:
+        return hash(to_text(self))  # equal formulas print alike
+
+    def __repr__(self) -> str:
+        out: list[str] = []
+        stack: list = [self]  # the text still to come, in reverse order
+        while stack:
+            item = stack.pop()
+            if type(item) is str:
+                out.append(item)
+                continue
+            out.append(type(item).__qualname__ + "(")
+            parts: list = []
+            for i, name in enumerate(type(item).__match_args__):
+                value = getattr(item, name)
+                parts += [", " * (i > 0) + name + "=",
+                          value if isinstance(value, Formula) else repr(value)]
+            stack += [")", *reversed(parts)]
+        return "".join(out)
+
+
+# Every node is a frozen dataclass whose ==, hash and repr are Formula's.
+_node = dataclass(frozen=True, eq=False, repr=False)
+
+
+@_node
 class Atom(Formula):
     name: str
 
 
-@dataclass(frozen=True)
+@_node
 class Top(Formula):
     pass
 
 
-@dataclass(frozen=True)
+@_node
 class Bot(Formula):
     pass
 
 
-@dataclass(frozen=True)
+@_node
 class Ua(Formula):
     """Type-space atom: true exactly at the first player's states."""
 
 
-@dataclass(frozen=True)
+@_node
 class Ub(Formula):
     pass
 
 
-@dataclass(frozen=True)
+@_node
 class Dclass(Formula):
     """Relational diagonal atom `D` (no edge returned by any successor)."""
 
 
-@dataclass(frozen=True)
+@_node
 class Dplus(Formula):
     """Membership diagonal atom `D+` (no member contains the state back)."""
 
 
-@dataclass(frozen=True)
+@_node
 class Dtopo(Formula):
     """Topological diagonal atom `Dt`."""
 
 
-@dataclass(frozen=True)
+@_node
 class Not(Formula):
     body: Formula
 
 
-@dataclass(frozen=True)
+@_node
 class Pneg(Formula):
     """Paraconsistent negation: closure of the complement."""
 
     body: Formula
 
 
-@dataclass(frozen=True)
+@_node
 class And(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True)
+@_node
 class Or(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True)
+@_node
 class Imp(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True)
+@_node
 class Iff(Formula):
     left: Formula
     right: Formula
 
 
 # The six modalities subclass one of two frozen bases, which hold the
-# fields, the check and the generated methods; repr, == and hash see the
-# subclass, so Box("ab", p) != Heart("ab", p).
-@dataclass(frozen=True)
+# fields and the check; repr, == and hash see the subclass, so
+# Box("ab", p) != Heart("ab", p).
+@_node
 class _Directed(Formula):
     """A modality between the type spaces, read in `direction` 'ab' or 'ba'."""
 
@@ -125,7 +172,7 @@ class _Directed(Formula):
             raise ValueError(f"modality direction must be 'ab' or 'ba', got {self.direction!r}")
 
 
-@dataclass(frozen=True)
+@_node
 class _Agentive(Formula):
     """A modality of one agent, 'a' or 'b'."""
 

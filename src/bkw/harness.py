@@ -6,10 +6,14 @@ Each model kind has one enumerator, which yields numpy lane chunks, one
 lane per candidate model, blocked so that the type masks are fixed per
 chunk: ``_relation_blocks`` for classical frames (``_relation_lanes``
 reads its chunks in order) and ``_membership_lanes`` for membership
-graphs.  Each lane carries a record index (its place in the enumeration
-order) and reads back as a compact record, which
-``_rebuild_kripke``/``_rebuild_hyperset`` turn into a model; the public
-``enumerate_kripke``/``enumerate_hypersets`` are such rebuild loops.
+graphs.  A frame's successor rows are the digits of its place in its
+block, one digit per state, so each row of a chunk is a tile or a repeat
+of its state's table of rows, and the serial frames are built directly,
+from tables without the empty row.  Each lane carries a record index
+(its place in the enumeration order, serial or not) and reads back as a
+compact record, which ``_rebuild_kripke``/``_rebuild_hyperset`` turn
+into a model; the public ``enumerate_kripke``/``enumerate_hypersets``
+are such rebuild loops.
 
 The frames come in one block per (k, Ua mask).  A state permutation maps
 the block of a mask onto the block of any mask with the same popcount a,
@@ -105,25 +109,6 @@ class _Lanes(NamedTuple):
                 at(f.atoms.get("p", 0)))
 
 
-def _row_fields(k: int, ua: int, strict: bool) -> list[tuple[int, int, np.ndarray]]:
-    """Per state x, (shift, mask, table): in the frame with relation id i,
-    x's successor row is ``table[i >> shift & mask]``.
-
-    Bit j of a relation id is the j-th candidate edge (cross-type edges
-    only when ``strict``), ordered by source state, then target, so the
-    edges of state x are one bit-field of the id.
-    """
-    fields, shift = [], 0
-    for x in range(k):
-        targets = [y for y in range(k) if not strict or (ua >> x & 1) != (ua >> y & 1)]
-        table = [0]  # field value -> row; bit i of the field is the edge to targets[i]
-        for y in targets:
-            table += [row | 1 << y for row in table]
-        fields.append((shift, len(table) - 1, np.array(table, dtype=_LANE)))
-        shift += len(targets)
-    return fields
-
-
 class _Block(NamedTuple):
     """One block of an enumerator: its chunks, built only as they are read,
     and its place in its class, the blocks whose totals are the same."""
@@ -137,8 +122,8 @@ class _Block(NamedTuple):
 def _relation_blocks(max_states: int, strict: bool, serial: bool, heart: str,
                      ops: Sequence[tuple]) -> Iterator[_Block]:
     """Every belief frame with up to ``max_states`` states, as one block per
-    (k, ua), in relation-id order within a block (``_row_fields`` reads
-    the rows off the id).
+    (k, ua), in relation order within a block: state 0's successor row is
+    the lowest digit (``_relation_chunks``).
 
     A permutation of the states maps the block of ua onto the block of any
     mask with the same popcount a, and the classical claims name no state,
@@ -155,29 +140,66 @@ def _relation_blocks(max_states: int, strict: bool, serial: bool, heart: str,
         width = _lane_width(ops, k)
         for ua in range(1 << k):
             a = ua.bit_count()
-            fields = _row_fields(k, ua, strict)
             yield _Block((k, a), comb(k, a) if ua == (1 << a) - 1 else 0, offset,
-                         _relation_chunks(k, ua, fields, offset, serial, heart, width))
-            offset += prod(len(table) for _, _, table in fields)
+                         _relation_chunks(k, ua, strict, offset, serial, heart, width))
+            # one frame per subset of the candidate edges, the cross-type
+            # ones alone when strict
+            offset += 1 << (2 * a * (k - a) if strict else k * k)
 
 
-def _relation_chunks(k: int, ua: int, fields: list[tuple[int, int, np.ndarray]], offset: int,
-                     serial: bool, heart: str, width: int) -> Iterator[_Lanes]:
+def _relation_chunks(k: int, ua: int, strict: bool, offset: int, serial: bool, heart: str,
+                     width: int) -> Iterator[_Lanes]:
     """The lane chunks of the (k, ua) block whose first record is ``offset``.
-    The rows are looked up from int32 ids, which hold the 25 edge bits of
-    a non-strict 5-state frame."""
-    total = prod(len(table) for _, _, table in fields)
-    for start in range(0, total, width):
-        ids = np.arange(start, min(start + width, total), dtype=np.int32)
-        rows = [table[ids >> shift & mask] for shift, mask, table in fields]
-        if serial:
-            keep = np.logical_and.reduce([row != 0 for row in rows])
-            ids, rows = ids[keep], [row[keep] for row in rows]
-        record = np.add(ids, offset, dtype=np.int64)
-        del ids  # not kept alive while the chunk is judged
-        if len(record):
-            yield _Lanes(record, 0, pg.Frame(k, ua, (1 << k) - 1 - ua, rows, {}, heart,
-                                             pg.complement(k)))
+
+    A frame's successor rows are the digits of a mixed-radix number, state
+    0's the lowest: digit x indexes x's table of rows, one per subset of
+    its candidate edges, and the frames run through the numbers in order.
+    With ``serial``, each table leaves out the empty row, so the serial
+    frames are built directly, in the same order; a record is still the
+    frame's place counted before the filter, the sum of its digits' place
+    values.  A chunk covers whole runs of the low digits whose product
+    fits in ``width``, so a low digit's row is a tile of its table with
+    each row repeated, and a high digit, which changes at most a few times
+    in a chunk, is one repeat.
+    """
+    tables, places, shift = [], [], 0
+    for x in range(k):
+        targets = [y for y in range(k) if not strict or (ua >> x & 1) != (ua >> y & 1)]
+        table = [0]  # bit i of a row's index is the edge to targets[i]
+        for y in targets:
+            table += [row | 1 << y for row in table]
+        skip = int(serial)  # the empty row, table[0]
+        tables.append(np.array(table[skip:], dtype=_LANE))
+        places.append(np.arange(skip, len(table), dtype=np.int64) << shift)
+        shift += len(targets)
+    radix = [len(table) for table in tables]
+    if not all(radix):
+        return  # a serial block whose states have no candidate edge
+    period = [prod(radix[:x]) for x in range(k)]  # the lanes that one value of a digit spans
+    low = sum(p * r <= width for p, r in zip(period, radix))  # the digits [0, low) ...
+    run = prod(radix[:low])  # ... whose run of lanes fits in a chunk
+    cycles = [np.repeat(tables[x], period[x]) for x in range(low)]  # of a run
+    runs = prod(radix[low:])
+    for start in range(0, runs, width // run):
+        h = np.arange(start, min(start + width // run, runs))  # the chunk's runs
+        n = len(h) * run
+        rows = []
+        if serial:  # the place values of the digits are added in below
+            record = np.full(n, offset, dtype=np.int64)
+        else:  # they count the lanes
+            record = np.arange(offset + start * run, offset + start * run + n, dtype=np.int64)
+        for x in range(k):
+            if x < low:  # whole cycles of the table
+                rows.append(np.tile(cycles[x], n // len(cycles[x])))
+                view, place = record.reshape(-1, radix[x], period[x]), places[x]
+            else:  # one value per run
+                digit = h // (period[x] // run) % radix[x]
+                rows.append(np.repeat(tables[x][digit], run))
+                view, place = record.reshape(-1, run), places[x][digit]
+            if serial:
+                view += place[:, None]
+        yield _Lanes(record, 0, pg.Frame(k, ua, (1 << k) - 1 - ua, rows, {}, heart,
+                                         pg.complement(k)))
 
 
 def _relation_lanes(max_states: int, strict: bool, serial: bool, heart: str,
@@ -319,7 +341,8 @@ def _rebuild_hyperset(rec) -> hs.HypersetModel:
 def enumerate_kripke(max_states: int, *, strict: bool = True,
                      serial: bool = False) -> Iterator[kr.KripkeModel]:
     """All belief frames with up to ``max_states`` states (1 to 5), rebuilt
-    from ``_relation_lanes``: by size, then Ua mask, then relation id.
+    from ``_relation_lanes``: by size, then Ua mask, then successor rows,
+    state 0's changing fastest.
 
     Every type-space assignment and every relation (cross-type edges only
     in strict mode); ``serial`` keeps only the frames in which every state
@@ -534,7 +557,7 @@ _SWEEPS = {
                                   judge=_judge_holes,
                                   claim="every model has one of the seven holes"),
     "theorem22": _Sweep(
-        program=lambda: pg.compile_program(hs.bounded_formula_family(), "nwf", atoms=("p",)),
+        program=hs.theorem22_program,
         blocks=lambda c, ops: _unweighted(_membership_lanes(c.max_size, False, True, ops)),
         judge=_judge_theorem22,
         totals=("models", "holds", "degenerate", "states_checked", "violations"),
@@ -546,8 +569,7 @@ _SWEEPS = {
         head=lambda c: [f"formula family: {len(hs.bounded_formula_family())} formulas, "
                         "modal depth <= 2"]),
     "theorem23": _Sweep(
-        program=lambda: pg.compile_program([f for _, f in hs.TRUE_ASSUMPTIONS], "nwf",
-                                           atoms=()),
+        program=hs.theorem23_program,
         blocks=lambda c, ops: _unweighted(_membership_lanes(c.max_size, True, False, ops)),
         judge=lambda lanes, ops, slots, totals: _judge_states(
             lanes, ops, slots, totals, hs.theorem23_fault, lambda d, w: (w, d)),

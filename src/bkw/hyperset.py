@@ -242,6 +242,13 @@ def bounded_formula_family() -> tuple[fm.Formula, ...]:
     return tuple(family)
 
 
+@cache
+def theorem22_program() -> tuple[tuple, tuple[int, ...]]:
+    """The bounded formula family, compiled once, over the atom p."""
+    ops, slots = pg.compile_program(bounded_formula_family(), "nwf", atoms=("p",))
+    return tuple(ops), tuple(slots)
+
+
 @dataclass(frozen=True)
 class TheoremViolation:
     state: str
@@ -277,7 +284,7 @@ def check_theorem_2_2(m: HypersetModel) -> list[TheoremViolation]:
                          "disjoint type spaces")
     formulas = bounded_formula_family()
     names, frame = to_frame(m)
-    ops, slots = pg.compile_program(formulas, "nwf")
+    ops, slots = theorem22_program()
     vals = pg.run(ops, frame)
     ure = pg.masker(names)(m.urelements)
     violations = []
@@ -309,10 +316,17 @@ def theorem23_fault(frame: pg.Frame, w: int, assumed):
             & (frame.ua >> w & frame.ub >> w & 1 == 0))
 
 
+@cache
+def theorem23_program() -> tuple[tuple, tuple[int, ...]]:
+    """The assumption of true in both directions, compiled once."""
+    ops, slots = pg.compile_program([f for _, f in TRUE_ASSUMPTIONS], "nwf", atoms=())
+    return tuple(ops), tuple(slots)
+
+
 def check_theorem_2_3(m: HypersetModel) -> list[TheoremViolation]:
     """Quine states with a true assumption must sit in both type spaces."""
     names, frame = to_frame(m)
-    ops, slots = pg.compile_program([f for _, f in TRUE_ASSUMPTIONS], "nwf")
+    ops, slots = theorem23_program()
     vals = pg.run(ops, frame)
     return [TheoremViolation(state=name, formula=f"H{direction} true",
                              detail="true assumption outside Ua & Ub")

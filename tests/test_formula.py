@@ -142,7 +142,6 @@ def test_roundtrip_random_asts():
 
 
 def test_deep_nesting_parses():
-    # compared through to_text: dataclass equality recurses
     deep = "!" * 3000 + "p"
     assert fm.to_text(fm.parse(deep)) == deep
     assert fm.parse("(" * 3000 + "p" + ")" * 3000) == fm.Atom("p")
@@ -151,6 +150,23 @@ def test_deep_nesting_parses():
         for _ in range(levels):
             text = f"!(p & {text})"
         assert fm.to_text(fm.parse(text)) == text
+
+
+def test_deep_formulas_compare_hash_and_print():
+    # ==, hash() and repr() loop like the parser: 3000 levels of ! and of
+    # each modality, whose direction or agent is a field beside the body
+    f, g = fm.parse("!" * 3000 + "p"), fm.parse("!" * 3000 + "p")
+    assert f is not g and f == g and hash(f) == hash(g)
+    assert f != fm.parse("!" * 3000 + "q") and f != fm.parse("!" * 2999 + "p")
+    assert repr(f) == "Not(body=" * 3000 + "Atom(name='p')" + ")" * 3000
+    assert len({f, g, fm.parse("!" * 2999 + "p")}) == 2
+    for token, other, name, field in (("[ab] ", "[ba] ", "Box", "direction='ab'"),
+                                      ("Hba ", "Hab ", "Heart", "direction='ba'"),
+                                      ("Xb ", "Xa ", "TAsm", "agent='b'")):
+        deep, same = fm.parse(token * 3000 + "p"), fm.parse(token * 3000 + "p")
+        assert deep == same and hash(deep) == hash(same)
+        assert deep != fm.parse(token * 2999 + other + "p")
+        assert repr(deep) == f"{name}({field}, body=" * 3000 + "Atom(name='p')" + ")" * 3000
 
 
 def test_deep_mixed_round_trip():

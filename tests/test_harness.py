@@ -575,30 +575,58 @@ def test_relation_lanes_match_per_edge_reference(strict, serial):
                 assert np.array_equal(np.concatenate([b.frame.rows[x] for b in block]), row)
 
 
-def test_relation_lanes_at_five_states_use_25_bit_ids():
-    # non-strict 5-state frames have 25 candidate edges: check the sweep's
-    # first 5-state chunk, and the rows of its last chunk
+@pytest.mark.parametrize("serial", [False, True])
+def test_relation_lanes_at_five_states_match_per_edge_reference(serial):
+    # non-strict 5-state frames have 25 candidate edges, and their chunks
+    # can start inside state 3's digit.  Checked: the first chunk of the
+    # first 5-state block, and in the last block (Ua holds all five
+    # states) the first chunk that starts inside that digit and the last
+    # chunk; the last block's chunks run to its end.
     ops, _ = kr.hole_program("kripke")
     width = hn._lane_width(ops, 5)
-    offset = sum(1 << k + k * k for k in range(1, 5))  # the frames of 1-4 states
-    first = next(lanes for lanes in hn._relation_lanes(5, False, False, "frame", ops)
-                 if lanes.frame.k == 5)
-    assert first.frame.ua == 0 and len(first.record) == width
-    assert np.array_equal(first.record, offset + np.arange(width))
-    edges = _candidate_edges(5, 0, False)
-    assert len(edges) == 25
-    for got, want in zip(first.frame.rows,
-                         _rows_by_edge(5, edges, np.arange(width, dtype=np.int64))):
-        assert got.dtype == np.uint8 and np.array_equal(got, want)
-    # the last chunk: Ua holds all five states, the top ids of its block
     total = 1 << 25
-    ids = np.arange((total - 1) // width * width, total, dtype=np.int64)
-    fields = hn._row_fields(5, 0b11111, False)
-    expected = _rows_by_edge(5, _candidate_edges(5, 0b11111, False), ids)
-    for (shift, mask, table), want in zip(fields, expected, strict=True):
-        got = table[ids >> shift & mask]
-        assert got.dtype == np.uint8 and np.array_equal(got, want)
-        assert got[-1] == 0b11111
+    offset = sum(1 << k + k * k for k in range(1, 5))  # the frames of 1-4 states
+    blocks = [block for block in hn._relation_blocks(5, False, serial, "frame", ops)
+              if block.cls[0] == 5]
+    assert [block.first for block in blocks] == [offset + ua * total for ua in range(32)]
+
+    def check(lanes, first, stop):
+        # the chunk holds the frames, serial ones only when ``serial``,
+        # whose relation ids (records counted before the filter, less the
+        # block's first) run from ``first`` up to ``stop``
+        ids = np.arange(first, stop, dtype=np.int64)
+        rows = _rows_by_edge(5, _candidate_edges(5, lanes.frame.ua, False), ids)
+        keep = np.logical_and.reduce(rows) if serial else np.ones(len(ids), bool)
+        assert 0 < len(lanes.record) <= width
+        assert np.array_equal(lanes.record, blocks[0].first + lanes.frame.ua * total + ids[keep])
+        for got, want in zip(lanes.frame.rows, rows, strict=True):
+            assert got.dtype == np.uint8 and np.array_equal(got, want[keep])
+
+    first = next(iter(blocks[0].chunks))
+    assert first.frame.ua == 0
+    check(first, 0, int(first.record[-1]) - offset + 1)
+    start, inside = 0, None
+    for lanes in blocks[-1].chunks:
+        assert lanes.frame.ua == 0b11111
+        stop = int(lanes.record[-1]) - blocks[-1].first + 1
+        if inside is None and start % 32**4:  # state 3's digit is not 0
+            inside = lanes, start, stop
+        start = stop
+    assert start == total
+    check(*inside)
+    check(lanes, int(lanes.record[0]) - blocks[-1].first, total)
+    assert lanes.frame.rows[0][-1] == 0b11111
+
+
+@pytest.mark.parametrize("strict", [True, False])
+@pytest.mark.parametrize("serial", [True, False])
+def test_relation_chunks_fit_the_lane_width(monkeypatch, strict, serial):
+    # whole blocks (no ops), chunks of a few runs of the low three digits
+    # (1000 ops), and of four runs of the low two (4 KB for the masks)
+    for lane_bytes, ops in ((1 << 24, ()), (1 << 24, [()] * 1000), (4096, ())):
+        monkeypatch.setattr(hn, "_LANE_BYTES", lane_bytes)
+        for lanes in hn._relation_lanes(4, strict, serial, "frame", ops):
+            assert 0 < len(lanes.record) <= hn._lane_width(ops, lanes.frame.k)
 
 
 def _block_totals(target, max_size, strict, heart, serial):

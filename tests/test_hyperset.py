@@ -3,7 +3,9 @@ import random
 import pytest
 
 from bkw import formula as fm
+from bkw import harness as hn
 from bkw import hyperset as hs
+from bkw import program as pg
 from bkw.harness import (fixture_ninestate, fixture_prop24, fixture_prop25,
                          fixture_quine_pair, fixture_singleton_quine)
 from conftest import nwf_truth, random_hyperset, random_relational_formula
@@ -198,6 +200,18 @@ def test_theorem_2_3():
     assert hs.check_theorem_2_3(lonely) == []
     no_quines = fixture_prop25()
     assert hs.check_theorem_2_3(no_quines) == []
+
+
+def test_theorem_programs_are_compiled_once():
+    # the checks and the sweeps share one compile of each theorem's
+    # formulas, whose ops do not depend on the atoms declared
+    for program, formulas in ((hs.theorem22_program, hs.bounded_formula_family()),
+                              (hs.theorem23_program, [f for _, f in hs.TRUE_ASSUMPTIONS])):
+        assert program() is program()
+        ops, slots = pg.compile_program(formulas, "nwf")
+        assert program() == (tuple(ops), tuple(slots))
+    assert hn._SWEEPS["theorem22"].program is hs.theorem22_program
+    assert hn._SWEEPS["theorem23"].program is hs.theorem23_program
 
 
 def test_validity_lists_on_urelement_pair():
