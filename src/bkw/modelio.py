@@ -103,13 +103,13 @@ class _Declarations:
 
     def __init__(self, lines: list[tuple[int, str]]):
         self.decls: dict[str, tuple[int, str]] = {}
-        self.flags: set[str] = set()
+        self.flags: dict[str, int] = {}
         self.val: dict[str, tuple[int, str]] = {}
         for number, line in lines:
             if ":" not in line:
                 if line in self.flags:
                     raise ModelFormatError(f"duplicate flag {line!r}", number)
-                self.flags.add(line)
+                self.flags[line] = number
                 continue
             key, value = _split_decl(line, number)
             if key.startswith("val "):
@@ -163,10 +163,9 @@ def _load_kripke(decls: _Declarations) -> KripkeModel:
     ua = decls.take("Ua", required=True)
     ub = decls.take("Ub", required=True)
     rel = decls.take("P")
-    strict = "non-strict" not in decls.flags
-    decls.flags.discard("non-strict")
-    for flag in decls.flags:
-        raise ModelFormatError(f"unknown flag {flag!r}", 0)
+    strict = decls.flags.pop("non-strict", None) is None
+    for flag, flag_number in decls.flags.items():
+        raise ModelFormatError(f"unknown flag {flag!r}", flag_number)
     decls.finish("kripke")
     return KripkeModel(
         states=_idents(states, number),
@@ -184,10 +183,9 @@ def _load_nwf(decls: _Declarations) -> HypersetModel:
     ub = decls.take("Ub", required=True)
     mem = decls.take("mem")
     ure = decls.take("urelements")
-    allow_overlap = "allow-overlap" in decls.flags
-    decls.flags.discard("allow-overlap")
-    for flag in decls.flags:
-        raise ModelFormatError(f"unknown flag {flag!r}", 0)
+    allow_overlap = decls.flags.pop("allow-overlap", None) is not None
+    for flag, flag_number in decls.flags.items():
+        raise ModelFormatError(f"unknown flag {flag!r}", flag_number)
     decls.finish("nwf")
     return HypersetModel(
         nodes=_idents(states, number),
@@ -207,8 +205,8 @@ def _load_paratopo(decls: _Declarations) -> ParaTopoModel:
     closed_b = decls.take("closedB", required=True)
     t_a = decls.take("tA")
     t_b = decls.take("tB")
-    for flag in decls.flags:
-        raise ModelFormatError(f"unknown flag {flag!r}", 0)
+    for flag, flag_number in decls.flags.items():
+        raise ModelFormatError(f"unknown flag {flag!r}", flag_number)
     decls.finish("paratopo")
     tau_a = ClosedTopology.make(_idents(a, number_a), _brace_sets(closed_a[1], closed_a[0]))
     tau_b = ClosedTopology.make(_idents(b, number_b), _brace_sets(closed_b[1], closed_b[0]))

@@ -135,6 +135,17 @@ def test_image_source_given_twice_is_rejected():
             mio.load_model(text)
 
 
+@pytest.mark.parametrize("head", ("kripke\nstates: x y\nUa: x\nUb: y\nnon-strict\n",
+                                  "nwf\nstates: w v\nUa: w v\nUb: v\nallow-overlap\n",
+                                  "paratopo\nA: a\nB: b\nclosedA: {} {a}\nclosedB: {} {b}\n"),
+                         ids=("kripke", "nwf", "paratopo"))
+def test_unknown_flag_names_the_first_in_file_order_at_its_line(head):
+    # lines 6-8: the first unknown flag in the file, at its own line, not
+    # whichever one a set happened to yield first
+    with pytest.raises(mio.ModelFormatError, match=r"^line 6: unknown flag 'foo'$"):
+        mio.load_model(head + "foo\nbar\nbaz\n")
+
+
 @seed(9)
 @settings(max_examples=60, database=None, deadline=None)
 @given(st.randoms(use_true_random=False))
