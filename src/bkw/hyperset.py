@@ -43,10 +43,10 @@ class HypersetModel:
         self._validate()
 
     def _validate(self) -> None:
-        for w, v in self.mem:
+        for w, v in sorted(self.mem):  # the first bad pair, whatever the hash seed
             if w not in self.nodes or v not in self.nodes:
                 raise ValueError(f"membership pair ({w}, {v}) uses unknown nodes")
-        for u in self.urelements:
+        for u in sorted(self.urelements):
             if u not in self.nodes:
                 raise ValueError(f"unknown urelement {u!r}")
             if self._members[u]:

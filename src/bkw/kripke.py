@@ -59,13 +59,13 @@ class KripkeModel:
             raise ValueError(f"type spaces overlap on {sorted(self.ua & self.ub)}")
         if self.ua | self.ub != self.states:
             raise ValueError("type spaces must cover all states")
-        for x, y in self.rel:
+        rel = sorted(self.rel)  # the first bad pair, whatever the hash seed
+        for x, y in rel:
             if x not in self.states or y not in self.states:
                 raise ValueError(f"relation pair ({x}, {y}) uses unknown states")
         if self.strict:
-            for x, y in self.rel:
-                cross = (x in self.ua and y in self.ub) or (x in self.ub and y in self.ua)
-                if not cross:
+            for x, y in rel:
+                if (x in self.ua) == (y in self.ua):  # the types partition the states
                     raise ValueError(f"strict mode forbids same-type edge ({x}, {y})")
         for name, sts in self.val.items():
             if not sts <= self.states:

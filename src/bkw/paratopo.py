@@ -41,10 +41,10 @@ class ParaTopoModel:
         for side, t in (("A", self.tau_a), ("B", self.tau_b)):
             for problem in tp.validate(t)[:1]:
                 raise ValueError(f"the {side} family is not a topology: {problem}")
-        for x, y in self.t_a:
+        for x, y in sorted(self.t_a):  # the first bad pair, whatever the hash seed
             if x not in self.a or y not in self.b:
                 raise ValueError(f"tA pair ({x}, {y}) is outside A x B")
-        for y, x in self.t_b:
+        for y, x in sorted(self.t_b):
             if y not in self.b or x not in self.a:
                 raise ValueError(f"tB pair ({y}, {x}) is outside B x A")
         for x in sorted(self.a):

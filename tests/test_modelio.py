@@ -1,4 +1,9 @@
+import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, seed, settings, strategies as st
@@ -144,6 +149,39 @@ def test_unknown_flag_names_the_first_in_file_order_at_its_line(head):
     # whichever one a set happened to yield first
     with pytest.raises(mio.ModelFormatError, match=r"^line 6: unknown flag 'foo'$"):
         mio.load_model(head + "foo\nbar\nbaz\n")
+
+
+# files with two faults of one kind that only the model constructor sees,
+# and the message naming the first fault in sorted order
+_SET_ORDER_FAULTS = (
+    ("kripke\nstates: x y\nUa: x\nUb: y\nP: y->u x->w x->v\n",
+     "line 1: relation pair (x, v) uses unknown states"),
+    ("kripke\nstates: x y z\nUa: x z\nUb: y\nP: z->x x->z\n",
+     "line 1: strict mode forbids same-type edge (x, z)"),
+    ("nwf\nstates: w v\nmem: w->u v->t\nUa: w\nUb: v\n",
+     "line 1: membership pair (v, t) uses unknown nodes"),
+    ("nwf\nstates: w v\nurelements: w b a\nUa: w\nUb: v\n",
+     "line 1: unknown urelement 'a'"),
+    ("paratopo\nA: a\nB: b\nclosedA: {} {a}\nclosedB: {} {b}\ntA: a->{d c}\n",
+     "line 1: tA pair (a, c) is outside A x B"),
+    ("paratopo\nA: a\nB: b\nclosedA: {} {a}\nclosedB: {} {b}\ntB: b->{d c}\n",
+     "line 1: tB pair (b, c) is outside B x A"),
+)
+
+
+def test_constructor_faults_are_named_whatever_the_hash_seed():
+    script = ("import json, sys\nfrom bkw import modelio\nout = []\n"
+              "for text in json.loads(sys.argv[1]):\n"
+              "    try:\n        modelio.load_model(text)\n"
+              "    except modelio.ModelFormatError as exc:\n        out.append(str(exc))\n"
+              "print(json.dumps(out))\n")
+    texts = json.dumps([text for text, _ in _SET_ORDER_FAULTS])
+    src = str(Path(mio.__file__).resolve().parents[1])
+    for hash_seed in range(6):
+        env = dict(os.environ, PYTHONHASHSEED=str(hash_seed), PYTHONPATH=src)
+        out = subprocess.run([sys.executable, "-c", script, texts], env=env,
+                             capture_output=True, text=True, check=True).stdout
+        assert json.loads(out) == [message for _, message in _SET_ORDER_FAULTS], hash_seed
 
 
 @seed(9)
