@@ -1,10 +1,14 @@
 """Line-based model files for the three model kinds.
 
 A file starts with a header line (``kripke``, ``nwf`` or ``paratopo``),
-followed by ``key: values`` declarations.  ``#`` starts a comment,
-identifiers are whitespace-separated, arrows write pairs (``x->y``),
-braces write sets (``{x y}``).  Duplicate declarations, and a source
-named twice in an image map (``tA``, ``tB``), are errors.
+followed by ``key: values`` declarations, ``val atom: states`` valuations
+and one-word flags; ``_SCHEMA`` lists each kind's required and optional
+declarations and its flags.  ``#`` starts a comment, identifiers are
+whitespace-separated, arrows write pairs (``x->y``), braces write sets
+(``{x y}``).  Repeats (and a source named twice in ``tA`` or ``tB``),
+missing declarations, unknown flags and unknown declarations are errors.
+A format error names its line, a flag's included (a missing declaration
+is ``line 0``); a fault found by the model constructor names the header.
 """
 
 from __future__ import annotations
@@ -33,13 +37,6 @@ def _logical_lines(text: str) -> list[tuple[int, str]]:
         if body:
             lines.append((number, body))
     return lines
-
-
-def _split_decl(line: str, number: int) -> tuple[str, str]:
-    if ":" not in line:
-        raise ModelFormatError(f"expected 'key: values', got {line!r}", number)
-    key, _, value = line.partition(":")
-    return key.strip(), value.strip()
 
 
 def _idents(value: str, number: int) -> list[str]:
@@ -93,48 +90,55 @@ def _image_map(value: str, number: int) -> list[tuple[str, frozenset]]:
     return entries
 
 
-def _check_atom(name: str, number: int) -> None:
-    if name in fm.RESERVED_WORDS:
-        raise ModelFormatError(f"atom name {name!r} is reserved", number)
+# header -> (required declarations, optional declarations, flags)
+_SCHEMA = {
+    "kripke": (("states", "Ua", "Ub"), ("P",), ("non-strict",)),
+    "nwf": (("states", "Ua", "Ub"), ("mem", "urelements"), ("allow-overlap",)),
+    "paratopo": (("A", "B", "closedA", "closedB"), ("tA", "tB"), ()),
+}
 
 
-class _Declarations:
-    """Key->value store that rejects duplicates."""
-
-    def __init__(self, lines: list[tuple[int, str]]):
-        self.decls: dict[str, tuple[int, str]] = {}
-        self.flags: dict[str, int] = {}
-        self.val: dict[str, tuple[int, str]] = {}
-        for number, line in lines:
-            if ":" not in line:
-                if line in self.flags:
-                    raise ModelFormatError(f"duplicate flag {line!r}", number)
-                self.flags[line] = number
-                continue
-            key, value = _split_decl(line, number)
-            if key.startswith("val "):
-                atom = key[4:].strip()
-                if not _IDENT.match(atom):
-                    raise ModelFormatError(f"bad atom name {atom!r}", number)
-                _check_atom(atom, number)
-                if atom in self.val:
-                    raise ModelFormatError(f"duplicate valuation for {atom!r}", number)
-                self.val[atom] = (number, value)
-            else:
-                if key in self.decls:
-                    raise ModelFormatError(f"duplicate declaration {key!r}", number)
-                self.decls[key] = (number, value)
-
-    def take(self, key: str, required: bool = False) -> tuple[int, str] | None:
-        if key not in self.decls:
-            if required:
-                raise ModelFormatError(f"missing declaration {key!r}", 0)
-            return None
-        return self.decls.pop(key)
-
-    def finish(self, header: str) -> None:
-        for key, (number, _) in self.decls.items():
+def _read(header: str, lines: list[tuple[int, str]]):
+    """Check the declarations against the header's schema in one scan and
+    return ``(field, flags)``: ``field(key, parse)`` parses a declaration,
+    an absent one as empty, and ``field("val")`` the valuations by atom."""
+    required, optional, known_flags = _SCHEMA[header]
+    decls, flags, val = {}, {}, {}  # key or atom -> (value, line); flag -> line
+    for number, line in lines:
+        key, colon, value = line.partition(":")
+        key, value = key.strip(), value.strip()
+        if not colon:
+            if line in flags:
+                raise ModelFormatError(f"duplicate flag {line!r}", number)
+            flags[line] = number
+        elif key.startswith("val "):
+            atom = key[4:].strip()
+            if not _IDENT.match(atom):
+                raise ModelFormatError(f"bad atom name {atom!r}", number)
+            if atom in fm.RESERVED_WORDS:
+                raise ModelFormatError(f"atom name {atom!r} is reserved", number)
+            if atom in val:
+                raise ModelFormatError(f"duplicate valuation for {atom!r}", number)
+            val[atom] = (value, number)
+        elif key in decls:
+            raise ModelFormatError(f"duplicate declaration {key!r}", number)
+        else:
+            decls[key] = (value, number)
+    for key in required:
+        if key not in decls:
+            raise ModelFormatError(f"missing declaration {key!r}", 0)
+    for flag, number in flags.items():
+        if flag not in known_flags:
+            raise ModelFormatError(f"unknown flag {flag!r}", number)
+    for key, (_, number) in decls.items():
+        if key not in required + optional:
             raise ModelFormatError(f"unknown declaration {key!r} in a {header} file", number)
+
+    def field(key: str, parse=_idents):
+        if key == "val":
+            return {atom: _idents(*val[atom]) for atom in sorted(val)}
+        return parse(*decls.get(key, ("", 0)))
+    return field, flags
 
 
 def load_model(text: str) -> KripkeModel | HypersetModel | ParaTopoModel:
@@ -145,78 +149,35 @@ def load_model(text: str) -> KripkeModel | HypersetModel | ParaTopoModel:
     loader = {"kripke": _load_kripke, "nwf": _load_nwf, "paratopo": _load_paratopo}.get(header)
     if loader is None:
         raise ModelFormatError(f"unknown model header {header!r}", number)
+    field, flags = _read(header, lines[1:])
     try:
-        return loader(_Declarations(lines[1:]))
+        return loader(field, flags)
+    except ModelFormatError:
+        raise
     except ValueError as exc:
-        if isinstance(exc, ModelFormatError):
-            raise
         raise ModelFormatError(str(exc), number) from exc
 
 
-def _valuation(decls: _Declarations) -> dict[str, list[str]]:
-    return {atom: _idents(value, number)
-            for atom, (number, value) in sorted(decls.val.items())}
+# the loaders parse in argument order, valuations last: that order picks
+# the fault reported for a file with several
+def _load_kripke(field, flags) -> KripkeModel:
+    return KripkeModel(states=field("states"), rel=field("P", _pairs), ua=field("Ua"),
+                       ub=field("Ub"), val=field("val"), strict="non-strict" not in flags)
 
 
-def _load_kripke(decls: _Declarations) -> KripkeModel:
-    number, states = decls.take("states", required=True)
-    ua = decls.take("Ua", required=True)
-    ub = decls.take("Ub", required=True)
-    rel = decls.take("P")
-    strict = decls.flags.pop("non-strict", None) is None
-    for flag, flag_number in decls.flags.items():
-        raise ModelFormatError(f"unknown flag {flag!r}", flag_number)
-    decls.finish("kripke")
-    return KripkeModel(
-        states=_idents(states, number),
-        rel=_pairs(rel[1], rel[0]) if rel else [],
-        ua=_idents(ua[1], ua[0]),
-        ub=_idents(ub[1], ub[0]),
-        val=_valuation(decls),
-        strict=strict,
-    )
+def _load_nwf(field, flags) -> HypersetModel:
+    return HypersetModel(nodes=field("states"), mem=field("mem", _pairs), ua=field("Ua"),
+                         ub=field("Ub"), urelements=field("urelements"), val=field("val"),
+                         disjoint_types="allow-overlap" not in flags)
 
 
-def _load_nwf(decls: _Declarations) -> HypersetModel:
-    number, states = decls.take("states", required=True)
-    ua = decls.take("Ua", required=True)
-    ub = decls.take("Ub", required=True)
-    mem = decls.take("mem")
-    ure = decls.take("urelements")
-    allow_overlap = decls.flags.pop("allow-overlap", None) is not None
-    for flag, flag_number in decls.flags.items():
-        raise ModelFormatError(f"unknown flag {flag!r}", flag_number)
-    decls.finish("nwf")
-    return HypersetModel(
-        nodes=_idents(states, number),
-        mem=_pairs(mem[1], mem[0]) if mem else [],
-        ua=_idents(ua[1], ua[0]),
-        ub=_idents(ub[1], ub[0]),
-        urelements=_idents(ure[1], ure[0]) if ure else [],
-        val=_valuation(decls),
-        disjoint_types=not allow_overlap,
-    )
-
-
-def _load_paratopo(decls: _Declarations) -> ParaTopoModel:
-    number_a, a = decls.take("A", required=True)
-    number_b, b = decls.take("B", required=True)
-    closed_a = decls.take("closedA", required=True)
-    closed_b = decls.take("closedB", required=True)
-    t_a = decls.take("tA")
-    t_b = decls.take("tB")
-    for flag, flag_number in decls.flags.items():
-        raise ModelFormatError(f"unknown flag {flag!r}", flag_number)
-    decls.finish("paratopo")
-    tau_a = ClosedTopology.make(_idents(a, number_a), _brace_sets(closed_a[1], closed_a[0]))
-    tau_b = ClosedTopology.make(_idents(b, number_b), _brace_sets(closed_b[1], closed_b[0]))
-    pairs_a = []
-    for x, image in (_image_map(t_a[1], t_a[0]) if t_a else []):
-        pairs_a.extend((x, y) for y in sorted(image))
-    pairs_b = []
-    for y, image in (_image_map(t_b[1], t_b[0]) if t_b else []):
-        pairs_b.extend((y, x) for x in sorted(image))
-    return ParaTopoModel(tau_a, tau_b, pairs_a, pairs_b, val=_valuation(decls))
+def _load_paratopo(field, flags) -> ParaTopoModel:
+    return ParaTopoModel(
+        ClosedTopology.make(field("A"), field("closedA", _brace_sets)),
+        ClosedTopology.make(field("B"), field("closedB", _brace_sets)),
+        [(x, y) for x, image in field("tA", _image_map) for y in sorted(image)],
+        [(y, x) for y, image in field("tB", _image_map) for x in sorted(image)],
+        val=field("val"))
 
 
 def _dump_val(val: dict) -> list[str]:
