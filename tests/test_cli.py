@@ -4,6 +4,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import bkw
 from bkw import cli
 from bkw.harness import fixture_bk_topo, fixture_ninestate, two_cycle
@@ -188,6 +190,8 @@ PUBLIC_NAMES = [
 COLD_START = """
 import contextlib, io, json, sys
 loaded = lambda: [m for m in ("numpy", "bkw.harness") if m in sys.modules]
+import pytest
+
 import bkw
 seen = {"import bkw": loaded()}
 from bkw import cli
@@ -219,3 +223,47 @@ def test_cold_start_loads_no_numpy(tmp_path):
     for command in ("parse", "check", "holes", "lawvere"):
         assert seen.pop(command) == [0, []], command
     assert seen == {"same": True, "all": PUBLIC_NAMES}
+
+
+@pytest.mark.parametrize("argv, message", (
+    (["check", "KRIPKE", "(p&"], "expected a formula, found 'end of input' (at position 3)"),
+    (["holes", "PARATOPO"], "hole scanning applies to kripke and nwf models"),
+    (["lawvere", "--sizeA", "4", "--sizeY", "2"], "search is guarded to carrier sizes 1..3"),
+    (["campaign", "adjunction", "--max-states", "5"], "carrier bound must be between 0 and 4"),
+    (["campaign", "lawvere_scan", "--max-states", "4"],
+     "carrier bound must be between 1 and 3"),
+), ids=("check-formula", "holes-paratopo", "lawvere-size", "adjunction-bound",
+        "lawvere_scan-bound"))
+def test_input_errors_exit_2_with_one_line(argv, message, tmp_path, capsys):
+    files = {"KRIPKE": tmp_path / "kripke.bk", "PARATOPO": tmp_path / "paratopo.bk"}
+    files["KRIPKE"].write_text(dump_kripke(two_cycle()))
+    files["PARATOPO"].write_text(dump_paratopo(fixture_bk_topo()))
+    code, out, err = run([str(files.get(arg, arg)) for arg in argv], capsys)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+TOPO_TEXT = ("paratopo\nA: a1 a2\nB: b1 b2\nclosedA: {} {a1} {a1 a2}\n"
+             "closedB: {} {b1} {b1 b2}\ntA: a1->{b1} a2->{b1 b2}\ntB: b1->{a1} b2->{a1 a2}\n")
+
+
+@pytest.mark.parametrize("text, message", (
+    ("nwf\nstates: w v\nurelements: u\nUa: w\nUb: v\n", "line 1: unknown urelement 'u'"),
+    ("kripke\nstates: x y\nUa: x\nUb: y\nval p: z\n",
+     "line 1: valuation of 'p' uses unknown states"),
+    ("nwf\nstates: w v\nUa: w\nUb: v\nval p: z\n", "line 1: valuation of 'p' uses unknown nodes"),
+    (TOPO_TEXT + "val p: z\n", "line 1: valuation of 'p' uses unknown states"),
+    (TOPO_TEXT.replace("b1->{a1}", "b1->{c}"), "line 1: tB pair (b1, c) is outside B x A"),
+    (TOPO_TEXT.replace("b1->{a1}", "b1->{a2}"),
+     "line 1: image tB(b1) = ['a2'] is not closed in the A topology"),
+    (TOPO_TEXT.replace("closedA: {} {a1} {a1 a2}", "closedA: x"),
+     "line 4: expected a brace set, got 'x'"),
+    (TOPO_TEXT.replace("tA: a1", "tA: 1a"), "line 6: bad identifier '1a'"),
+    (TOPO_TEXT.replace("tA: a1->{b1}", "tA: a1->{b1} junk"),
+     "line 6: expected 'x->{...}' entries, got 'junk'"),
+), ids=("urelement", "kripke-val", "nwf-val", "paratopo-val", "tB-pair", "tB-image",
+        "closedA-word", "tA-source", "tA-leftover"))
+def test_model_faults_exit_2_naming_file_and_line(text, message, tmp_path, capsys):
+    path = tmp_path / "model.bk"
+    path.write_text(text)
+    code, out, err = run(["check", str(path), "p"], capsys)
+    assert (code, out, err) == (2, "", f"error: {path}: {message}\n")
