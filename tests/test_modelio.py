@@ -1,6 +1,7 @@
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -149,6 +150,24 @@ def test_unknown_flag_names_the_first_in_file_order_at_its_line(head):
     # whichever one a set happened to yield first
     with pytest.raises(mio.ModelFormatError, match=r"^line 6: unknown flag 'foo'$"):
         mio.load_model(head + "foo\nbar\nbaz\n")
+
+
+@pytest.mark.parametrize("text, message", (
+    ("kripke\nval p: 1x\nUa: 2x\nstates: x\nUb:\nP: x=>x\n",
+     "line 6: expected 'x->y', got 'x=>x'"),  # states, P, Ua, Ub, valuations
+    ("kripke\nval q: 1x\nval p: 2x\nstates: x\nUa: x\nUb:\n",
+     "line 3: bad identifier '2x'"),  # valuations by atom, not by line
+    ("nwf\nurelements: 1u\nUb: 2v\nstates: w\nmem: w=>w\nUa: w\n",
+     "line 5: expected 'x->y', got 'w=>w'"),  # states, mem, Ua, Ub, urelements
+    ("nwf\nurelements: 1u\nUb: 2v\nstates: w\nUa: w\n", "line 3: bad identifier '2v'"),
+    ("paratopo\nB: 1b\nA: a\nclosedA: x\nclosedB: {}\n",
+     "line 4: expected a brace set, got 'x'"),  # A, closedA, B, closedB, tA, tB
+    ("paratopo\nA: a\nB: b\nclosedA: {} {a}\nclosedB: {} {b}\ntB: 1b->{}\ntA: 1a->{}\n",
+     "line 7: bad identifier '1a'"),
+), ids=("kripke-P", "kripke-val", "nwf-mem", "nwf-Ub", "paratopo-closedA", "paratopo-tA"))
+def test_first_fault_follows_the_parse_order(text, message):
+    with pytest.raises(mio.ModelFormatError, match=rf"^{re.escape(message)}$"):
+        mio.load_model(text)
 
 
 # files with two faults of one kind that only the model constructor sees,
