@@ -36,7 +36,10 @@ next to their single-model helpers in ``kripke`` and ``hyperset``,
 written over masks, so the same code judges one model and a chunk of
 lanes.  The membership theorems judge each state on ``_stacked`` blocks
 of formula masks; theorem22 first drops the lanes with no urelement and
-no Quine state, which hold and count as degenerate unevaluated.
+no Quine state, which hold and count as degenerate unevaluated.  Its
+program's modalities come in runs of one modality and direction, which
+``program.run`` evaluates in stacks capped, like these blocks, at 1/128
+of _LANE_BYTES.
 
 The co-Heyting law campaigns run on point masks.  They read
 ``topology._hull_tables`` and build no ``ClosedTopology``: one call of

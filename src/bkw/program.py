@@ -8,9 +8,16 @@ lane per candidate model (a sweep: frames have at most 5 states and
 membership graphs at most 4 nodes, so a byte holds a mask).  Both
 support the same ``& | ^ == >>`` operators, so the one loop serves both,
 and its results keep the dtype of the rows.  Within a lane block the
-type masks ``ua``/``ub`` and the constants are plain ints, so the
-per-state skip of states outside the modality's source type is the same
-in both cases.
+type masks ``ua``/``ub`` and the constants are plain ints, so the source
+states of a modality are the same in both cases.
+
+Each modality rule is one helper whose body is one mask or an (m, lanes)
+stack of them, broadcast against the successor rows.  On lanes, ``run``
+evaluates a modal op with the ops of its (code, side) that follow it and
+read only masks from before it, as one stack of at most ``_STACK_BYTES``:
+a sweep's program (theorem 2.2's family) has runs of up to 84 such ops,
+and one broadcast per run replaces a few numpy calls per op and state on
+short lanes.  Python-int frames never stack.
 
 The three semantics differ only in the frame: the successor rows, the
 heart rule of the assumption modality, and the negation, which ``~`` and
@@ -95,6 +102,7 @@ def compile_program(formulas: Iterable[fm.Formula], language: str,
         seen[id(f)] = slot
         return slot
 
+    formulas = list(formulas)  # alive to the end, so no id in ``seen`` is reused
     return ops, [emit(f) for f in formulas]
 
 
@@ -145,40 +153,106 @@ def no_return(rows: Sequence, neg: Callable, src):
     return d
 
 
+#: The byte cap on one stacked run of modal ops, and so on each temporary
+#: of its shape: 1/128 of the harness's chunk budget, as for its
+#: ``_stacked`` formula blocks, so the rows of a wide chunk stay in cache.
+_STACK_BYTES = 1 << 17
+
+# The modality rules.  Each marks the states of ``src`` (the source type)
+# whose successor row passes its test against ``body``, which is one mask or
+# an (m, lanes) stack of them, one row per formula, broadcast against each
+# row; the result has the body's shape, or is 0 when ``src`` is empty.
+
+
+def _box(rows: Sequence, src: int, tgt: int, body, one):
+    """``[ij]``/``Bi``: no successor in ``tgt`` falls outside the body."""
+    miss = tgt & ~body
+    r = 0
+    for w, row in enumerate(rows):
+        if src >> w & 1:
+            r = r | (row & miss == 0) * (one << w)
+    return r
+
+
+def _diamond(rows: Sequence, src: int, tgt: int, body, one):
+    """``<ij>``/``Ei``: some successor in ``tgt`` is in the body."""
+    hit = tgt & body
+    r = 0
+    for w, row in enumerate(rows):
+        if src >> w & 1:
+            r = r | (row & hit != 0) * (one << w)
+    return r
+
+
+def _frame(rows: Sequence, src: int, tgt: int, body, one):
+    """The heart rule ``frame``: the image ``row & tgt`` is the body."""
+    r = 0
+    for w, row in enumerate(rows):
+        if src >> w & 1:
+            r = r | (row & tgt == body) * (one << w)
+    return r
+
+
+def _local(rows: Sequence, src: int, tgt: int, body, one):
+    """The heart rule ``local``: the image is the body within ``tgt``."""
+    return _frame(rows, src, tgt, body & tgt, one)
+
+
+def _membership(rows: Sequence, src: int, tgt: int, body, one):
+    """The heart rule ``membership``: the body, read on the members and on
+    the state itself, is the image."""
+    r = 0
+    for w, row in enumerate(rows):
+        if src >> w & 1:
+            r = r | (body & (row | 1 << w) == row & tgt) * (one << w)
+    return r
+
+
+#: Per heart rule: the rule of each modal code.
+_RULES = {heart: {BOX: _box, DIA: _diamond, HEART: rule}
+          for heart, rule in (("frame", _frame), ("local", _local), ("membership", _membership))}
+
+
+def _run_end(ops: Sequence[tuple], start: int, height: int) -> int:
+    """The end of the run of modal ops from ``start``: at most ``height``
+    ops of one (code, side) whose bodies all come before the run."""
+    head, end = ops[start][:2], start + 1
+    stop = min(len(ops), start + height)
+    while end < stop and ops[end][:2] == head and ops[end][2] < start:
+        end += 1
+    return end
+
+
 def run(ops: Sequence[tuple], frame: Frame) -> list:
-    """Evaluate compiled ops on a frame; one extension mask per op."""
+    """Evaluate compiled ops on a frame; one extension mask per op.
+
+    On lanes, a modal op and the ops of its (code, side) that follow it
+    and read only masks from before it are one run: their bodies are
+    copied into one stack of at most _STACK_BYTES, the run is evaluated in
+    one broadcast, and its rows are appended.  Python-int frames never stack.
+    """
     k, ua, ub, rows, atoms, heart = frame[:6]
     full = (1 << k) - 1
     one = _one(rows)
-    states = range(k)
+    rules = _RULES[heart]
+    height = 1 if isinstance(one, int) else max(1, _STACK_BYTES // rows[0].nbytes)
     vals: list = []
     push = vals.append
-    for op in ops:
+    for i, op in enumerate(ops):
+        if i < len(vals):
+            continue  # evaluated with the stacked run it belongs to
         code = op[0]
         if code >= BOX:
             src, tgt = (ua, ub) if op[1] == 0 else (ub, ua)
-            body = vals[op[2]]
-            r = 0
-            if code == BOX:
-                miss = tgt & ~body
-                for w in states:
-                    if src >> w & 1:
-                        r = r | (rows[w] & miss == 0) * (one << w)
-            elif code == DIA:
-                hit = tgt & body
-                for w in states:
-                    if src >> w & 1:
-                        r = r | (rows[w] & hit != 0) * (one << w)
-            elif heart == "membership":
-                for w in states:
-                    if src >> w & 1:
-                        r = r | (body & (rows[w] | 1 << w) == rows[w] & tgt) * (one << w)
-            else:
-                want = body if heart == "frame" else body & tgt
-                for w in states:
-                    if src >> w & 1:
-                        r = r | (rows[w] & tgt == want) * (one << w)
-            push(r)
+            if height == 1 or (end := _run_end(ops, i, height)) == i + 1:
+                push(rules[code](rows, src, tgt, vals[op[2]], one))
+                continue
+            import numpy as np  # lanes only: one-model calls never load numpy
+            stack = np.empty((end - i, len(rows[0])), rows[0].dtype)
+            for j, (_, _, body) in enumerate(ops[i:end]):
+                stack[j] = vals[body]  # also broadcasts the Python-int constants
+            r = rules[code](rows, src, tgt, stack, one)
+            vals.extend(r if src else [r] * (end - i))
         elif code == AND:
             push(vals[op[1]] & vals[op[2]])
         elif code == OR:

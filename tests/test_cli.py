@@ -196,11 +196,13 @@ import bkw
 seen = {"import bkw": loaded()}
 from bkw import cli
 formulas, model = sys.argv[1:]
-for argv in (["parse", formulas], ["check", model, "Hab Ub"], ["holes", model],
-             ["lawvere", "--sizeA", "2", "--sizeY", "2"]):
+for name, argv in (("parse", ["parse", formulas]), ("check", ["check", model, "Hab Ub"]),
+                   ("check run", ["check", model, "[ab] (p & q) & [ab] p"]),
+                   ("holes", ["holes", model]),
+                   ("lawvere", ["lawvere", "--sizeA", "2", "--sizeY", "2"])):
     with contextlib.redirect_stdout(io.StringIO()):
         code = cli.main(argv)
-    seen[argv[0]] = [code, loaded()]
+    seen[name] = [code, loaded()]
 seen["same"] = bkw.run_campaign is bkw.harness.run_campaign
 seen["all"] = sorted(bkw.__all__)
 print(json.dumps(seen))
@@ -220,7 +222,8 @@ def test_cold_start_loads_no_numpy(tmp_path):
                          env=env, capture_output=True, text=True, check=True).stdout
     seen = json.loads(out)
     assert seen.pop("import bkw") == []
-    for command in ("parse", "check", "holes", "lawvere"):
+    # "check run": a formula with a run of two [ab] ops, which ints never stack
+    for command in ("parse", "check", "check run", "holes", "lawvere"):
         assert seen.pop(command) == [0, []], command
     assert seen == {"same": True, "all": PUBLIC_NAMES}
 

@@ -202,6 +202,26 @@ def test_mask_program_matches_reference_evaluator():
     assert count == 412
 
 
+def test_every_stacked_run_matches_the_reference_evaluator():
+    # all 602 formulas, so also the layer-2 runs past the 200 that the test
+    # above checks, on up to 10 seeded lanes of each chunk up to 2 nodes
+    # and one lane of each 3-node chunk, where the 84-op runs split
+    family = hs.bounded_formula_family()
+    ops, slots = hs.theorem22_program()
+    rng = random.Random(67)
+    count = 0
+    for lanes in hn._membership_lanes(3, False, True, ops):
+        n = len(lanes.record)
+        vals = [np.broadcast_to(v, n) for v in pg.run(ops, lanes.frame)]
+        for lane in rng.sample(range(n), min(n, 10 if lanes.frame.k < 3 else 1)):
+            m = hn._rebuild_hyperset(lanes.compact(lane))
+            for f, slot in zip(family, slots, strict=True):
+                for i, name in enumerate(sorted(m.nodes)):
+                    assert bool(vals[slot][lane] >> i & 1) == nwf_truth(m, f, name)
+            count += 1
+    assert count == 2 * 6 + 4 * 10 + 8
+
+
 def test_campaign_state_checks_match_reference_modalities():
     # the theorem 2.2 predicate derives per-state assumption and belief
     # directly from the body mask; both must agree with the oracle
@@ -397,6 +417,35 @@ def test_theorem22_report_does_not_depend_on_chunk_and_block_sizes(monkeypatch, 
     assert max(n for _, n in shapes) <= 997
 
 
+def test_split_stacked_runs_keep_theorem22_and_the_lane_masks(monkeypatch):
+    c = hn.Campaign(target="theorem22", max_size=3)
+    expected = hn.run_campaign(c).text
+    # five rows of a whole 3-node chunk (5832 one-byte lanes), so each
+    # 84-op run splits into 16 stacks of 5 and one of 4
+    monkeypatch.setattr(pg, "_STACK_BYTES", 5 * 5832)
+    assert hn.run_campaign(c).text == expected
+    ops, _ = hs.theorem22_program()
+    rng = random.Random(68)
+    checked = 0
+    for lanes in hn._membership_lanes(3, False, True, ops):
+        if lanes.frame.k < 3:
+            continue
+        n = len(lanes.record)
+        vals = pg.run(ops, lanes.frame)
+        start = 98 if lanes.frame.ua else 182  # a [ab] or [ba] run with source states
+        assert [len(list(rows)) for _, rows in groupby(vals[start:start + 84],
+                                                       key=lambda v: id(v.base))] == [5] * 16 + [4]
+        for lane in rng.sample(range(n), 5):
+            _, frame = hs.to_frame(hn._rebuild_hyperset(lanes.compact(lane)))
+            assert [int(np.broadcast_to(v, n)[lane]) for v in vals] == pg.run(ops, frame)
+            checked += 1
+    assert checked == 8 * 5
+
+
+def test_stack_cap_is_the_formula_block_cap():
+    assert pg._STACK_BYTES == hn._LANE_BYTES // 128
+
+
 def test_first_hits_skips_only_a_chunk_past_full_dumps():
     lanes = next(hn._membership_lanes(2, False, False, []))
     first = int(lanes.record[0])
@@ -526,6 +575,14 @@ def test_sweeps_reject_unenumerated_atoms():
                          val={"q": ["w"]})
     assert hs.nwf_extension(m, fm.parse("q")) == frozenset(["w"])
     assert hs.nwf_extension(m, fm.parse("r")) == frozenset()
+
+
+def test_compile_program_takes_formulas_one_at_a_time():
+    # parsed lazily, a formula can be freed once it is compiled, and the
+    # next one can get its id: that must not make it read as the old op
+    texts = [f"{m} {b}" for m in ("[ab]", "Hab", "<ba>") for b in ("true", "false", "p", "!p")]
+    assert pg.compile_program(map(fm.parse, texts), "kripke") == pg.compile_program(
+        [fm.parse(text) for text in texts], "kripke")
 
 
 def _candidate_edges(k, ua, strict):
@@ -854,6 +911,60 @@ def test_topo_lanes_match_paratopo_evaluate(points):
                 checked += 1
     assert checked == len(family) * sum(
         len(tb.closed) ** na * len(ta.closed) ** nb for ta, tb in pairs)
+
+
+def _lane_frame(frame: pg.Frame, lane: int, neg) -> pg.Frame:
+    """Lane ``lane`` of a lane frame as a one-model frame of Python ints."""
+    at = lambda mask: int(mask[lane]) if isinstance(mask, np.ndarray) else mask
+    return frame._replace(rows=[at(row) for row in frame.rows],
+                          atoms={a: at(v) for a, v in frame.atoms.items()}, neg=neg)
+
+
+@pytest.mark.parametrize("heart", ["frame", "local", "membership", "topo"])
+def test_stacked_runs_of_each_rule_match_the_int_path(heart):
+    # [ab] p then [ab] [ab] p: consecutive ops of one modality, but the
+    # second reads the first, so they must not stack; [ab] (p & q) & [ab] p:
+    # a run of two that stacks; each modality over constant and negated
+    # bodies, one run each.  Ua = {} empties the source of every ab run,
+    # whose ops then all give 0.  Each lane against the int path, which
+    # never stacks.
+    k, full, n = 4, 15, 50
+    rng = np.random.default_rng(69)
+    lane = lambda: rng.integers(0, 1 << k, n, dtype=np.uint8)
+    mods = ["[ab]", "[ba]", "Hab", "Hba", "<ab>", "<ba>"]
+    if heart == "topo":
+        language, heart, neg = "topo", "local", "~"
+        mods = ["Ba", "Bb", "Xa", "Xb", "Ea", "Eb"]
+        table = _closure_table([(0b0001, 0b0011, 0b0100, 0b1100)])[0]
+        lane_neg = tp.MaskLattice(table.__getitem__, full).pneg
+        int_neg = tp.MaskLattice(lambda mask: int(table[mask]), full).pneg
+    else:
+        language, neg = ("nwf" if heart == "membership" else "kripke"), "!"
+        lane_neg = int_neg = pg.complement(k)
+    box = mods[0]
+    bodies = ["true", "false", "Ua", "p", neg + "p"]
+    programs = [[f"{box} p", f"{box} {box} p"], [f"{box} (p & q) & {box} p"],
+                bodies + [f"{m} {b}" for m in mods for b in bodies]]
+    for ua in (0b0011, 0):
+        frame = pg.Frame(k, ua, full ^ ua, [lane() for _ in range(k)],
+                         {"p": lane(), "q": lane()}, heart, lane_neg)
+        (dep, dep_vals), (pair, pair_vals), (const, const_vals) = [
+            (ops, pg.run(ops, frame)) for ops, _ in
+            (pg.compile_program(map(fm.parse, texts), language) for texts in programs)]
+        for ops, vals in ((dep, dep_vals), (pair, pair_vals), (const, const_vals)):
+            for i in range(n):
+                assert [int(np.broadcast_to(v, n)[i]) for v in vals] == pg.run(
+                    ops, _lane_frame(frame, i, int_neg))
+        assert dep[1:] == [(dep[1][0], 0, 0), (dep[1][0], 0, 1)]
+        assert pair[3:5] == [(pair[3][0], 0, 2), (pair[3][0], 0, 0)]
+        runs = [const_vals[start:start + 5] for start in range(5, len(const), 5)]
+        if ua:
+            assert dep_vals[1].base is dep_vals[2].base is None  # rows of no stack
+            assert pair_vals[3].base is pair_vals[4].base is not None
+            assert all(len({id(v.base) for v in run}) == 1 for run in runs)
+        else:
+            assert dep_vals[1:] == [0, 0] and pair_vals[3:5] == [0, 0]
+            assert all(type(v) is int and v == 0 for run in runs[0::2] for v in run)  # ab
 
 
 def test_fixture_registry_all_pass():
