@@ -23,6 +23,10 @@ class FiniteSelfMap:
     rows: tuple[tuple, ...]
 
     def __post_init__(self) -> None:
+        for name, carrier in (("domain", self.domain), ("codomain", self.codomain)):
+            for i, x in enumerate(carrier):
+                if carrier.index(x) < i:
+                    raise ValueError(f"{name} element {x!r} is repeated")
         if len(self.rows) != len(self.domain):
             raise ValueError("one row per domain element required")
         for row in self.rows:
@@ -104,25 +108,40 @@ class SearchResult:
         return self.witness is None
 
 
+def _first_cover(size_a: int, size_y: int) -> tuple[tuple | None, int]:
+    """The first candidate covering every map and the count up to it, or (None, all)."""
+    maps = size_y ** size_a
+    for n, prefix in enumerate(iproduct(range(maps), repeat=size_a - 1)):
+        missing = (1 << maps) - 1
+        for r in prefix:
+            missing &= ~(1 << r)
+        if missing & (missing - 1) == 0:
+            last = max(missing.bit_length() - 1, 0)
+            return prefix + (last,), n * maps + last + 1
+    return None, maps ** size_a
+
+
 def search_wps(size_a: int, size_y: int) -> SearchResult:
     """Enumerate every g on carriers of the given sizes; return the first
     weakly point-surjective instance, or report exhaustion.
 
     A candidate g is a tuple of row indices into the total maps A -> Y in
     lexicographic order, and it is weakly point-surjective when its rows
-    cover all of them.  Only the witness becomes a ``FiniteSelfMap``,
-    confirmed by ``is_weakly_point_surjective``.
+    cover all of them.  The candidates that share their first |A| - 1 rows
+    are decided at once: the last row adds one map, so the group's first
+    cover ends in the one map its prefix misses (row 0 if none), and a
+    prefix that misses two maps has none.  Only the witness becomes a
+    ``FiniteSelfMap``, confirmed by ``is_weakly_point_surjective``.
     """
     if not (1 <= size_a <= 3 and 1 <= size_y <= 3):
         raise ValueError("search is guarded to carrier sizes 1..3")
-    maps = size_y ** size_a
-    for checked, rows in enumerate(iproduct(range(maps), repeat=size_a), start=1):
-        if len(set(rows)) == maps:
-            all_rows = list(iproduct(range(size_y), repeat=size_a))
-            s = FiniteSelfMap(domain=tuple(range(size_a)), codomain=tuple(range(size_y)),
-                              rows=tuple(all_rows[r] for r in rows))
-            if not is_weakly_point_surjective(s).is_wps:
-                raise RuntimeError(f"row indices {rows} cover every map, "
-                                   "but their rows are not weakly point-surjective")
-            return SearchResult(witness=s, candidates_checked=checked)
-    return SearchResult(witness=None, candidates_checked=checked)
+    rows, checked = _first_cover(size_a, size_y)
+    if rows is None:
+        return SearchResult(witness=None, candidates_checked=checked)
+    all_rows = list(iproduct(range(size_y), repeat=size_a))
+    s = FiniteSelfMap(domain=tuple(range(size_a)), codomain=tuple(range(size_y)),
+                      rows=tuple(all_rows[r] for r in rows))
+    if not is_weakly_point_surjective(s).is_wps:
+        raise RuntimeError(f"row indices {rows} cover every map, "
+                           "but their rows are not weakly point-surjective")
+    return SearchResult(witness=s, candidates_checked=checked)

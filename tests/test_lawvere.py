@@ -56,12 +56,10 @@ def test_diagonal_identity_on_every_witness_found():
 
 
 def test_search_exhausts_on_two_valued_codomains():
-    assert lv.search_wps(1, 2).exhausted
-    assert lv.search_wps(2, 2).exhausted
-    assert lv.search_wps(3, 2).exhausted
-    assert lv.search_wps(2, 3).exhausted
-    assert lv.search_wps(2, 2).candidates_checked == 16
-    assert lv.search_wps(3, 2).candidates_checked == 512
+    for size_a, size_y in product((1, 2, 3), (2, 3)):
+        result = lv.search_wps(size_a, size_y)
+        assert result.exhausted
+        assert result.candidates_checked == (size_y ** size_a) ** size_a
 
 
 def _search_by_selfmaps(size_a, size_y):
@@ -83,6 +81,23 @@ def test_search_matches_the_selfmap_loop(size_a, size_y):
     assert (result.witness, result.candidates_checked) == _search_by_selfmaps(size_a, size_y)
 
 
+def _first_cover_by_candidates(size_a, size_y):
+    """The first tuple of row indices that covers every map, tried one
+    candidate at a time, and the candidates tried up to it."""
+    maps = size_y ** size_a
+    checked = 0
+    for rows in product(range(maps), repeat=size_a):
+        checked += 1
+        if len(set(rows)) == maps:
+            return rows, checked
+    return None, checked
+
+
+@pytest.mark.parametrize("size_a, size_y", [(4, 2), (2, 4), (3, 4), (4, 1)])
+def test_prefix_decision_matches_the_candidate_loop_past_the_guard(size_a, size_y):
+    assert lv._first_cover(size_a, size_y) == _first_cover_by_candidates(size_a, size_y)
+
+
 def test_search_guard():
     with pytest.raises(ValueError):
         lv.search_wps(4, 1)
@@ -97,3 +112,15 @@ def test_selfmap_validation():
         lv.FiniteSelfMap(domain=(0,), codomain=(0,), rows=((1,),))
     s = selfmap([[0, 1], [1, 0]], codomain=[0, 1])
     assert s.apply(0, 1) == 1
+
+
+@pytest.mark.parametrize("domain, codomain, message", [
+    ((0, 1), (0, 0), "codomain element 0 is repeated"),
+    ((0, 0), (0, 1), "domain element 0 is repeated"),
+    ((0, 1, 1, 0), (0, 1), "domain element 1 is repeated"),
+    (("x", "y"), ("b", "a", "c", "a", "b"), "codomain element 'a' is repeated"),
+])
+def test_selfmap_rejects_repeated_elements(domain, codomain, message):
+    rows = tuple((codomain[0],) * len(domain) for _ in domain)
+    with pytest.raises(ValueError, match=message):
+        lv.FiniteSelfMap(domain=domain, codomain=codomain, rows=rows)
