@@ -16,7 +16,7 @@ the first fact; quantifying over members only breaks it for urelements.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, partial
 from typing import Iterable, Mapping, Sequence
 
 from . import formula as fm
@@ -130,34 +130,42 @@ def nwf_find_holes(m: HypersetModel) -> kr.HoleReport:
 # Bisimulation and canonical forms
 
 
-def _labels(m: HypersetModel, w: str):
+def _labels(m: HypersetModel, w: str, atoms: bool = True):
+    """A node's label; with ``atoms`` each urelement has its own."""
+    if atoms and w in m.urelements:
+        return ("ure", w)
     return (m.kind(w), w in m.ua, w in m.ub,
             frozenset(name for name, sts in m.val.items() if w in sts))
+
+
+def _blocks(nodes: Sequence, members, label) -> dict:
+    """The coarsest stable partition of ``nodes`` under ``label``, as a
+    block number per node.  Each round numbers its blocks 0, 1, ... by the
+    key (block, set of the members' blocks), so no key nests; a round only
+    splits blocks, so it is stable once the count stops growing."""
+    numbers: dict = {}
+    block = {w: numbers.setdefault(label(w), len(numbers)) for w in nodes}
+    while True:
+        count, numbers = len(numbers), {}
+        block = {w: numbers.setdefault((block[w], frozenset(block[v] for v in members(w))),
+                                       len(numbers))
+                 for w in nodes}
+        if len(numbers) == count:
+            return block
 
 
 def canonicalize(m: HypersetModel) -> tuple[HypersetModel, dict[str, str]]:
     """Quotient by the coarsest label-respecting bisimulation.
 
-    Partition refinement: nodes start grouped by label (each urelement
-    alone in its block), and blocks split until every block's members hit
-    the same set of blocks.  The returned map sends each node to the
-    representative of its block; representatives are the least node names,
-    so the operation is idempotent.
+    One partition refinement with numbered blocks (``_blocks``): nodes
+    start grouped by label, each urelement alone in its block, and blocks
+    split until every block's members hit the same set of blocks.  The
+    returned map sends each node to the representative of its block;
+    representatives are the least node names, so the operation is
+    idempotent.
     """
     nodes = sorted(m.nodes)
-    block: dict[str, object] = {}
-    for w in nodes:
-        # Urelements are atoms: identical labels never merge them.
-        block[w] = ("ure", w) if w in m.urelements else _labels(m, w)
-    while True:
-        fresh = {
-            w: (block[w], frozenset(block[v] for v in m.members(w)))
-            for w in nodes
-        }
-        stable = len(set(fresh.values())) == len(set(block.values()))
-        block = fresh
-        if stable:
-            break
+    block = _blocks(nodes, m.members, partial(_labels, m))
 
     classes: dict[object, list[str]] = {}
     for w in nodes:
@@ -181,33 +189,19 @@ def canonicalize(m: HypersetModel) -> tuple[HypersetModel, dict[str, str]]:
 def bisimilar(m1: HypersetModel, n1: str, m2: HypersetModel, n2: str) -> bool:
     """Labeled bisimilarity between nodes of two models.
 
-    Within one model distinct urelements are distinct atoms; across
-    models urelements match when their labels do.
+    The refinement of ``canonicalize`` runs over the nodes of both models,
+    tagged by model (one model when ``m1 is m2``), and the two nodes are
+    bisimilar when they end in one block.  Within one model distinct
+    urelements are distinct atoms; across models urelements match when
+    their labels do.
     """
     if n1 not in m1.nodes or n2 not in m2.nodes:
         raise ValueError("unknown node")
-    same_model = m1 is m2
-    pairs = set()
-    for a in m1.nodes:
-        for b in m2.nodes:
-            if _labels(m1, a) != _labels(m2, b):
-                continue
-            if same_model and a in m1.urelements and b in m2.urelements and a != b:
-                continue
-            pairs.add((a, b))
-
-    def transfer(a: str, b: str) -> bool:
-        return (all(any((x, y) in pairs for y in m2.members(b)) for x in m1.members(a))
-                and all(any((x, y) in pairs for x in m1.members(a)) for y in m2.members(b)))
-
-    changed = True
-    while changed:
-        changed = False
-        for a, b in sorted(pairs):
-            if not transfer(a, b):
-                pairs.discard((a, b))
-                changed = True
-    return (n1, n2) in pairs
+    models = (m1,) if m1 is m2 else (m1, m2)
+    block = _blocks([(i, w) for i, m in enumerate(models) for w in sorted(m.nodes)],
+                    lambda t: [(t[0], v) for v in models[t[0]].members(t[1])],
+                    lambda t: _labels(models[t[0]], t[1], atoms=m1 is m2))
+    return block[0, n1] == block[len(models) - 1, n2]
 
 
 # ---------------------------------------------------------------------------

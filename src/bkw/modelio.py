@@ -6,7 +6,8 @@ and one-word flags; ``_SCHEMA`` lists each kind's required and optional
 declarations and its flags.  ``#`` starts a comment, identifiers are
 whitespace-separated, arrows write pairs (``x->y``), braces write sets
 (``{x y}``).  Repeats (and a source named twice in ``tA`` or ``tB``),
-missing declarations, unknown flags and unknown declarations are errors.
+a ``tA`` or ``tB`` source outside its carrier, missing declarations,
+unknown flags and unknown declarations are errors.
 A format error names its line, a flag's included (a missing declaration
 is ``line 0``); a fault found by the model constructor names the header.
 """
@@ -75,19 +76,26 @@ def _brace_sets(value: str, number: int) -> list[frozenset]:
     return sets
 
 
-def _image_map(value: str, number: int) -> list[tuple[str, frozenset]]:
-    entries = []
-    for chunk in re.findall(r"\S+->\{[^}]*\}", value):
-        source, _, braced = chunk.partition("->")
-        if not _IDENT.match(source):
-            raise ModelFormatError(f"bad identifier {source!r}", number)
-        if any(source == seen for seen, _ in entries):
-            raise ModelFormatError(f"source {source!r} is given twice", number)
-        entries.append((source, _brace_sets(braced, number)[0]))
-    leftovers = re.sub(r"\S+->\{[^}]*\}", "", value).strip()
-    if leftovers:
-        raise ModelFormatError(f"expected 'x->{{...}}' entries, got {leftovers!r}", number)
-    return entries
+def _image_pairs(carrier: frozenset, side: str):
+    """The parser of a ``tA`` or ``tB`` declaration into (source, target)
+    pairs.  A source outside ``carrier``, the carrier named ``side``, is a
+    fault of the declaration's line, also when its image is empty."""
+    def parse(value: str, number: int) -> list[tuple[str, str]]:
+        entries = []
+        for chunk in re.findall(r"\S+->\{[^}]*\}", value):
+            source, _, braced = chunk.partition("->")
+            if not _IDENT.match(source):
+                raise ModelFormatError(f"bad identifier {source!r}", number)
+            if any(source == seen for seen, _ in entries):
+                raise ModelFormatError(f"source {source!r} is given twice", number)
+            if source not in carrier:
+                raise ModelFormatError(f"source {source!r} is not in {side}", number)
+            entries.append((source, _brace_sets(braced, number)[0]))
+        leftovers = re.sub(r"\S+->\{[^}]*\}", "", value).strip()
+        if leftovers:
+            raise ModelFormatError(f"expected 'x->{{...}}' entries, got {leftovers!r}", number)
+        return [(source, target) for source, image in entries for target in sorted(image)]
+    return parse
 
 
 # header -> (required declarations, optional declarations, flags)
@@ -172,12 +180,10 @@ def _load_nwf(field, flags) -> HypersetModel:
 
 
 def _load_paratopo(field, flags) -> ParaTopoModel:
-    return ParaTopoModel(
-        ClosedTopology.make(field("A"), field("closedA", _brace_sets)),
-        ClosedTopology.make(field("B"), field("closedB", _brace_sets)),
-        [(x, y) for x, image in field("tA", _image_map) for y in sorted(image)],
-        [(y, x) for y, image in field("tB", _image_map) for x in sorted(image)],
-        val=field("val"))
+    tau_a = ClosedTopology.make(field("A"), field("closedA", _brace_sets))
+    tau_b = ClosedTopology.make(field("B"), field("closedB", _brace_sets))
+    return ParaTopoModel(tau_a, tau_b, field("tA", _image_pairs(tau_a.carrier, "A")),
+                         field("tB", _image_pairs(tau_b.carrier, "B")), val=field("val"))
 
 
 def _dump_val(val: dict) -> list[str]:

@@ -314,6 +314,34 @@ def random_hyperset(rng: random.Random, max_nodes: int,
         disjoint_types=not allow_overlap)
 
 
+def _node_label(m: HypersetModel, w: str) -> tuple:
+    return (w in m.urelements, w in m.ua, w in m.ub,
+            frozenset(name for name, sts in m.val.items() if w in sts))
+
+
+def bisimulation(m1: HypersetModel, m2: HypersetModel) -> set:
+    """Oracle: the largest labeled bisimulation between the nodes of m1 and
+    m2, by removing the pairs that fail to transfer until none does.
+    Within one model (``m1 is m2``) distinct urelements are distinct atoms;
+    across models urelements match when their labels do."""
+    pairs = {(a, b) for a in m1.nodes for b in m2.nodes
+             if _node_label(m1, a) == _node_label(m2, b)
+             and not (m1 is m2 and a in m1.urelements and a != b)}
+
+    def transfer(a: str, b: str) -> bool:
+        return (all(any((x, y) in pairs for y in m2.members(b)) for x in m1.members(a))
+                and all(any((x, y) in pairs for x in m1.members(a)) for y in m2.members(b)))
+
+    changed = True
+    while changed:
+        changed = False
+        for a, b in sorted(pairs):
+            if not transfer(a, b):
+                pairs.discard((a, b))
+                changed = True
+    return pairs
+
+
 def random_kripke(rng: random.Random, max_states: int,
                   strict: bool = True) -> KripkeModel:
     k = rng.randint(1, max_states)

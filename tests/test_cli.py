@@ -263,8 +263,9 @@ TOPO_TEXT = ("paratopo\nA: a1 a2\nB: b1 b2\nclosedA: {} {a1} {a1 a2}\n"
     (TOPO_TEXT.replace("tA: a1", "tA: 1a"), "line 6: bad identifier '1a'"),
     (TOPO_TEXT.replace("tA: a1->{b1}", "tA: a1->{b1} junk"),
      "line 6: expected 'x->{...}' entries, got 'junk'"),
+    (TOPO_TEXT.replace("tA: a1", "tA: zz->{} a1"), "line 6: source 'zz' is not in A"),
 ), ids=("urelement", "kripke-val", "nwf-val", "paratopo-val", "tB-pair", "tB-image",
-        "closedA-word", "tA-source", "tA-leftover"))
+        "closedA-word", "tA-source", "tA-leftover", "tA-outside"))
 def test_model_faults_exit_2_naming_file_and_line(text, message, tmp_path, capsys):
     path = tmp_path / "model.bk"
     path.write_text(text)

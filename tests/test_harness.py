@@ -1,10 +1,12 @@
 import random
 from collections import Counter
+from functools import partial
 from itertools import groupby, product as iproduct
 from math import comb
 
 import numpy as np
 import pytest
+from hypothesis import given, seed, settings, strategies as st
 
 from bkw import formula as fm
 from bkw import harness as hn
@@ -16,7 +18,7 @@ from bkw import topology as tp
 from bkw.modelio import dump_kripke, dump_nwf, load_model
 from bkw.harness import _closure_table
 from conftest import (kripke_truth, nwf_truth, random_hyperset,
-                      random_relational_formula, random_topo_formula)
+                      random_relational_formula, random_topo_formula, topo_truth)
 
 
 def test_enumerate_kripke_counts():
@@ -220,6 +222,82 @@ def test_every_stacked_run_matches_the_reference_evaluator():
                     assert bool(vals[slot][lane] >> i & 1) == nwf_truth(m, f, name)
             count += 1
     assert count == 2 * 6 + 4 * 10 + 8
+
+
+def _byte_lanes(rng, k: int, lanes: int, kind: str):
+    """A frame of ``lanes`` random models with k states or nodes and one type
+    split, its state names in bit order, and the model of a lane: kripke
+    under the heart ``kind``, nwf, or paratopo negated by closure tables."""
+    full = (1 << k) - 1
+    masks = lambda within: np.array([rng.getrandbits(k) & within for _ in range(lanes)],
+                                    dtype=np.uint8)
+    if kind == "paratopo":
+        size_a = rng.randint(k - 4, 4)
+        names = [f"a{i}" for i in range(size_a)] + [f"b{i}" for i in range(k - size_a)]
+        ua = (1 << size_a) - 1
+        ub = full ^ ua
+        hulls = [rng.choice(tp._hull_tables(size_a))
+                 + tuple(h << size_a for h in rng.choice(tp._hull_tables(k - size_a)))
+                 for _ in range(lanes)]
+        tables = _closure_table(hulls)
+        close = lambda s: tables[np.arange(lanes), s]
+        # each image is a closed set of the opposite carrier in its lane's topology
+        rows = [close(masks(ub if ua >> w & 1 else ua)) for w in range(k)]
+        heart, neg = "local", tp.MaskLattice(close, full).pneg
+        atoms = {"p": masks(full), "q": masks(full)}
+    else:
+        names = [f"s{i}" for i in range(k)]
+        ua = rng.getrandbits(k)
+        # nwf types may overlap, but they cover every node
+        ub = full ^ ua | (rng.getrandbits(k) & ua if kind == "nwf" else 0)
+        rows = [masks(full) for _ in range(k)]
+        heart, neg = ("membership" if kind == "nwf" else kind), pg.complement(k)
+        atoms = {"p": masks(full)}
+
+    def model(lane: int):
+        pick = lambda mask: [n for i, n in enumerate(names) if mask >> i & 1]
+        edges = [(w, v) for i, w in enumerate(names) for v in pick(int(rows[i][lane]))]
+        val = {atom: pick(int(mask[lane])) for atom, mask in atoms.items()}
+        if kind == "nwf":
+            return hs.HypersetModel(names, edges, pick(ua), pick(ub), val=val,
+                                    disjoint_types=False)
+        if kind != "paratopo":
+            return kr.KripkeModel(names, edges, pick(ua), pick(ub), val=val, strict=False)
+        table = tables[lane].tolist()
+        closed = lambda side: [pick(s) for s in range(1 << k) if s & side == s == table[s]]
+        a = set(pick(ua))
+        return pt.ParaTopoModel(tp.ClosedTopology.make(a, closed(ua)),
+                                tp.ClosedTopology.make(pick(ub), closed(ub)),
+                                [e for e in edges if e[0] in a],
+                                [e for e in edges if e[0] not in a], val)
+
+    return pg.Frame(k, ua, ub, rows, atoms, heart, neg), names, model
+
+
+@pytest.mark.parametrize("kind", ("frame", "local", "nwf", "paratopo"))
+@seed(20)
+@settings(max_examples=20, database=None, deadline=None)
+@given(st.randoms(use_true_random=False))
+def test_byte_lanes_at_six_to_eight_states_match_the_oracles(kind, rng):
+    # the sweeps stop at 5 states, but a uint8 lane holds 8: a few lanes of
+    # random 6-8 state models, stacked runs included, against the oracles
+    frame, names, model = _byte_lanes(rng, rng.randint(6, 8), rng.randint(2, 4), kind)
+    if kind == "paratopo":
+        language, formulas = "topo", [random_topo_formula(rng, 3) for _ in range(6)]
+        truth = topo_truth
+    else:
+        diagonal = fm.Dplus() if kind == "nwf" else fm.Dclass()
+        language = "nwf" if kind == "nwf" else "kripke"
+        formulas = [random_relational_formula(rng, 3, diagonal) for _ in range(6)]
+        truth = nwf_truth if kind == "nwf" else partial(kripke_truth, heart=kind)
+    ops, slots = pg.compile_program(formulas, language)
+    lanes = len(frame.rows[0])
+    vals = [np.broadcast_to(v, lanes) for v in pg.run(ops, frame)]
+    for lane in range(lanes):
+        m = model(lane)
+        for f, slot in zip(formulas, slots, strict=True):
+            got = int(vals[slot][lane])
+            assert [got >> i & 1 == 1 for i in range(frame.k)] == [truth(m, f, x) for x in names]
 
 
 def test_campaign_state_checks_match_reference_modalities():

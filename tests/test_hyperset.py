@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -8,7 +9,7 @@ from bkw import hyperset as hs
 from bkw import program as pg
 from bkw.harness import (fixture_ninestate, fixture_prop24, fixture_prop25,
                          fixture_quine_pair, fixture_singleton_quine)
-from conftest import nwf_truth, random_hyperset, random_relational_formula
+from conftest import bisimulation, nwf_truth, random_hyperset, random_relational_formula
 
 
 def quine(name):
@@ -169,6 +170,64 @@ def test_diagonal_atom_is_not_bisimulation_invariant():
     assert hs.bisimilar(m, "n0", m, "n3")
     diag = hs.diagonal_Dplus(m)
     assert "n3" in diag and "n0" not in diag
+
+
+def _renamed(m, prefix):
+    """m with every node renamed, so its urelements match m's only by label."""
+    name = lambda nodes: [prefix + w for w in nodes]
+    return hs.HypersetModel(name(m.nodes), [(prefix + w, prefix + v) for w, v in m.mem],
+                            name(m.ua), name(m.ub), name(m.urelements),
+                            {atom: name(sts) for atom, sts in m.val.items()},
+                            m.disjoint_types)
+
+
+def test_canonicalize_and_bisimilar_match_the_pair_oracle():
+    rng = random.Random(106)
+    for _ in range(150):
+        m = random_hyperset(rng, 6, allow_overlap=rng.random() < 0.3)
+        _, rep = hs.canonicalize(m)
+        same = bisimulation(m, m)
+        for a in m.nodes:
+            for b in m.nodes:
+                assert ((a, b) in same) == (rep[a] == rep[b]) == hs.bisimilar(m, a, m, b)
+        copy = _renamed(m, "c")
+        assert all(hs.bisimilar(m, w, copy, "c" + w) for w in m.nodes)
+        for other in (copy, random_hyperset(rng, 6, allow_overlap=not m.disjoint_types)):
+            cross = bisimulation(m, other)
+            for a in m.nodes:
+                for b in other.nodes:
+                    assert ((a, b) in cross) == hs.bisimilar(m, a, other, b)
+
+
+def test_urelements_match_by_label_only_across_models():
+    m = hs.HypersetModel(nodes="wxuv", mem=[("w", "u"), ("x", "v")], ua="wxuv", ub=[],
+                         urelements="uv", disjoint_types=False)
+    assert not hs.bisimilar(m, "u", m, "v") and not hs.bisimilar(m, "w", m, "x")
+    equal = hs.HypersetModel(m.nodes, m.mem, m.ua, m.ub, m.urelements,
+                             disjoint_types=False)
+    assert equal == m and equal is not m
+    assert hs.bisimilar(m, "u", equal, "v") and hs.bisimilar(m, "w", equal, "x")
+    assert hs.bisimilar(m, "w", _renamed(m, "c"), "cx")
+
+
+def test_deep_graphs_canonicalize_in_well_under_a_second():
+    # one refinement round per level of depth; a block key that nests one
+    # round deeper each round costs time exponential in the depth
+    names = [f"n{i:02d}" for i in range(64)]
+    chain = hs.HypersetModel(names, list(zip(names, names[1:])), names, [],
+                             disjoint_types=False)
+    to_quine = hs.HypersetModel(names, list(zip(names, names[1:])) + [(names[-1], names[-1])],
+                                names, [], disjoint_types=False)
+    path = [f"g{i:02d}" for i in range(41)]
+    game = hs.graph_to_structure(path, list(zip(path, path[1:])), path[0],
+                                 {w: "ab"[i % 2] for i, w in enumerate(path)})
+    start = time.perf_counter()
+    assert len(hs.canonicalize(chain)[0].nodes) == 64  # each depth its own set
+    assert hs.canonicalize(to_quine)[0] == hs.HypersetModel(
+        ["n00"], [("n00", "n00")], ["n00"], [], disjoint_types=False)
+    assert len(hs.canonicalize(game)[0].nodes) == 41
+    assert not hs.bisimilar(chain, "n00", _renamed(chain, "c"), "cn01")
+    assert time.perf_counter() - start < 1
 
 
 # ---------------------------------------------------------------------------

@@ -141,6 +141,18 @@ def test_image_source_given_twice_is_rejected():
             mio.load_model(text)
 
 
+def test_image_source_outside_its_carrier_is_rejected_at_its_line():
+    # an empty image adds no pair, so such a source used to load and vanish
+    for number, line, entry, side in ((6, "tA: a1->{b1} a2->{b1 b2}", "zz->{}", "A"),
+                                      (7, "tB: b1->{a1} b2->{a1 a2}", "a1->{}", "B"),
+                                      (6, "tA: a1->{b1} a2->{b1 b2}", "b1->{b2}", "A")):
+        text = PARATOPO_TEXT.replace(line, f"{line} {entry}")
+        source = entry.partition("->")[0]
+        with pytest.raises(mio.ModelFormatError,
+                           match=rf"^line {number}: source '{source}' is not in {side}$"):
+            mio.load_model(text)
+
+
 @pytest.mark.parametrize("head", ("kripke\nstates: x y\nUa: x\nUb: y\nnon-strict\n",
                                   "nwf\nstates: w v\nUa: w v\nUb: v\nallow-overlap\n",
                                   "paratopo\nA: a\nB: b\nclosedA: {} {a}\nclosedB: {} {b}\n"),
@@ -164,7 +176,13 @@ def test_unknown_flag_names_the_first_in_file_order_at_its_line(head):
      "line 4: expected a brace set, got 'x'"),  # A, closedA, B, closedB, tA, tB
     ("paratopo\nA: a\nB: b\nclosedA: {} {a}\nclosedB: {} {b}\ntB: 1b->{}\ntA: 1a->{}\n",
      "line 7: bad identifier '1a'"),
-), ids=("kripke-P", "kripke-val", "nwf-mem", "nwf-Ub", "paratopo-closedA", "paratopo-tA"))
+    ("paratopo\nA: a\nB: b\nclosedA: {} {a}\nclosedB: x\ntA: zz->{}\n",
+     "line 5: expected a brace set, got 'x'"),
+    # whether a family is a topology is the constructor's question, after parsing
+    ("paratopo\nA: a\nB: b\nclosedA: {a}\nclosedB: {} {b}\ntB: 1b->{}\ntA: zz->{}\nval p: 1x\n",
+     "line 7: source 'zz' is not in A"),
+), ids=("kripke-P", "kripke-val", "nwf-mem", "nwf-Ub", "paratopo-closedA", "paratopo-tA",
+        "paratopo-closedB", "paratopo-tA-source"))
 def test_first_fault_follows_the_parse_order(text, message):
     with pytest.raises(mio.ModelFormatError, match=rf"^{re.escape(message)}$"):
         mio.load_model(text)
