@@ -3,7 +3,8 @@
 # If g: A -> Y^A hits every map A -> Y (weak point-surjectivity), then
 # every endomap of Y has a fixed point: represent p(y) = f(g(y)(y)) by
 # some x and evaluate at x itself.  With |Y| >= 2 the flip map has no
-# fixed point, so no such g can exist -- verified by exhaustion.
+# fixed point, so no such g can exist -- and none can by counting, as
+# |A| rows name at most |A| of the |Y|^|A| > |A| maps.
 
 from bkw import lawvere as lv
 

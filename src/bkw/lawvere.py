@@ -110,29 +110,17 @@ class SearchResult:
 
 def _first_cover(size_a: int, size_y: int) -> tuple[tuple | None, int]:
     """The first candidate covering every map and the count up to it, or (None, all)."""
-    maps = size_y ** size_a
-    for n, prefix in enumerate(iproduct(range(maps), repeat=size_a - 1)):
-        missing = (1 << maps) - 1
-        for r in prefix:
-            missing &= ~(1 << r)
-        if missing & (missing - 1) == 0:
-            last = max(missing.bit_length() - 1, 0)
-            return prefix + (last,), n * maps + last + 1
-    return None, maps ** size_a
+    if size_y == 1:
+        return (0,) * size_a, 1
+    return None, (size_y ** size_a) ** size_a
 
 
 def search_wps(size_a: int, size_y: int) -> SearchResult:
-    """Enumerate every g on carriers of the given sizes; return the first
-    weakly point-surjective instance, or report exhaustion.
-
-    A candidate g is a tuple of row indices into the total maps A -> Y in
-    lexicographic order, and it is weakly point-surjective when its rows
-    cover all of them.  The candidates that share their first |A| - 1 rows
-    are decided at once: the last row adds one map, so the group's first
-    cover ends in the one map its prefix misses (row 0 if none), and a
-    prefix that misses two maps has none.  Only the witness becomes a
-    ``FiniteSelfMap``, confirmed by ``is_weakly_point_surjective``.
-    """
+    """The first weakly point-surjective g on carriers of the given sizes
+    in lexicographic order of its rows, or exhaustion of all (|Y|^|A|)^|A|:
+    |A| rows name at most |A| of the |Y|^|A| maps, and |Y|^|A| > |A|
+    whenever |Y| >= 2, while at |Y| = 1 the first g covers the one map.
+    The witness is confirmed by ``is_weakly_point_surjective``."""
     if not (1 <= size_a <= 3 and 1 <= size_y <= 3):
         raise ValueError("search is guarded to carrier sizes 1..3")
     rows, checked = _first_cover(size_a, size_y)

@@ -40,12 +40,20 @@ def _logical_lines(text: str) -> list[tuple[int, str]]:
     return lines
 
 
+def _once(items: list, number: int, show) -> list:
+    """The items, unless one is repeated: then a fault of line ``number``."""
+    if len(set(items)) < len(items):
+        repeat = next(item for i, item in enumerate(items) if items.index(item) < i)
+        raise ModelFormatError(f"{show(repeat)} is repeated", number)
+    return items
+
+
 def _idents(value: str, number: int) -> list[str]:
     names = value.split()
     for name in names:
         if not _IDENT.match(name):
             raise ModelFormatError(f"bad identifier {name!r}", number)
-    return names
+    return _once(names, number, lambda name: f"name {name!r}")
 
 
 def _pairs(value: str, number: int) -> list[tuple[str, str]]:
@@ -58,7 +66,7 @@ def _pairs(value: str, number: int) -> list[tuple[str, str]]:
             if not _IDENT.match(name):
                 raise ModelFormatError(f"bad identifier {name!r}", number)
         pairs.append((left, right))
-    return pairs
+    return _once(pairs, number, lambda pair: f"pair {'->'.join(pair)}")
 
 
 def _brace_sets(value: str, number: int) -> list[frozenset]:
@@ -73,7 +81,7 @@ def _brace_sets(value: str, number: int) -> list[frozenset]:
             raise ModelFormatError("unterminated brace set", number)
         sets.append(frozenset(_idents(rest[1:end], number)))
         rest = rest[end + 1:]
-    return sets
+    return _once(sets, number, lambda c: f"set {{{' '.join(sorted(c))}}}")
 
 
 def _image_pairs(carrier: frozenset, side: str):

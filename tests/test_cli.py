@@ -264,8 +264,10 @@ TOPO_TEXT = ("paratopo\nA: a1 a2\nB: b1 b2\nclosedA: {} {a1} {a1 a2}\n"
     (TOPO_TEXT.replace("tA: a1->{b1}", "tA: a1->{b1} junk"),
      "line 6: expected 'x->{...}' entries, got 'junk'"),
     (TOPO_TEXT.replace("tA: a1", "tA: zz->{} a1"), "line 6: source 'zz' is not in A"),
+    (TOPO_TEXT.replace("closedA: {} {a1}", "closedA: {} {a1} {a1}"),
+     "line 4: set {a1} is repeated"),
 ), ids=("urelement", "kripke-val", "nwf-val", "paratopo-val", "tB-pair", "tB-image",
-        "closedA-word", "tA-source", "tA-leftover", "tA-outside"))
+        "closedA-word", "tA-source", "tA-leftover", "tA-outside", "closedA-repeat"))
 def test_model_faults_exit_2_naming_file_and_line(text, message, tmp_path, capsys):
     path = tmp_path / "model.bk"
     path.write_text(text)

@@ -95,6 +95,7 @@ def _first_cover_by_candidates(size_a, size_y):
 
 @pytest.mark.parametrize("size_a, size_y", [(4, 2), (2, 4), (3, 4), (4, 1)])
 def test_prefix_decision_matches_the_candidate_loop_past_the_guard(size_a, size_y):
+    # the counting bound: a cover at |Y| = 1 only, and then at once
     assert lv._first_cover(size_a, size_y) == _first_cover_by_candidates(size_a, size_y)
 
 

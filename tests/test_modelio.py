@@ -141,6 +141,25 @@ def test_image_source_given_twice_is_rejected():
             mio.load_model(text)
 
 
+@pytest.mark.parametrize("text, old, new, message", (
+    (KRIPKE_TEXT, "states: x y", "states: x x y", "line 3: name 'x' is repeated"),
+    (KRIPKE_TEXT, "Ua: x", "Ua: x x", "line 4: name 'x' is repeated"),
+    (KRIPKE_TEXT, "val p: x y", "val p: x y x", "line 7: name 'x' is repeated"),
+    (KRIPKE_TEXT, "P: x->y y->x", "P: x->y y->x x->y", "line 6: pair x->y is repeated"),
+    (NWF_TEXT, "mem: w->v", "mem: w->v w->v", "line 4: pair w->v is repeated"),
+    (NWF_TEXT, "urelements: t", "urelements: t t", "line 3: name 't' is repeated"),
+    (PARATOPO_TEXT, "{a1 a2}", "{a1 a2} {a1}", "line 4: set {a1} is repeated"),
+    (PARATOPO_TEXT, "{} {b1} {b1 b2}", "{b2 b1} {} {b1 b2}", "line 5: set {b1 b2} is repeated"),
+    (PARATOPO_TEXT, "a1->{b1}", "a1->{b1 b1}", "line 6: name 'b1' is repeated"),
+    (PARATOPO_TEXT, "B: b1 b2", "B: b1 b2 b1", "line 3: name 'b1' is repeated"),
+), ids=("states", "Ua", "val", "P", "mem", "urelements", "closedA", "closedB-reordered",
+        "tA-image", "B"))
+def test_a_repeat_within_one_declaration_is_rejected_at_its_line(text, old, new, message):
+    # each used to load with the repeat merged away
+    with pytest.raises(mio.ModelFormatError, match=rf"^{re.escape(message)}$"):
+        mio.load_model(text.replace(old, new, 1))
+
+
 def test_image_source_outside_its_carrier_is_rejected_at_its_line():
     # an empty image adds no pair, so such a source used to load and vanish
     for number, line, entry, side in ((6, "tA: a1->{b1} a2->{b1 b2}", "zz->{}", "A"),

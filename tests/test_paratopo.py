@@ -1,4 +1,6 @@
+import functools
 import random
+from itertools import product
 
 import pytest
 
@@ -210,3 +212,50 @@ def test_weak_assumption_completeness():
     big = discrete_model("abcd", "uvwz", [], [])
     with pytest.raises(ValueError):
         pt.is_weak_assumption_complete(big)
+
+
+def _weak_by_subsets(m):
+    """Every product subset in mask order, cell i being bit i of the
+    sorted cells: the first not both horizontally and vertically closed,
+    and the subsets tried up to it."""
+    cells = sorted(product(sorted(m.a), sorted(m.b)))
+    for mask in range(1 << len(cells)):
+        s = frozenset(c for i, c in enumerate(cells) if mask >> i & 1)
+        if not (pt.horizontally_closed(m, s) and pt.vertically_closed(m, s)):
+            return pt.WeakAssumptionReport(holds=False, failing_set=tuple(sorted(s)),
+                                           subsets_checked=mask + 1)
+    return pt.WeakAssumptionReport(holds=True, failing_set=None,
+                                   subsets_checked=1 << len(cells))
+
+
+def test_weak_assumption_completeness_matches_the_subset_loop():
+    def spaces(side):
+        return [t for n in range(4)
+                for t in tp.enumerate_topologies(f"{side}{i}" for i in range(n))]
+    for tau_a, tau_b in product(spaces("a"), spaces("b")):
+        m = pt.ParaTopoModel(tau_a, tau_b, [], [])
+        assert pt.is_weak_assumption_complete(m) == _weak_by_subsets(m)
+
+
+@functools.cache
+def _tables_by_lead(n):
+    """The hull tables on n points grouped by how many leading points are
+    closed, so that a draw of a group, then a table, puts the first
+    failing cell anywhere in a product."""
+    groups = {}
+    for hulls in tp._hull_tables(n):
+        lead = next((i for i, h in enumerate(hulls) if h != 1 << i), n)
+        groups.setdefault(lead, []).append(hulls)
+    return list(groups.values())
+
+
+@pytest.mark.parametrize("na, nb", [(3, 4), (4, 3), (2, 5), (5, 2), (2, 6), (6, 2),
+                                    (1, 6), (6, 1)])
+def test_weak_assumption_completeness_matches_the_subset_loop_up_to_12_cells(na, nb):
+    a, b = [f"a{i}" for i in range(na)], [f"b{i}" for i in range(nb)]
+    rng = random.Random(na * 10 + nb)
+    for _ in range(12):
+        tau_a = tp._from_hulls(a, rng.choice(rng.choice(_tables_by_lead(na))))
+        tau_b = tp._from_hulls(b, rng.choice(rng.choice(_tables_by_lead(nb))))
+        m = pt.ParaTopoModel(tau_a, tau_b, [], [])
+        assert pt.is_weak_assumption_complete(m) == _weak_by_subsets(m)
