@@ -860,6 +860,92 @@ def test_weighted_sweeps_dump_like_the_labelled_loop(monkeypatch, target, strict
     assert hn.run_campaign(hn.Campaign(target, 3, strict)).text == expected
 
 
+@pytest.mark.parametrize("t", range(4))
+def test_same_type_weights_match_every_relation(t):
+    # every relation on one type of t states, edge (x, y) at bit x * t + y
+    table = hn._same_type_weights(t)
+    full = (1 << t) - 1
+    expected = np.zeros((1 << t, 1 << t), dtype=np.int64)
+    for rel in range(1 << t * t):
+        edge = lambda x, y: rel >> x * t + y & 1
+        cycled = sum(1 << x for x in range(t) if any(edge(x, y) and edge(y, x) for y in range(t)))
+        moving = sum(1 << x for x in range(t) if any(edge(x, y) for y in range(t)))
+        for empty in range(1 << t):  # serial: the states whose cross row is empty
+            if empty & ~moving == 0:
+                expected[empty, full ^ cycled] += 1
+    assert np.array_equal(table, expected)
+    assert table[0].sum() == 2 ** (t * t)  # serial off reads row 0: every relation
+
+
+@pytest.mark.parametrize("heart", ["frame", "local"])
+@pytest.mark.parametrize("serial", [False, True])
+@seed(22)
+@settings(max_examples=12, database=None, deadline=None)
+@given(st.randoms(use_true_random=False))
+def test_factored_lanes_count_like_the_frames(heart, serial, rng):
+    # only D reads same-type edges: for any program, the weighted count of
+    # the factored lanes on which a formula is valid, or satisfiable, is the
+    # count of the frames of the class's first block
+    formulas = [random_relational_formula(rng, 3, fm.Dclass()) for _ in range(6)]
+    ops, slots = pg.compile_program(formulas, "kripke")
+    for block in hn._relation_blocks(3, False, serial, heart, ops):
+        if not block.weight:
+            continue
+        (k, a), full = block.cls, (1 << block.cls[0]) - 1
+        counts = []
+        for chunks in (block.chunks,
+                       hn._factored_chunks(k, a, serial, heart, hn._lane_width(ops, k))):
+            total = Counter()
+            for lanes in chunks:
+                vals = [np.broadcast_to(v, len(lanes.record)) for v in pg.run(ops, lanes.frame)]
+                total["models"] += lanes.count()
+                for j, slot in enumerate(slots):
+                    total[j, "valid"] += lanes.count(vals[slot] == full)
+                    total[j, "satisfiable"] += lanes.count(vals[slot] != 0)
+            counts.append(total)
+        assert counts[0] == counts[1], block.cls
+
+
+@pytest.mark.parametrize("strict", [True, False])
+@pytest.mark.parametrize("serial", [False, True])
+def test_frame_closed_form_counts_the_enumerated_frames(strict, serial):
+    for n in range(1, 5):
+        lanes = hn._relation_lanes(n, strict, serial, "frame", ())
+        assert hn._frame_count(hn.Campaign("lemma1", n, strict, serial=serial)) == sum(
+            len(chunk.record) for chunk in lanes)
+    assert hn._membership_count(hn.Campaign("theorem23", 3), 3, 1) == 19917
+
+
+@pytest.mark.parametrize("strict", [True, False])
+@pytest.mark.parametrize("serial", [False, True])
+def test_a_dropped_chunk_breaks_the_closed_form(monkeypatch, strict, serial):
+    # the chunks of the 3-state block with Ua = {s0}, which is judged,
+    # plainly (strict) or through its factored lanes, lose their first
+    chunks = hn._relation_chunks
+
+    def dropping(k, ua, *args):
+        for i, lanes in enumerate(chunks(k, ua, *args)):
+            if (k, ua, i) != (3, 1, 0):
+                yield lanes
+    monkeypatch.setattr(hn, "_relation_chunks", dropping)
+    with pytest.raises(RuntimeError, match="closed form"):
+        hn.run_campaign(hn.Campaign("theorem12", 3, strict, serial=serial))
+
+
+@pytest.mark.parametrize("serial", [False, True])
+def test_a_wrong_weight_breaks_the_closed_form(monkeypatch, serial):
+    # one more same-type relation with no loop or 2-cycle than there is
+    weights = hn._same_type_weights
+
+    def bumped(t):
+        table = weights(t).copy()
+        table[0, -1] += 1
+        return table
+    monkeypatch.setattr(hn, "_same_type_weights", bumped)
+    with pytest.raises(RuntimeError, match="closed form"):
+        hn.run_campaign(hn.Campaign("lemma1", 3, False, serial=serial))
+
+
 def _widened(x):
     return x.astype(np.int64) if isinstance(x, np.ndarray) else x
 
