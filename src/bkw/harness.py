@@ -18,24 +18,28 @@ are such rebuild loops.
 The frames come in one block per (k, Ua mask).  A state permutation maps
 the block of a mask onto the block of any mask with the same popcount a,
 and the classical claims name no state, so every total is the same in
-the blocks of a class (k, a).  Only the class's first block, whose Ua is
-the lowest a states, is judged, and its totals count C(k, a) times.  The
-other blocks are read only for the first five fail dumps, and only until
-no later lane of theirs can enter them, so the dumps are those of the
-whole sweep.  Each membership chunk is a class of its own, of weight 1.
+the blocks of a class (k, a).  A classical sweep judges one block
+(``_classical_blocks``): the representatives of every class, Ua the
+lowest a states, packed into chunks over the sweep's largest k, each
+lane with its own type masks (``program.run`` reads them per lane) and
+weighted C(k, a).  At 4 states that is one ``program.run`` call for all
+14 classes.  The labelled blocks are read only for the first five fail
+dumps: a block is skipped when no packed lane of its class failed, and
+left once no later lane of it can enter them, so the dumps are those of
+the whole sweep.  Each membership chunk is a class of its own, of
+weight 1.
 
-A non-strict class is counted rather than enumerated
-(``_classical_blocks``).  Every modality reads a successor row only
-through ``row & tgt``, the cross-type edges; the one op that reads the
-same-type edges is ``D``, and it splits as Dc(C) & Ds(S): w has no
-2-cycle through it in the cross relation C, and no loop or 2-cycle in
-the same-type relation S.  So each claim is a function of (C, Ds(S)),
-and ``_factored_chunks`` judges the strict block's cross relations once
-per mask d of the 2^k, each lane weighted by how many same-type
-relations have Ds = d (with a successor at every state whose cross row
-is empty, under ``serial``).  At 4 states the judged lanes go from
-327,680 to 6,176, at 5 from 201 M to 278,592.  All the class's frame
-blocks then weigh 0 and are read only for the dumps.  ``_run_sweep``
+A non-strict class is counted rather than enumerated.  Every modality
+reads a successor row only through ``row & tgt``, the cross-type edges;
+the one op that reads the same-type edges is ``D``, and it splits as
+Dc(C) & Ds(S): w has no 2-cycle through it in the cross relation C, and
+no loop or 2-cycle in the same-type relation S.  So each claim is a
+function of (C, Ds(S)), and its representative is ``_factored_chunks``:
+the strict block's cross relations once per mask d of the 2^k, each
+lane weighted by how many same-type relations have Ds = d (with a
+successor at every state whose cross row is empty, under ``serial``).
+The 4-state classes are judged on 6,176 lanes instead of 327,680
+frames, the 5-state ones on 278,592 instead of 201 M.  ``_run_sweep``
 checks every sweep's model count against its closed form.
 
 The lane campaigns (lemma1, theorem12, theorem22, theorem23) are the
@@ -44,7 +48,7 @@ new one is a block enumerator, a judge and one entry (``_Sweep``), which
 also holds the program and the report's claim, totals and formats.  A
 judge runs the program (``program.run``) on a chunk, counts it and
 yields its failing lanes, of which ``_first_hits`` keeps the first;
-``_run_sweep`` adds each block's counts times its weight, and
+``_run_sweep`` adds the counts of each block of weight 1, and
 ``_report`` writes the report, the law campaigns' too.  The claims live
 next to their single-model helpers in ``kripke`` and ``hyperset``,
 written over masks, so the same code judges one model and a chunk of
@@ -71,9 +75,9 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cache, partial
-from itertools import groupby, product as iproduct
+from itertools import product as iproduct
 from math import comb, prod
-from operator import itemgetter
+from operator import itemgetter, xor
 from typing import Callable, Hashable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -110,15 +114,16 @@ def _lane_width(ops: Sequence[tuple], k: int) -> int:
 
 
 class _Lanes(NamedTuple):
-    """A chunk of candidate models sharing k and the type masks; its
-    successor rows, urelement masks and valuation are _LANE arrays."""
+    """A chunk of candidate models sharing k and the type masks (or, packed,
+    each lane with its own); its successor rows, urelement masks and
+    valuation are _LANE arrays."""
 
     record: np.ndarray  # each lane's position in its enumeration order (int64)
     ure: object  # the urelement masks (0 for frames)
     frame: pg.Frame
     #: per lane, how many frames it stands for (int64); None: one each.  A
-    #: weighted lane (``_factored_chunks``) is counted, never dumped; its
-    #: record is its cross relation's in the strict block.
+    #: weighted lane (``_factored_chunks``, ``_packed``) is counted, never
+    #: dumped.
     weight: np.ndarray | None = None
 
     def count(self, flags: np.ndarray | None = None) -> int:
@@ -138,10 +143,10 @@ class _Lanes(NamedTuple):
 
 class _Block(NamedTuple):
     """One block of an enumerator: its chunks, built only as they are read,
-    and its place in its class, the blocks whose totals are the same."""
+    and its class, the blocks whose totals are the same."""
 
     cls: Hashable
-    weight: int  # how many blocks of its class its totals count for: all or 0
+    weight: int  # 1: judged and counted; 0: read only for the fail dumps
     first: int  # no record of the block is below it
     chunks: Iterable[_Lanes]
 
@@ -154,11 +159,11 @@ def _relation_blocks(max_states: int, strict: bool, serial: bool, heart: str,
 
     A permutation of the states maps the block of ua onto the block of any
     mask with the same popcount a, and the classical claims name no state,
-    so the blocks of a class (k, a) have the same totals.  The class's
-    first block, whose Ua is the lowest a states, weighs C(k, a); the
-    others weigh 0.  ``serial`` drops the frames with a state that has no
-    successor.  ``record`` is a frame's position in this order, counted
-    before the serial filter.
+    so the blocks of a class (k, a) have the same totals.  Every block
+    weighs 0: the sweeps count the packed lanes of ``_classical_blocks``
+    and read these blocks only for the dumps.  ``serial`` drops the frames
+    with a state that has no successor.  ``record`` is a frame's position
+    in this order, counted before the serial filter.
     """
     if not 1 <= max_states <= 5:
         raise ValueError("state bound must be between 1 and 5")
@@ -167,7 +172,7 @@ def _relation_blocks(max_states: int, strict: bool, serial: bool, heart: str,
         width = _lane_width(ops, k)
         for ua in range(1 << k):
             a = ua.bit_count()
-            yield _Block((k, a), comb(k, a) if ua == (1 << a) - 1 else 0, offset,
+            yield _Block((k, a), 0, offset,
                          _relation_chunks(k, ua, strict, offset, serial, heart, width))
             # one frame per subset of the candidate edges, the cross-type
             # ones alone when strict
@@ -301,21 +306,64 @@ def _factored_chunks(k: int, a: int, serial: bool, heart: str,
 
 
 def _classical_blocks(c: Campaign, ops: Sequence[tuple]) -> Iterator[_Block]:
-    """The blocks of a classical sweep: ``_relation_blocks``, except that a
-    non-strict class is judged on ``_factored_chunks``, and all its frame
-    blocks only look for dumps (weight 0)."""
-    blocks = _relation_blocks(c.max_size, c.strict, c.serial, c.heart, ops)
-    if c.strict:
-        yield from blocks
-        return
-    for k, plain in groupby(blocks, key=lambda block: block.cls[0]):
-        plain = list(plain)  # their chunks are built only as they are read
-        width = _lane_width(ops, k)
-        for a in range(k + 1):
-            yield _Block((k, a), comb(k, a), plain[0].first,
-                         _factored_chunks(k, a, c.serial, c.heart, width))
-        for block in plain:
-            yield block._replace(weight=0)
+    """The blocks of a classical sweep: one judged block of packed lanes,
+    then every block of ``_relation_blocks``, read only for the dumps.
+
+    The packed block holds the representative of each class (k, a), Ua
+    the lowest a states: the strict block of ``_relation_chunks``, or the
+    non-strict ``_factored_chunks``.  Each lane weighs C(k, a), times its
+    same-type weight where factored."""
+    # listed first, so that a bad bound raises before any lane is judged
+    labelled = list(_relation_blocks(c.max_size, c.strict, c.serial, c.heart, ops))
+    width = _lane_width(ops, c.max_size)
+
+    def representatives() -> Iterator[_Lanes]:
+        for k in range(1, c.max_size + 1):
+            for a in range(k + 1):
+                chunks = (_relation_chunks(k, (1 << a) - 1, True, 0, c.serial, c.heart, width)
+                          if c.strict else _factored_chunks(k, a, c.serial, c.heart, width))
+                for lanes in chunks:
+                    weight = comb(k, a) * (1 if lanes.weight is None else lanes.weight)
+                    yield lanes._replace(weight=np.broadcast_to(weight, len(lanes.record)))
+    yield _Block(None, 1, 0, _packed(list(representatives()), c.max_size, width))
+    yield from labelled
+
+
+def _packed(pieces: Sequence[_Lanes], n: int, width: int) -> Iterator[_Lanes]:
+    """The weighted lanes of ``pieces``, each piece of its own k <= n states
+    and type masks, in chunks of ``width`` lanes over n states: a lane's
+    rows past its k states are empty, and it carries its own ``ua`` and
+    ``ub``, whose union ``full`` is its states and negates (``xor``).  A
+    lane's record is its place in the packed block."""
+    if not pieces:
+        return  # no frame: strict serial frames of one state
+    sizes = [len(piece.record) for piece in pieces]
+    rows = np.zeros((n, sum(sizes)), dtype=_LANE)
+    start = 0
+    for piece, size in zip(pieces, sizes):
+        for x, row in enumerate(piece.frame.rows):
+            rows[x, start:start + size] = row
+        start += size
+    ua, ub = (np.repeat(np.array([getattr(piece.frame, side) for piece in pieces], _LANE), sizes)
+              for side in ("ua", "ub"))
+    weight = np.concatenate([piece.weight for piece in pieces])
+    heart = pieces[0].frame.heart
+    del pieces  # copied out: freed before the chunks are judged
+    for start in range(0, len(weight), width):
+        cut = slice(start, start + width)
+        full = ua[cut] | ub[cut]
+        yield _Lanes(np.arange(start, start + len(full)), 0,
+                     pg.Frame(n, ua[cut], ub[cut], list(rows[:, cut]), {}, heart,
+                              partial(xor, full)), weight[cut])
+
+
+def _classes(bad: np.ndarray, lanes: _Lanes) -> set[tuple[int, int]]:
+    """The classes (k, |Ua|) of the packed lanes of positive weight that
+    ``bad`` flags, read off the popcounts of their ``full`` and ``ua``."""
+    f = lanes.frame
+    pair = (f.ua | f.ub).astype(np.intp) << 8 | f.ua  # (full, ua) as one index
+    return {((x >> 8).bit_count(), (x & 255).bit_count())
+            for x in np.flatnonzero(np.bincount(pair[bad & (lanes.weight > 0)])).tolist()}
 
 
 def _membership_lanes(max_nodes: int, overlap: bool, with_atom: bool,
@@ -543,10 +591,9 @@ def _report(c: Campaign, head: Sequence[str], claim: str, tally: str, title: str
 class _Sweep(NamedTuple):
     """A lane campaign: ``judge(lanes, ops, slots, totals)`` counts a chunk of
     a block of ``blocks(c, ops)`` and yields its failures as ``_first_hits``
-    arguments, and ``dump(c, *key, compact record)`` shows one; ``failed``
-    is the total that counts them, and ``models(c)`` the closed form of
-    the models the sweep must count.  The defaults count violations, as
-    the theorems do."""
+    arguments, and ``dump(c, *key, compact record)`` shows one;
+    ``models(c)`` is the closed form of the models the sweep must count.
+    The defaults count violations, as the theorems do."""
 
     program: Callable  # () -> (ops, slots)
     blocks: Callable
@@ -555,7 +602,6 @@ class _Sweep(NamedTuple):
     dump: Callable
     models: Callable
     totals: tuple = ("models", "holds", "violations")
-    failed: str = "violations"
     tally: str = "models={models} holds={holds} violations={violations}"
     title: str = _VIOLATIONS
     head: Callable = lambda c: []
@@ -563,28 +609,28 @@ class _Sweep(NamedTuple):
 
 
 def _run_sweep(c: Campaign, spec: _Sweep) -> CampaignReport:
-    """Judges the first block of each class and adds its totals times its
-    weight.  A block of weight 0 only looks for dumps: it is skipped when
-    its class has no failures, and left as soon as no later lane of it can
-    enter the full dumps.  Raises RuntimeError unless the models counted
-    are the closed form ``spec.models(c)``."""
+    """Judges each block of weight 1 and adds its totals.  A block of
+    weight 0 only looks for dumps: it is skipped when no weighted lane of
+    its class failed, and left as soon as no later lane of it can enter
+    the full dumps.  Raises RuntimeError unless the models counted are the
+    closed form ``spec.models(c)``."""
     ops, slots = spec.program()
     totals = dict.fromkeys(spec.totals, 0)
     found: list[tuple] = []  # the first (record, *key, compact record) that fail
-    failed = {}  # class -> the failures in its first block
+    failing: set = set()  # the classes of the weighted lanes that fail
     for cls, weight, first, chunks in spec.blocks(c, ops):
-        counts = dict.fromkeys(spec.totals, 0)
-        if weight or (failed[cls] and not _settled(found, first)):
-            for lanes in chunks:
-                counts["models"] += lanes.count()
-                for hits in spec.judge(lanes, ops, slots, counts):
-                    if lanes.weight is None:
-                        found = _first_hits(found, *hits)
-                if not weight and _settled(found, lanes.record[-1] + 1):
-                    break
-        failed.setdefault(cls, counts[spec.failed])
-        for key, n in counts.items():
-            totals[key] += weight * n
+        if not (weight or cls in failing and not _settled(found, first)):
+            continue
+        counts = totals if weight else dict.fromkeys(spec.totals, 0)
+        for lanes in chunks:
+            counts["models"] += lanes.count()
+            for hits in spec.judge(lanes, ops, slots, counts):
+                if lanes.weight is None:
+                    found = _first_hits(found, *hits)
+                else:
+                    failing |= _classes(*hits)
+            if not weight and _settled(found, lanes.record[-1] + 1):
+                break
     if totals["models"] != spec.models(c):
         raise RuntimeError(f"{c.target} swept {totals['models']} models, "
                            f"not the {spec.models(c)} of its closed form")
@@ -594,7 +640,7 @@ def _run_sweep(c: Campaign, spec: _Sweep) -> CampaignReport:
 
 def _judge_lemma1(lanes: _Lanes, ops, slots, totals: dict) -> Iterator[tuple]:
     premise, part1_fails, part2_body = (np.broadcast_to(mask, len(lanes.record)) for mask in
-        kr.lemma1_masks(pg.run(ops, lanes.frame), slots, (1 << lanes.frame.k) - 1))
+        kr.lemma1_masks(pg.run(ops, lanes.frame), slots, lanes.frame.ua | lanes.frame.ub))
     part1, part2 = part1_fails == 0, part2_body == 0
     fails = (premise & ~part1) | ~part2
     totals["holds"] += lanes.count(premise & part1 & part2)
@@ -684,7 +730,7 @@ def _membership_count(c: Campaign, types: int, vals: int) -> int:
 _LEMMA1 = _Sweep(
     program=kr.lemma1_program,
     blocks=_classical_blocks, models=_frame_count,
-    judge=_judge_lemma1, totals=("models", "holds", "fails", "degenerate"), failed="fails",
+    judge=_judge_lemma1, totals=("models", "holds", "fails", "degenerate"),
     claim="premise -> chain-implication, and the negative sentence is valid",
     tally="models={models} holds={holds} fails={fails} degenerate={degenerate}",
     title="fail-dump {} of {fails}", head=_kripke_head,

@@ -7,9 +7,13 @@ either a Python ``int`` (one model) or a numpy ``uint8`` array with one
 lane per candidate model (a sweep: frames have at most 5 states and
 membership graphs at most 4 nodes, so a byte holds a mask).  Both
 support the same ``& | ^ == >>`` operators, so the one loop serves both,
-and its results keep the dtype of the rows.  Within a lane block the
-type masks ``ua``/``ub`` and the constants are plain ints, so the source
-states of a modality are the same in both cases.
+and its results keep the dtype of the rows.  The type masks ``ua``/``ub``
+are plain ints, or lane arrays when each lane has its own types (a
+packed classical chunk, whose lanes have up to k states).  The types
+cover the states in every semantics, so the states of a lane are
+``full = ua | ub``, read by ``true``, ``!`` and ``D``.  A modality
+loops over the union of its lanes' sources, a Python int, and keeps only
+each lane's own (``& src``).
 
 Each modality rule is one helper whose body is one mask or an (m, lanes)
 stack of them, broadcast against the successor rows.  On lanes, ``run``
@@ -115,11 +119,13 @@ class Frame(NamedTuple):
     body & tgt``, ``membership`` asks ``body & (row | self) == img``.
     ``neg`` is the frame's negation of a mask, read by ``~`` and by the
     diagonal: ``complement(k)``, or the closure of the complement.
+    ``ua``/``ub`` are ints, or one mask per lane; either way they cover
+    the states.
     """
 
     k: int
-    ua: int
-    ub: int
+    ua: object
+    ub: object
     rows: Sequence
     atoms: Mapping[str, object]
     heart: str
@@ -158,9 +164,10 @@ def no_return(rows: Sequence, neg: Callable, src):
 #: ``_stacked`` formula blocks, so the rows of a wide chunk stay in cache.
 _STACK_BYTES = 1 << 17
 
-# The modality rules.  Each marks the states of ``src`` (the source type)
-# whose successor row passes its test against ``body``, which is one mask or
-# an (m, lanes) stack of them, one row per formula, broadcast against each
+# The modality rules.  Each marks the states of ``src`` (the source type,
+# a Python int: with per-lane types, the union of the lanes' sources) whose
+# successor row passes its test against ``body``, which is one mask or an
+# (m, lanes) stack of them, one row per formula, broadcast against each
 # row; the result has the body's shape, or is 0 when ``src`` is empty.
 
 
@@ -230,12 +237,18 @@ def run(ops: Sequence[tuple], frame: Frame) -> list:
     and read only masks from before it are one run: their bodies are
     copied into one stack of at most _STACK_BYTES, the run is evaluated in
     one broadcast, and its rows are appended.  Python-int frames never stack.
+    With per-lane types, the constant masks are lanes too, so no rule
+    meets a Python-int body beside lane targets.
     """
-    k, ua, ub, rows, atoms, heart = frame[:6]
-    full = (1 << k) - 1
+    ua, ub, rows, atoms, heart = frame[1:6]
+    full = ua | ub
     one = _one(rows)
     rules = _RULES[heart]
     height = 1 if isinstance(one, int) else max(1, _STACK_BYTES // rows[0].nbytes)
+    zero, spans = 0, (ua, ub)
+    if per_lane := not isinstance(full, int):
+        import numpy as np  # a lane chunk, so numpy is loaded
+        zero, spans = full ^ full, tuple(int(np.bitwise_or.reduce(t)) for t in spans)
     vals: list = []
     push = vals.append
     for i, op in enumerate(ops):
@@ -244,15 +257,18 @@ def run(ops: Sequence[tuple], frame: Frame) -> list:
         code = op[0]
         if code >= BOX:
             src, tgt = (ua, ub) if op[1] == 0 else (ub, ua)
+            span = spans[op[1]]
             if height == 1 or (end := _run_end(ops, i, height)) == i + 1:
-                push(rules[code](rows, src, tgt, vals[op[2]], one))
+                r = rules[code](rows, span, tgt, vals[op[2]], one)
+                push(r & src if per_lane else r)
                 continue
             import numpy as np  # lanes only: one-model calls never load numpy
             stack = np.empty((end - i, len(rows[0])), rows[0].dtype)
             for j, (_, _, body) in enumerate(ops[i:end]):
                 stack[j] = vals[body]  # also broadcasts the Python-int constants
-            r = rules[code](rows, src, tgt, stack, one)
-            vals.extend(r if src else [r] * (end - i))
+            r = rules[code](rows, span, tgt, stack, one)
+            r = r & src if per_lane else r
+            vals.extend(r if span else [r] * (end - i))
         elif code == AND:
             push(vals[op[1]] & vals[op[2]])
         elif code == OR:
@@ -270,9 +286,9 @@ def run(ops: Sequence[tuple], frame: Frame) -> list:
         elif code == TOP:
             push(full)
         elif code == BOT:
-            push(0)
+            push(zero)
         elif code == ATOM:
-            push(atoms.get(op[1], 0))
+            push(atoms.get(op[1], zero))
         elif code == DIAG:
             push(no_return(rows, frame.neg, ua if op[1] else full))
         else:

@@ -3,6 +3,7 @@ from collections import Counter
 from functools import partial
 from itertools import groupby, product as iproduct
 from math import comb
+from operator import xor
 
 import numpy as np
 import pytest
@@ -783,34 +784,37 @@ def _block_totals(target, max_size, strict, heart, serial):
 @pytest.mark.parametrize("target", ["lemma1", "theorem12"])
 @pytest.mark.parametrize("strict,max_size", [(True, 5), (False, 4)])
 def test_classical_block_totals_depend_only_on_the_popcount(target, strict, max_size):
-    # the premise of the orbit weights: a block's totals depend on (k, |Ua|)
-    # alone; the class's first block, Ua = the lowest states, weighs C(k, a)
+    # the premise of the packed lanes' weights: a block's totals depend on
+    # (k, |Ua|) alone, so the class's first block, Ua = the lowest states,
+    # counts C(k, a) times; every block is read only for the dumps
     for heart, serial in iproduct(("frame", "local"), (False, True)):
         blocks = iter(_block_totals(target, max_size, strict, heart, serial))
-        summed = Counter()
+        summed, weighted = Counter(), Counter()
         for k in range(1, max_size + 1):
             first = {}  # popcount -> the totals of its first block
             for ua in range(1 << k):
                 cls, weight, totals = next(blocks)
                 a = ua.bit_count()
                 assert cls == (k, a)
-                assert weight == (comb(k, a) if ua == (1 << a) - 1 else 0)
+                assert weight == 0
+                if ua == (1 << a) - 1:
+                    weighted.update({key: comb(k, a) * n for key, n in totals.items()})
                 assert first.setdefault(a, totals) == totals, (k, ua)
                 summed.update(totals)
         assert next(blocks, None) is None
         summary = hn.run_campaign(hn.Campaign(target, max_size, strict, heart, serial)).summary
-        assert {key: summary[key] for key in summed} == summed
+        assert {key: summary[key] for key in summed} == summed == weighted
         assert summed["fails"] > 0
 
 
-def _reference_kripke(target, max_size, strict, cap):
+def _reference_kripke(target, max_size, strict, cap, heart="frame", serial=False):
     """lemma1 or theorem12 judged chunk by chunk over every labelled frame,
     the first ``cap`` failing frames dumped."""
-    c = hn.Campaign(target, max_size, strict)
+    c = hn.Campaign(target, max_size, strict, heart, serial)
     ops, slots = kr.lemma1_program() if target == "lemma1" else kr.hole_program("kripke")
     totals = dict.fromkeys(("models", "holds", "fails", "degenerate"), 0)
     found = []
-    for lanes in hn._relation_lanes(max_size, strict, False, "frame", ops):
+    for lanes in hn._relation_lanes(max_size, strict, serial, heart, ops):
         n = len(lanes.record)
         vals = pg.run(ops, lanes.frame)
         if target == "lemma1":
@@ -837,8 +841,24 @@ def _reference_kripke(target, max_size, strict, cap):
         hn._dump_block(lines, f"fail-dump {i} of {totals['fails']}",
                        dump_kripke(hn._rebuild_kripke(rec, strict)))
     return found, hn.CampaignReport(tuple(lines), {
-        "target": target, "max_size": max_size, "strict": strict, "heart": "frame",
-        "serial": False, **totals}).text
+        "target": target, "max_size": max_size, "strict": strict, "heart": heart,
+        "serial": serial, **totals}).text
+
+
+def _dumps_like_the_labelled_loop(monkeypatch, target, strict, cap, small_chunks,
+                                  heart="frame", serial=False):
+    # with no cap on the dumps, every block of a class with failures is
+    # scanned to its end, and each of its failing frames is dumped in order;
+    # with chunks of a few lanes (the packed block's too), a block is left
+    # mid-way once the five dumps are full
+    monkeypatch.setattr(hn, "_FAIL_DUMP_CAP", cap)
+    found, expected = _reference_kripke(target, 3, strict, cap, heart, serial)
+    if small_chunks:
+        monkeypatch.setattr(hn, "_LANE_BYTES", 200)
+    # failures in blocks whose Ua is not the lowest states, so in no
+    # representative of the packed block
+    assert any(ua & ua + 1 for _, (_, _, _, ua, _, _) in found)
+    assert hn.run_campaign(hn.Campaign(target, 3, strict, heart, serial)).text == expected
 
 
 @pytest.mark.parametrize("target", ["lemma1", "theorem12"])
@@ -847,17 +867,19 @@ def _reference_kripke(target, max_size, strict, cap):
 @pytest.mark.parametrize("small_chunks", [False, True])
 def test_weighted_sweeps_dump_like_the_labelled_loop(monkeypatch, target, strict, cap,
                                                      small_chunks):
-    # with no cap on the dumps, every block of a class with failures is
-    # scanned to its end, and each of its failing frames is dumped in order;
-    # with chunks of a few lanes, a block that weighs 0 is left mid-way
-    # once the five dumps are full
-    monkeypatch.setattr(hn, "_FAIL_DUMP_CAP", cap)
-    found, expected = _reference_kripke(target, 3, strict, cap)
-    if small_chunks:
-        monkeypatch.setattr(hn, "_LANE_BYTES", 200)
-    # failures in blocks that weigh 0, whose Ua is not the lowest states
-    assert any(ua & ua + 1 for _, (_, _, _, ua, _, _) in found)
-    assert hn.run_campaign(hn.Campaign(target, 3, strict)).text == expected
+    _dumps_like_the_labelled_loop(monkeypatch, target, strict, cap, small_chunks)
+
+
+@pytest.mark.parametrize("target", ["lemma1", "theorem12"])
+@pytest.mark.parametrize("strict", [True, False])
+@pytest.mark.parametrize("cap", [5, 10**6])
+@pytest.mark.parametrize("small_chunks", [False, True])
+@pytest.mark.parametrize("heart,serial", [("frame", True), ("local", False), ("local", True)])
+def test_weighted_sweeps_dump_like_the_labelled_loop_under_each_flag(
+        monkeypatch, target, strict, cap, small_chunks, heart, serial):
+    # the dump scan reads the blocks of the strict representatives too,
+    # under either heart, and serial drops frames from every block
+    _dumps_like_the_labelled_loop(monkeypatch, target, strict, cap, small_chunks, heart, serial)
 
 
 @pytest.mark.parametrize("t", range(4))
@@ -888,9 +910,11 @@ def test_factored_lanes_count_like_the_frames(heart, serial, rng):
     # count of the frames of the class's first block
     formulas = [random_relational_formula(rng, 3, fm.Dclass()) for _ in range(6)]
     ops, slots = pg.compile_program(formulas, "kripke")
+    seen = set()
     for block in hn._relation_blocks(3, False, serial, heart, ops):
-        if not block.weight:
-            continue
+        if block.cls in seen:
+            continue  # only the class's first block, Ua = the lowest a states
+        seen.add(block.cls)
         (k, a), full = block.cls, (1 << block.cls[0]) - 1
         counts = []
         for chunks in (block.chunks,
@@ -904,6 +928,7 @@ def test_factored_lanes_count_like_the_frames(heart, serial, rng):
                     total[j, "satisfiable"] += lanes.count(vals[slot] != 0)
             counts.append(total)
         assert counts[0] == counts[1], block.cls
+    assert len(seen) == 2 + 3 + 4
 
 
 @pytest.mark.parametrize("strict", [True, False])
@@ -944,6 +969,63 @@ def test_a_wrong_weight_breaks_the_closed_form(monkeypatch, serial):
     monkeypatch.setattr(hn, "_same_type_weights", bumped)
     with pytest.raises(RuntimeError, match="closed form"):
         hn.run_campaign(hn.Campaign("lemma1", 3, False, serial=serial))
+
+
+@pytest.mark.parametrize("target", ["lemma1", "theorem12"])
+@pytest.mark.parametrize("strict,serial", [(True, False), (False, False), (False, True)])
+def test_classical_sweeps_judge_every_class_in_one_packed_run(monkeypatch, target, strict,
+                                                              serial):
+    # at 4 states the representatives of all 14 classes fit one chunk: one
+    # run on per-lane types, the first; every other run is on int types,
+    # a labelled block read for the dumps or the landmark frame
+    frames = []
+    run = pg.run
+    monkeypatch.setattr(pg, "run", lambda ops, frame: frames.append(frame) or run(ops, frame))
+    hn.run_campaign(hn.Campaign(target, 4, strict, serial=serial))
+    packed, labelled = frames[0], frames[1:]
+    assert packed.k == 4 and len(packed.rows[0]) == (428 if strict else 6476)
+    assert isinstance(packed.ua, np.ndarray) and isinstance(packed.ub, np.ndarray)
+    assert labelled and all(type(f.ua) is type(f.ub) is int for f in labelled)
+
+
+@pytest.mark.parametrize("heart", ["frame", "local", "membership"])
+@seed(23)
+@settings(max_examples=20, database=None, deadline=None)
+@given(st.randoms(use_true_random=False))
+def test_per_lane_types_match_each_lanes_own_frame(heart, rng):
+    # lanes of 1-4 states packed over 4 (a lane's rows past its states are
+    # empty), each with its own Ua and Ub, one of them with Ua = {} and one
+    # with Ub = {} (overlapping types under the membership heart), negated
+    # by the complement within the lane's states; then the same lanes with
+    # Ua = {} on every lane, so no ab modality has a source.  Each lane
+    # against the int path on its own frame, stacked runs included.
+    language, d = ("nwf", "D+") if heart == "membership" else ("kripke", "D")
+    formulas = [random_relational_formula(rng, 3, fm.parse(d)) for _ in range(6)]
+    formulas += [fm.parse(text.format(d=d)) for text in (
+        "[ab] (p & Ub) & [ab] p", "Hba (p | {d}) & Hba p & Hba Ua", "<ab> !p | <ab> {d}")]
+    ops, _ = pg.compile_program(formulas, language)
+    assert any(pg._run_end(ops, i, len(ops)) > i + 1 for i, op in enumerate(ops)
+               if op[0] >= pg.BOX)
+    n, lanes = 4, []
+    for lane in range(rng.randint(2, 12)):
+        k = rng.randint(1, n)
+        full = (1 << k) - 1
+        ua = (0, full)[lane] if lane < 2 else rng.getrandbits(k)
+        ub = full ^ ua | (rng.getrandbits(k) & ua if heart == "membership" and lane else 0)
+        lanes.append((k, ua, ub, [rng.getrandbits(k) for _ in range(k)], rng.getrandbits(k)))
+    for types in ("own", "no Ua"):
+        if types == "no Ua":
+            lanes = [(k, 0, (1 << k) - 1, rows, p) for k, _, _, rows, p in lanes]
+        column = lambda masks: np.array(list(masks), dtype=np.uint8)
+        ua, ub = column(lane[1] for lane in lanes), column(lane[2] for lane in lanes)
+        rows = [column(lane[3][x] if x < lane[0] else 0 for lane in lanes) for x in range(n)]
+        frame = pg.Frame(n, ua, ub, rows, {"p": column(lane[4] for lane in lanes)}, heart,
+                         partial(xor, ua | ub))
+        vals = pg.run(ops, frame)
+        assert all(v.dtype == np.uint8 and v.shape == (len(lanes),) for v in vals)
+        for i, (k, *masks, p) in enumerate(lanes):
+            own = pg.Frame(k, *masks, {"p": p}, heart, pg.complement(k))
+            assert [int(v[i]) for v in vals] == pg.run(ops, own), (types, i)
 
 
 def _widened(x):
