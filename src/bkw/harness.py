@@ -3,13 +3,13 @@
 Campaigns sweep an exhaustively enumerated model space and record how a
 named claim fares on every model.  They report; they do not assert.
 Each model kind has one enumerator, which yields numpy lane chunks, one
-lane per candidate model, blocked so that the type masks are fixed per
-chunk: ``_relation_blocks`` for classical frames (``_relation_lanes``
-reads its chunks in order) and ``_membership_lanes`` for membership
-graphs.  A frame's successor rows are the digits of its place in its
-block, one digit per state, so each row of a chunk is a tile or a repeat
-of its state's table of rows, and the serial frames are built directly,
-from tables without the empty row.  Each lane carries a record index
+lane per candidate model, in blocks of fixed type masks:
+``_relation_blocks`` for classical frames (``_relation_lanes`` reads its
+chunks in order) and ``_membership_lanes`` for membership graphs.  A
+frame's successor rows are the digits of its place in its block, one
+digit per state, so each row of a chunk is a tile or a repeat of its
+state's table of rows, and the serial frames are built directly, from
+tables without the empty row.  Each lane carries a record index
 (its place in the enumeration order, serial or not) and reads back as a
 compact record, which ``_rebuild_kripke``/``_rebuild_hyperset`` turn
 into a model; the public ``enumerate_kripke``/``enumerate_hypersets``
@@ -27,7 +27,10 @@ weighted C(k, a).  At 4 states that is one ``program.run`` call for all
 dumps: a block is skipped when no packed lane of its class failed, and
 left once no later lane of it can enter them, so the dumps are those of
 the whole sweep.  Each membership chunk is a class of its own, of
-weight 1.
+weight 1; it packs whole small (k, type assignment) blocks, each lane
+with its own type masks, up to the cache cap of ``_stacked``, so its
+records need not rise with the lane, and ``_first_hits`` keeps the
+lowest.
 
 A non-strict class is counted rather than enumerated.  Every modality
 reads a successor row only through ``row & tgt``, the cross-type edges;
@@ -137,7 +140,7 @@ class _Lanes(NamedTuple):
         pval being the valuation of atom p."""
         f = self.frame
         at = lambda mask: int(mask[lane]) if isinstance(mask, np.ndarray) else mask
-        return (f.k, tuple(map(at, f.rows)), at(self.ure), f.ua, f.ub,
+        return (f.k, tuple(map(at, f.rows)), at(self.ure), at(f.ua), at(f.ub),
                 at(f.atoms.get("p", 0)))
 
 
@@ -369,7 +372,7 @@ def _classes(bad: np.ndarray, lanes: _Lanes) -> set[tuple[int, int]]:
 def _membership_lanes(max_nodes: int, overlap: bool, with_atom: bool,
                       ops: Sequence[tuple]) -> Iterator[_Lanes]:
     """Every membership model with up to ``max_nodes`` nodes as lane
-    chunks, blocked by (k, ua, ub).
+    chunks of the blocks (k, ua, ub), in block order.
 
     Every node is an urelement or a set with any member row; the type
     assignments cover the nodes, overlapping only when ``overlap``, and
@@ -377,6 +380,13 @@ def _membership_lanes(max_nodes: int, overlap: bool, with_atom: bool,
     member rows, the urelements and the valuation vary per lane;
     ``record`` orders the models by size, then by (rows, types,
     valuation), the order in which reports name their first models.
+
+    Within each k, whole consecutive blocks share a chunk as long as its
+    live masks (one per op and one member row per node) fit in 1/128 of
+    _LANE_BYTES, the cache cap of ``_stacked``: such a chunk tiles the
+    lanes of one block and gives each lane its own ``ua``/``ub``, so
+    records do not rise with the lane.  A block too big to share is cut
+    into chunks of ``_lane_width`` lanes with int types.
     """
     if not 1 <= max_nodes <= 4:
         raise ValueError("node bound must be between 1 and 4")
@@ -387,23 +397,34 @@ def _membership_lanes(max_nodes: int, overlap: bool, with_atom: bool,
         vals = 1 << k if with_atom else 1
         per_block = options ** k * vals
         width = _lane_width(ops, k)
+        group = max(1, width // 128 // per_block)  # whole blocks per chunk
         member_row = np.maximum(np.arange(options) - 1, 0).astype(_LANE)  # option -> row
         assignments = list(iproduct(type_options, repeat=k))
-        for t, types in enumerate(assignments):
-            ua = sum(1 << w for w in range(k) if types[w] & 1)
-            ub = sum(1 << w for w in range(k) if types[w] & 2)
+        uas, ubs = (np.array([sum(1 << w for w in range(k) if types[w] & side)
+                              for types in assignments], dtype=_LANE) for side in (1, 2))
+        for t0 in range(0, len(assignments), group):
+            t = np.arange(t0, min(t0 + group, len(assignments)))  # the chunk's blocks
             for start in range(0, per_block, width):
                 lane = np.arange(start, min(start + width, per_block), dtype=np.int64)
                 digits, pval = lane // vals, lane % vals
-                record = offset + (digits * len(assignments) + t) * vals + pval
+                record = offset + (digits * len(assignments) + t0) * vals + pval
                 rows, ure = [None] * k, 0
                 for w in reversed(range(k)):
                     digits, option = digits // options, digits % options
                     rows[w] = member_row[option]
                     ure = ure | (option == 0) * _LANE(1 << w)
                 atoms = {"p": pval.astype(_LANE)} if with_atom else {}
-                yield _Lanes(record, ure, pg.Frame(k, ua, ub, rows, atoms, "membership",
-                                                   pg.complement(k)))
+                if len(t) == 1:  # a block of its own: int types
+                    yield _Lanes(record, ure, pg.Frame(k, int(uas[t0]), int(ubs[t0]), rows,
+                                                       atoms, "membership", pg.complement(k)))
+                    continue
+                # whole blocks, so per_block < width: block t0's lanes, tiled
+                tile = partial(np.tile, reps=len(t))
+                ua, ub = (np.repeat(masks[t], per_block) for masks in (uas, ubs))
+                yield _Lanes((record + (t - t0)[:, None] * vals).ravel(), tile(ure),
+                             pg.Frame(k, ua, ub, list(map(tile, rows)),
+                                      {a: tile(mask) for a, mask in atoms.items()},
+                                      "membership", pg.complement(k)))
         offset += per_block * len(assignments)
 
 
@@ -413,18 +434,23 @@ def _first_hits(found: list, bad: np.ndarray, lanes: _Lanes,
     compact record) entries, cut to the _FAIL_DUMP_CAP first in order.
 
     ``bad`` flags the chunk's lanes, or is a block of such rows (one per
-    formula, say) whose keys rise with the row.  Records rise with the
-    lane within a chunk, so the block's first entries lie in its first
-    _FAIL_DUMP_CAP lanes with a hit, taken lane by lane and row by row;
-    and once ``found`` is full, a chunk that starts past its last record
-    cannot change it.
+    formula, say) whose keys rise with the row.  The block's first entries
+    lie in the _FAIL_DUMP_CAP lanes with a hit of the lowest records, taken
+    lane by lane and row by row; and once ``found`` is full, a chunk whose
+    lowest record is past its last cannot change it.  Records rise with
+    the lane within a chunk of one block, so there these lanes are the
+    first ones with a hit; a packed chunk of whole blocks sorts them.
     """
-    if _settled(found, lanes.record[0]):
+    packed = isinstance(lanes.frame.ua, np.ndarray)
+    if _settled(found, lanes.record.min() if packed else lanes.record[0]):
         return found
+    first = np.flatnonzero(bad if bad.ndim == 1 else bad.any(axis=0))
+    if packed:
+        first = first[np.argsort(lanes.record[first])]
+    first = first[:_FAIL_DUMP_CAP]
     if bad.ndim == 1:
-        hits = [(lane, 0) for lane in np.flatnonzero(bad)[:_FAIL_DUMP_CAP]]
+        hits = [(lane, 0) for lane in first]
     else:
-        first = np.flatnonzero(bad.any(axis=0))[:_FAIL_DUMP_CAP]
         lane, row = np.nonzero(bad[:, first].T)
         hits = list(zip(first[lane], row))[:_FAIL_DUMP_CAP]
     if not hits:
@@ -448,8 +474,9 @@ def _unweighted(chunks: Iterable[_Lanes]) -> Iterator[_Block]:
 def _take_lanes(lanes: _Lanes, keep: np.ndarray) -> _Lanes:
     """The lanes of a membership chunk that ``keep`` flags."""
     f = lanes.frame
+    take = lambda mask: mask[keep] if isinstance(mask, np.ndarray) else mask
     return _Lanes(lanes.record[keep], lanes.ure[keep],
-                  f._replace(rows=[row[keep] for row in f.rows],
+                  f._replace(ua=take(f.ua), ub=take(f.ub), rows=[row[keep] for row in f.rows],
                              atoms={a: mask[keep] for a, mask in f.atoms.items()}))
 
 

@@ -190,17 +190,17 @@ def bisimilar(m1: HypersetModel, n1: str, m2: HypersetModel, n2: str) -> bool:
     """Labeled bisimilarity between nodes of two models.
 
     The refinement of ``canonicalize`` runs over the nodes of both models,
-    tagged by model (one model when ``m1 is m2``), and the two nodes are
-    bisimilar when they end in one block.  Within one model distinct
-    urelements are distinct atoms; across models urelements match when
-    their labels do.
+    tagged by model (one model when ``m1 == m2``, so that an equal copy
+    answers like the model itself), and the two nodes are bisimilar when
+    they end in one block.  Within one model distinct urelements are
+    distinct atoms; across models urelements match when their labels do.
     """
     if n1 not in m1.nodes or n2 not in m2.nodes:
         raise ValueError("unknown node")
-    models = (m1,) if m1 is m2 else (m1, m2)
+    models = (m1,) if m1 == m2 else (m1, m2)
     block = _blocks([(i, w) for i, m in enumerate(models) for w in sorted(m.nodes)],
                     lambda t: [(t[0], v) for v in models[t[0]].members(t[1])],
-                    lambda t: _labels(models[t[0]], t[1], atoms=m1 is m2))
+                    lambda t: _labels(models[t[0]], t[1], atoms=len(models) == 1))
     return block[0, n1] == block[len(models) - 1, n2]
 
 
@@ -260,8 +260,9 @@ def theorem22_faults(frame: pg.Frame, w: int, body):
     lanes: (w assumes the body iff w satisfies it, w fails to believe it).
     Both must be false wherever w is special.  A constant body is a Python
     int, so it is never complemented: ``~`` of an int is negative, which
-    no unsigned lane can hold."""
-    tgt = frame.ub if frame.ua >> w & 1 else frame.ua
+    no unsigned lane can hold.  The types may be per-lane masks."""
+    in_a = frame.ua >> w & 1  # the target type: Ub from an Ua node, else Ua
+    tgt = in_a * frame.ub | (in_a ^ 1) * frame.ua
     need = frame.rows[w] & tgt
     assumes = body & (frame.rows[w] | 1 << w) == need
     return assumes == (body >> w & 1 == 1), need & body != need

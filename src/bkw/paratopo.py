@@ -182,8 +182,6 @@ def is_weak_assumption_complete(m: ParaTopoModel) -> WeakAssumptionReport:
     singleton of the first cell whose {x} or {y} is not closed."""
     pa, pb = m.tau_a.points, m.tau_b.points
     cells = list(iproduct(range(len(pa)), range(len(pb))))
-    if len(cells) > 12:
-        raise ValueError("product carrier too large for exhaustive subset check")
     for j, (i, k) in enumerate(cells):
         if m.tau_a.hulls[i] != 1 << i or m.tau_b.hulls[k] != 1 << k:
             return WeakAssumptionReport(holds=False, failing_set=((pa[i], pb[k]),),

@@ -9,11 +9,11 @@ membership graphs at most 4 nodes, so a byte holds a mask).  Both
 support the same ``& | ^ == >>`` operators, so the one loop serves both,
 and its results keep the dtype of the rows.  The type masks ``ua``/``ub``
 are plain ints, or lane arrays when each lane has its own types (a
-packed classical chunk, whose lanes have up to k states).  The types
-cover the states in every semantics, so the states of a lane are
-``full = ua | ub``, read by ``true``, ``!`` and ``D``.  A modality
-loops over the union of its lanes' sources, a Python int, and keeps only
-each lane's own (``& src``).
+packed classical chunk, whose lanes have up to k states, or a chunk of
+several membership blocks).  The types cover the states in every
+semantics, so the states of a lane are ``full = ua | ub``, read by
+``true``, ``!`` and ``D``.  A modality loops over the union of its
+lanes' sources, a Python int, and keeps only each lane's own (``& src``).
 
 Each modality rule is one helper whose body is one mask or an (m, lanes)
 stack of them, broadcast against the successor rows.  On lanes, ``run``
@@ -288,7 +288,7 @@ def run(ops: Sequence[tuple], frame: Frame) -> list:
         elif code == BOT:
             push(zero)
         elif code == ATOM:
-            push(atoms.get(op[1], zero))
+            push(atoms.get(op[1], 0) | zero)  # a Python-int valuation too is lanes
         elif code == DIAG:
             push(no_return(rows, frame.neg, ua if op[1] else full))
         else:

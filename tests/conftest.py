@@ -322,11 +322,13 @@ def _node_label(m: HypersetModel, w: str) -> tuple:
 def bisimulation(m1: HypersetModel, m2: HypersetModel) -> set:
     """Oracle: the largest labeled bisimulation between the nodes of m1 and
     m2, by removing the pairs that fail to transfer until none does.
-    Within one model (``m1 is m2``) distinct urelements are distinct atoms;
-    across models urelements match when their labels do."""
+    Within one model (``m1 == m2``, an equal copy included) distinct
+    urelements are distinct atoms; across models urelements match when
+    their labels do."""
+    same = m1 == m2
     pairs = {(a, b) for a in m1.nodes for b in m2.nodes
              if _node_label(m1, a) == _node_label(m2, b)
-             and not (m1 is m2 and a in m1.urelements and a != b)}
+             and not (same and a in m1.urelements and a != b)}
 
     def transfer(a: str, b: str) -> bool:
         return (all(any((x, y) in pairs for y in m2.members(b)) for x in m1.members(a))

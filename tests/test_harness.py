@@ -3,7 +3,7 @@ from collections import Counter
 from functools import partial
 from itertools import groupby, product as iproduct
 from math import comb
-from operator import xor
+from operator import itemgetter, xor
 
 import numpy as np
 import pytest
@@ -207,8 +207,9 @@ def test_mask_program_matches_reference_evaluator():
 
 def test_every_stacked_run_matches_the_reference_evaluator():
     # all 602 formulas, so also the layer-2 runs past the 200 that the test
-    # above checks, on up to 10 seeded lanes of each chunk up to 2 nodes
-    # and one lane of each 3-node chunk, where the 84-op runs split
+    # above checks, on up to 10 seeded lanes of each (k, type assignment)
+    # block up to 2 nodes and one lane of each 3-node block, where the
+    # 84-op runs split; small blocks share a chunk, each lane with its types
     family = hs.bounded_formula_family()
     ops, slots = hs.theorem22_program()
     rng = random.Random(67)
@@ -216,12 +217,15 @@ def test_every_stacked_run_matches_the_reference_evaluator():
     for lanes in hn._membership_lanes(3, False, True, ops):
         n = len(lanes.record)
         vals = [np.broadcast_to(v, n) for v in pg.run(ops, lanes.frame)]
-        for lane in rng.sample(range(n), min(n, 10 if lanes.frame.k < 3 else 1)):
-            m = hn._rebuild_hyperset(lanes.compact(lane))
-            for f, slot in zip(family, slots, strict=True):
-                for i, name in enumerate(sorted(m.nodes)):
-                    assert bool(vals[slot][lane] >> i & 1) == nwf_truth(m, f, name)
-            count += 1
+        types = np.broadcast_to(lanes.frame.ua, n)  # disjoint types: Ua names the block
+        for ua in dict.fromkeys(types.tolist()):
+            block = np.flatnonzero(types == ua).tolist()
+            for lane in rng.sample(block, min(len(block), 10 if lanes.frame.k < 3 else 1)):
+                m = hn._rebuild_hyperset(lanes.compact(lane))
+                for f, slot in zip(family, slots, strict=True):
+                    for i, name in enumerate(sorted(m.nodes)):
+                        assert bool(vals[slot][lane] >> i & 1) == nwf_truth(m, f, name)
+                count += 1
     assert count == 2 * 6 + 4 * 10 + 8
 
 
@@ -361,10 +365,12 @@ def _mutated_theorem23(real):
 
 
 def _lane_first_hits(found, bad, lanes, *key):
-    """The per-row first-hit scan: the first lanes of ``bad`` as
-    (record, *key, compact record) entries, merged in order and cut to 5."""
+    """The per-row first-hit scan: the lanes of ``bad`` of the five lowest
+    records as (record, *key, compact record) entries, merged in order and
+    cut to 5, whatever the order of the records within the chunk."""
+    flagged = np.flatnonzero(bad)
     found = found + [(int(lanes.record[i]), *key, lanes.compact(i))
-                     for i in np.flatnonzero(bad)[:5]]
+                     for i in flagged[np.argsort(lanes.record[flagged])[:5]]]
     return sorted(found)[:5]
 
 
@@ -537,6 +543,85 @@ def test_first_hits_skips_only_a_chunk_past_full_dumps():
     bad[0, 0] = True
     assert hn._first_hits(tied, bad, lanes, lambda row: (row,)) == (
         [(first, 0, lanes.compact(0))] + tied[:-1])
+
+
+def _claim_masks(frame, ure, vals, slots):
+    """Every claim of the membership campaigns on a frame's extension masks:
+    the validity failures, then per node whether it is special and, per
+    slot, its theorem 2.2 faults and its theorem 2.3 fault."""
+    masks = hs.validity_failures(vals, slots, (1 << frame.k) - 1)
+    for w in range(frame.k):
+        masks.append(hs.is_special(frame, ure, w))
+        for slot in slots:
+            masks += [*hs.theorem22_faults(frame, w, vals[slot]),
+                      hs.theorem23_fault(frame, w, vals[slot])]
+    return masks
+
+
+@pytest.mark.parametrize("program", [hs.theorem22_program, hs.theorem23_program,
+                                     hs.validity_program])
+@pytest.mark.parametrize("overlap, with_atom", list(iproduct((False, True), repeat=2)))
+def test_packed_membership_lanes_match_each_lanes_own_frame(program, overlap, with_atom):
+    # the small (k, type assignment) blocks share chunks, each lane with
+    # its own ua/ub; two seeded lanes of each block are rebuilt as a frame
+    # with int types, and every mask and claim must be the same, bit for bit
+    ops, slots = program()
+    rng = random.Random(69)
+    packed = set()  # the sizes with a shared chunk
+    for lanes in hn._membership_lanes(3, overlap, with_atom, ops):
+        f, n = lanes.frame, len(lanes.record)
+        if not isinstance(f.ua, np.ndarray):
+            continue
+        vals = pg.run(ops, f)
+        claims = [np.broadcast_to(mask, n) for mask in _claim_masks(f, lanes.ure, vals, slots)]
+        vals = [np.broadcast_to(v, n) for v in vals]
+        types = f.ua.astype(int) << 8 | f.ub
+        assert len(set(types.tolist())) > 1
+        packed.add(f.k)
+        for t in dict.fromkeys(types.tolist()):
+            for lane in rng.sample(np.flatnonzero(types == t).tolist(), 2):
+                k, rows, ure, ua, ub, pval = lanes.compact(lane)
+                assert (ua, ub) == (t >> 8, t & 255)
+                own = pg.Frame(k, ua, ub, list(rows), {"p": pval} if with_atom else {},
+                               "membership", pg.complement(k))
+                own_vals = pg.run(ops, own)
+                assert [int(v[lane]) for v in vals] == own_vals
+                assert [int(c[lane]) for c in claims] == list(map(
+                    int, _claim_masks(own, ure, own_vals, slots)))
+    assert packed >= {1, 2}
+
+
+def _per_block_models(max_nodes, overlap):
+    """Every membership model up to ``max_nodes`` nodes built one (k, type
+    assignment) block at a time, node 0's option the slowest, with its
+    record: its place in the order by size, then member rows and
+    urelements, then types."""
+    keys = []
+    for k in range(1, max_nodes + 1):
+        for types in iproduct((1, 2, 3) if overlap else (1, 2), repeat=k):
+            for options in iproduct(range((1 << k) + 1), repeat=k):
+                keys.append((k, types, options))
+    record = {key: i for i, key in enumerate(sorted(keys, key=itemgetter(0, 2, 1)))}
+    for key in keys:
+        k, types, options = key
+        names = [f"n{i}" for i in range(k)]
+        typed = lambda side: [n for n, t in zip(names, types) if t & side]
+        yield record[key], hs.HypersetModel(
+            names, [(w, v) for w, o in zip(names, options) for i, v in enumerate(names)
+                    if o and (o - 1) >> i & 1],
+            typed(1), typed(2), [n for n, o in zip(names, options) if o == 0],
+            disjoint_types=3 not in types)
+
+
+@pytest.mark.parametrize("overlap", [False, True])
+def test_enumerate_hypersets_keeps_the_per_block_order(overlap):
+    # packed chunks tile whole blocks in block order, so the models come
+    # out as from one block at a time, with the same records
+    expected = list(_per_block_models(3, overlap))
+    assert list(hn.enumerate_hypersets(3, allow_overlap=overlap)) == [m for _, m in expected]
+    for ops in ([], hs.theorem23_program()[0], hs.theorem22_program()[0]):
+        records = [lanes.record for lanes in hn._membership_lanes(3, overlap, False, ops)]
+        assert np.concatenate(records).tolist() == [r for r, _ in expected]
 
 
 def _bits(n, mask):
@@ -1026,6 +1111,22 @@ def test_per_lane_types_match_each_lanes_own_frame(heart, rng):
         for i, (k, *masks, p) in enumerate(lanes):
             own = pg.Frame(k, *masks, {"p": p}, heart, pg.complement(k))
             assert [int(v[i]) for v in vals] == pg.run(ops, own), (types, i)
+
+
+@pytest.mark.parametrize("p", [0, 1, 3])
+def test_an_int_valuation_beside_per_lane_types_reads_as_lanes(p):
+    # a frame may value an atom by one Python int for all its lanes (criterion
+    # 9 does); beside per-lane types no single modal op may meet it as an int
+    # body, whose complement is negative and fits no uint8 lane
+    formulas = [fm.parse(text) for text in ("[ab] p", "Hab p", "<ba> !p", "p -> Hba p")]
+    ops, slots = pg.compile_program(formulas, "nwf")
+    ua, ub = np.array([1, 2, 3, 1], np.uint8), np.array([2, 1, 1, 3], np.uint8)
+    rows = [np.array([2, 3, 0, 1], np.uint8), np.array([1, 0, 3, 2], np.uint8)]
+    vals = pg.run(ops, pg.Frame(2, ua, ub, rows, {"p": p}, "membership", pg.complement(2)))
+    for lane in range(4):
+        own = pg.Frame(2, int(ua[lane]), int(ub[lane]), [int(row[lane]) for row in rows],
+                       {"p": p}, "membership", pg.complement(2))
+        assert [int(vals[s][lane]) for s in slots] == [pg.run(ops, own)[s] for s in slots]
 
 
 def _widened(x):

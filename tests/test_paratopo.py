@@ -209,9 +209,17 @@ def test_weak_assumption_completeness():
                 and pt.vertically_closed(FIXTURE, s))
     point = discrete_model("x", "u", [], [])
     assert pt.is_weak_assumption_complete(point).holds
+    # 16 cells and 2^16 product subsets, answered by one pass over the cells
     big = discrete_model("abcd", "uvwz", [], [])
-    with pytest.raises(ValueError):
-        pt.is_weak_assumption_complete(big)
+    assert pt.is_weak_assumption_complete(big) == pt.WeakAssumptionReport(
+        holds=True, failing_set=None, subsets_checked=2 ** 16)
+    # b's hull is {a, b}: the cells of a pass, the first failing set is {(b, u)}
+    b_open = pt.ParaTopoModel(tp._from_hulls("abcd", [1, 0b11, 4, 8]), tp.discrete("uvwz"),
+                              [], [])
+    report = pt.is_weak_assumption_complete(b_open)
+    assert report == pt.WeakAssumptionReport(holds=False, failing_set=(("b", "u"),),
+                                             subsets_checked=2 ** 4 + 1)
+    assert report == _weak_by_subsets(b_open)
 
 
 def _weak_by_subsets(m):
