@@ -5,15 +5,15 @@ named claim fares on every model.  They report; they do not assert.
 Each model kind has one enumerator, which yields numpy lane chunks, one
 lane per candidate model, in blocks of fixed type masks:
 ``_relation_blocks`` for classical frames (``_relation_lanes`` reads its
-chunks in order) and ``_membership_lanes`` for membership graphs.  A
-frame's successor rows are the digits of its place in its block, one
-digit per state, so each row of a chunk is a tile or a repeat of its
-state's table of rows, and the serial frames are built directly, from
-tables without the empty row.  Each lane carries a record index
-(its place in the enumeration order, serial or not) and reads back as a
-compact record, which ``_rebuild_kripke``/``_rebuild_hyperset`` turn
-into a model; the public ``enumerate_kripke``/``enumerate_hypersets``
-are such rebuild loops.
+chunks in order) and ``_membership_lanes`` for membership graphs.  Both
+tile and repeat the per-digit tables of one mixed-radix chunker,
+``_digits``: a frame's digits are its states' successor rows (a serial
+frame's tables lack the empty row), a membership graph's the valuation
+of p, each node's option and the type assignment.  Each lane carries a
+record index (its place in the enumeration order, serial or not: the
+sum of its digits' place values) and reads back as a compact record,
+which ``_rebuild_kripke``/``_rebuild_hyperset`` turn into a model; the
+public ``enumerate_kripke``/``enumerate_hypersets`` are such rebuild loops.
 
 The frames come in one block per (k, Ua mask).  A state permutation maps
 the block of a mask onto the block of any mask with the same popcount a,
@@ -28,9 +28,9 @@ dumps: a block is skipped when no packed lane of its class failed, and
 left once no later lane of it can enter them, so the dumps are those of
 the whole sweep.  Each membership chunk is a class of its own, of
 weight 1; it packs whole small (k, type assignment) blocks, each lane
-with its own type masks, up to the cache cap of ``_stacked``, so its
-records need not rise with the lane, and ``_first_hits`` keeps the
-lowest.
+with its own type masks, up to the cache cap ``program._STACK_BYTES``
+of ``_stacked``, so its records need not rise with the lane, and
+``_first_hits`` keeps the lowest.
 
 A non-strict class is counted rather than enumerated.  Every modality
 reads a successor row only through ``row & tgt``, the cross-type edges;
@@ -59,8 +59,8 @@ lanes.  The membership theorems judge each state on ``_stacked`` blocks
 of formula masks; theorem22 first drops the lanes with no urelement and
 no Quine state, which hold and count as degenerate unevaluated.  Its
 program's modalities come in runs of one modality and direction, which
-``program.run`` evaluates in stacks capped, like these blocks, at 1/128
-of _LANE_BYTES.
+``program.run`` evaluates in stacks capped, like these blocks, at
+``program._STACK_BYTES``, 1/128 of _LANE_BYTES.
 
 The co-Heyting law campaigns run on point masks.  They read
 ``topology._hull_tables`` and build no ``ClosedTopology``: one call of
@@ -182,59 +182,64 @@ def _relation_blocks(max_states: int, strict: bool, serial: bool, heart: str,
             offset += 1 << (2 * a * (k - a) if strict else k * k)
 
 
+def _digits(tables: Sequence[Sequence[np.ndarray]], width: int
+            ) -> Iterator[tuple[np.ndarray, list[list[np.ndarray]]]]:
+    """Mixed-radix numbers in order, in chunks of at most ``width`` lanes:
+    digit x, 0 the lowest, indexes the equal-length arrays of ``tables[x]``,
+    the first of which holds its place values.  Yields each chunk's int64
+    sums of its digits' places and, per digit, its other arrays.
+
+    A chunk covers whole runs of the low digits whose lanes fit in
+    ``width``: a low digit's lanes are a slice of one tile of its repeated
+    arrays, a high digit's one repeat.  A run's place sums are built once,
+    an outer sum per digit, and a chunk's are one more.  A radix of 0
+    yields nothing."""
+    radix = [len(table[0]) for table in tables]
+    if not all(radix):
+        return
+    period = [prod(radix[:x]) for x in range(len(radix))]  # the lanes of one value of a digit
+    low = sum(p * r <= width for p, r in zip(period, radix))  # the digits [0, low) ...
+    run, runs = prod(radix[:low]), prod(radix[low:])  # ... whose run of lanes fits in a chunk
+    step = min(width // run, runs)  # runs per chunk
+    base, tiles = 0, []  # a run's place sums; the low digits' arrays over a whole chunk
+    for x in range(low):
+        place, *arrays = tables[x]
+        base = np.add.outer(place, base).ravel()
+        tiles.append([a.repeat(period[x])[None].repeat(step * run // (period[x] * radix[x]), 0)
+                      .ravel() for a in arrays])
+    for start in range(0, runs, step):
+        h = np.arange(start, min(start + step, runs))  # the chunk's runs
+        top, lanes = 0, [[a[:len(h) * run] for a in arrays] for arrays in tiles]
+        for x in range(low, len(radix)):
+            digit = h // (period[x] // run) % radix[x]
+            place, *arrays = (a[digit] for a in tables[x])
+            top = top + place
+            lanes.append([a.repeat(run) for a in arrays])
+        # with no high digit there is one chunk, whose sums are the run's
+        yield np.add.outer(top, base).ravel() if low < len(radix) else base, lanes
+
+
 def _relation_chunks(k: int, ua: int, strict: bool, offset: int, serial: bool, heart: str,
                      width: int) -> Iterator[_Lanes]:
-    """The lane chunks of the (k, ua) block whose first record is ``offset``.
-
-    A frame's successor rows are the digits of a mixed-radix number, state
-    0's the lowest: digit x indexes x's table of rows, one per subset of
-    its candidate edges, and the frames run through the numbers in order.
-    With ``serial``, each table leaves out the empty row, so the serial
-    frames are built directly, in the same order; a record is still the
-    frame's place counted before the filter, the sum of its digits' place
-    values.  A chunk covers whole runs of the low digits whose product
-    fits in ``width``, so a low digit's row is a tile of its table with
-    each row repeated, and a high digit, which changes at most a few times
-    in a chunk, is one repeat.
-    """
-    tables, places, shift = [], [], 0
+    """The lane chunks of the (k, ua) block whose first record is ``offset``:
+    the ``_digits`` whose digit x, state 0's the lowest, indexes x's table
+    of rows, one per subset of its candidate edges.  With ``serial``, each
+    table leaves out the empty row, so the serial frames are built
+    directly, in the same order; a record still counts the frames before
+    the filter."""
+    tables, shift = [], 0
     for x in range(k):
         targets = [y for y in range(k) if not strict or (ua >> x & 1) != (ua >> y & 1)]
         table = [0]  # bit i of a row's index is the edge to targets[i]
         for y in targets:
             table += [row | 1 << y for row in table]
         skip = int(serial)  # the empty row, table[0]
-        tables.append(np.array(table[skip:], dtype=_LANE))
-        places.append(np.arange(skip, len(table), dtype=np.int64) << shift)
+        tables.append((np.arange(skip, len(table)) << shift, np.array(table[skip:], dtype=_LANE)))
         shift += len(targets)
-    radix = [len(table) for table in tables]
-    if not all(radix):
-        return  # a serial block whose states have no candidate edge
-    period = [prod(radix[:x]) for x in range(k)]  # the lanes that one value of a digit spans
-    low = sum(p * r <= width for p, r in zip(period, radix))  # the digits [0, low) ...
-    run = prod(radix[:low])  # ... whose run of lanes fits in a chunk
-    cycles = [np.repeat(tables[x], period[x]) for x in range(low)]  # of a run
-    runs = prod(radix[low:])
-    for start in range(0, runs, width // run):
-        h = np.arange(start, min(start + width // run, runs))  # the chunk's runs
-        n = len(h) * run
-        rows = []
-        if serial:  # the place values of the digits are added in below
-            record = np.full(n, offset, dtype=np.int64)
-        else:  # they count the lanes
-            record = np.arange(offset + start * run, offset + start * run + n, dtype=np.int64)
-        for x in range(k):
-            if x < low:  # whole cycles of the table
-                rows.append(np.tile(cycles[x], n // len(cycles[x])))
-                view, place = record.reshape(-1, radix[x], period[x]), places[x]
-            else:  # one value per run
-                digit = h // (period[x] // run) % radix[x]
-                rows.append(np.repeat(tables[x][digit], run))
-                view, place = record.reshape(-1, run), places[x][digit]
-            if serial:
-                view += place[:, None]
-        yield _Lanes(record, 0, pg.Frame(k, ua, (1 << k) - 1 - ua, rows, {}, heart,
-                                         pg.complement(k)))
+    for record, lanes in _digits(tables, width):
+        record += offset
+        yield _Lanes(record, 0, pg.Frame(k, ua, (1 << k) - 1 - ua, [row for row, in lanes], {},
+                                         heart, pg.complement(k)))
 
 
 def _relation_lanes(max_states: int, strict: bool, serial: bool, heart: str,
@@ -381,12 +386,14 @@ def _membership_lanes(max_nodes: int, overlap: bool, with_atom: bool,
     ``record`` orders the models by size, then by (rows, types,
     valuation), the order in which reports name their first models.
 
-    Within each k, whole consecutive blocks share a chunk as long as its
-    live masks (one per op and one member row per node) fit in 1/128 of
-    _LANE_BYTES, the cache cap of ``_stacked``: such a chunk tiles the
-    lanes of one block and gives each lane its own ``ua``/``ub``, so
-    records do not rise with the lane.  A block too big to share is cut
-    into chunks of ``_lane_width`` lanes with int types.
+    A size's lanes are ``_digits``: p's valuation the lowest (of radix 1
+    without ``with_atom``), then each node's option (member row and
+    urelement bit) from node k-1 up to node 0, the type assignment on top.
+    Whole consecutive blocks share a chunk as long as its live masks (one
+    per op and one member row per node) fit in ``program._STACK_BYTES``,
+    the cache cap of ``_stacked``: each lane has its own ``ua``/``ub``,
+    and records do not rise with the lane.  A block too big to share is
+    cut into chunks of at most ``_lane_width`` lanes with int types.
     """
     if not 1 <= max_nodes <= 4:
         raise ValueError("node bound must be between 1 and 4")
@@ -396,35 +403,25 @@ def _membership_lanes(max_nodes: int, overlap: bool, with_atom: bool,
         options = (1 << k) + 1  # an urelement, or a set with any member row
         vals = 1 << k if with_atom else 1
         per_block = options ** k * vals
-        width = _lane_width(ops, k)
-        group = max(1, width // 128 // per_block)  # whole blocks per chunk
+        assignments = np.array(list(iproduct(type_options, repeat=k)))  # [block, node]: its type
         member_row = np.maximum(np.arange(options) - 1, 0).astype(_LANE)  # option -> row
-        assignments = list(iproduct(type_options, repeat=k))
-        uas, ubs = (np.array([sum(1 << w for w in range(k) if types[w] & side)
-                              for types in assignments], dtype=_LANE) for side in (1, 2))
+        tables = [(np.arange(vals), np.arange(vals, dtype=_LANE))] + [
+            (np.arange(options) * vals * len(assignments) * options ** (k - 1 - w), member_row,
+             np.array([1 << w] + [0] * (options - 1), dtype=_LANE)) for w in reversed(range(k))]
+        blocks = (offset + vals * np.arange(len(assignments)),  # the top digit: place, ua, ub
+                  *(((assignments >> side & 1) << np.arange(k)).sum(1).astype(_LANE)
+                    for side in (0, 1)))
+        group = max(1, pg._STACK_BYTES // (len(ops) + k) // per_block)  # whole blocks per chunk
         for t0 in range(0, len(assignments), group):
-            t = np.arange(t0, min(t0 + group, len(assignments)))  # the chunk's blocks
-            for start in range(0, per_block, width):
-                lane = np.arange(start, min(start + width, per_block), dtype=np.int64)
-                digits, pval = lane // vals, lane % vals
-                record = offset + (digits * len(assignments) + t0) * vals + pval
-                rows, ure = [None] * k, 0
-                for w in reversed(range(k)):
-                    digits, option = digits // options, digits % options
-                    rows[w] = member_row[option]
-                    ure = ure | (option == 0) * _LANE(1 << w)
-                atoms = {"p": pval.astype(_LANE)} if with_atom else {}
-                if len(t) == 1:  # a block of its own: int types
-                    yield _Lanes(record, ure, pg.Frame(k, int(uas[t0]), int(ubs[t0]), rows,
-                                                       atoms, "membership", pg.complement(k)))
-                    continue
-                # whole blocks, so per_block < width: block t0's lanes, tiled
-                tile = partial(np.tile, reps=len(t))
-                ua, ub = (np.repeat(masks[t], per_block) for masks in (uas, ubs))
-                yield _Lanes((record + (t - t0)[:, None] * vals).ravel(), tile(ure),
-                             pg.Frame(k, ua, ub, list(map(tile, rows)),
-                                      {a: tile(mask) for a, mask in atoms.items()},
-                                      "membership", pg.complement(k)))
+            chunk_blocks = [table[t0:t0 + group] for table in blocks]
+            for record, ((pval,), *nodes, (ua, ub)) in _digits(
+                    tables + [chunk_blocks], min(_lane_width(ops, k), group * per_block)):
+                if len(chunk_blocks[0]) == 1:  # a block of its own: int types
+                    ua, ub = int(ua[0]), int(ub[0])
+                yield _Lanes(record, sum(bit for _, bit in nodes),
+                             pg.Frame(k, ua, ub, [row for row, _ in reversed(nodes)],
+                                      {"p": pval} if with_atom else {}, "membership",
+                                      pg.complement(k)))
         offset += per_block * len(assignments)
 
 
@@ -484,9 +481,9 @@ def _stacked(vals: list, slots: Sequence[int], n: int) -> Iterator[tuple[int, np
     """The masks of ``slots`` on n lanes as (index of the first slot,
     slots × n _LANE array) blocks, so that a claim judges a block of
     formulas in one broadcast.  A block, and each temporary of its shape
-    that the claim makes, holds one row or at most 1/128 of _LANE_BYTES:
+    that the claim makes, holds one row or at most ``program._STACK_BYTES``:
     the few rows of a wide chunk stay in cache next to its masks."""
-    height = max(1, _LANE_BYTES // 128 // max(n, 1))
+    height = max(1, pg._STACK_BYTES // max(n, 1))
     for start in range(0, len(slots), height):
         block = slots[start:start + height]
         body = np.empty((len(block), n), dtype=_LANE)

@@ -2,7 +2,7 @@ import random
 from collections import Counter
 from functools import partial
 from itertools import groupby, product as iproduct
-from math import comb
+from math import comb, prod
 from operator import itemgetter, xor
 
 import numpy as np
@@ -484,7 +484,7 @@ def test_theorem22_report_does_not_depend_on_chunk_and_block_sizes(monkeypatch, 
                             _mutated_theorem22(hs.theorem22_faults, min_nodes=3))
     c = hn.Campaign(target="theorem22", max_size=3)
     expected = hn.run_campaign(c).text
-    # 997 lanes per 3-node chunk, which splits each 5832-lane block, and
+    # at most 997 lanes per 3-node chunk, which splits each 5832-lane block, and
     # formula blocks of a few rows, which split the 602 formulas unevenly
     shapes = []
     stacked = hn._stacked
@@ -496,6 +496,7 @@ def test_theorem22_report_does_not_depend_on_chunk_and_block_sizes(monkeypatch, 
 
     monkeypatch.setattr(hn, "_stacked", spy)
     monkeypatch.setattr(hn, "_LANE_BYTES", 605 * 997)
+    monkeypatch.setattr(pg, "_STACK_BYTES", 605 * 997 // 128)  # the cache cap, in proportion
     assert hn.run_campaign(c).text == expected
     heights = {height for height, _ in shapes}
     assert len(heights) > 3 and any(602 % h for h in heights)
@@ -622,6 +623,95 @@ def test_enumerate_hypersets_keeps_the_per_block_order(overlap):
     for ops in ([], hs.theorem23_program()[0], hs.theorem22_program()[0]):
         records = [lanes.record for lanes in hn._membership_lanes(3, overlap, False, ops)]
         assert np.concatenate(records).tolist() == [r for r, _ in expected]
+
+
+@pytest.mark.parametrize("case", range(8))
+def test_digits_are_the_mixed_radix_numbers_in_whole_runs(case):
+    # seeded radices, radix 1 among them, and places; widths of one lane,
+    # one that cuts inside a digit's cycle, and one past the total
+    rng = random.Random(case)
+    radix = [rng.choice((1, 2, 3, 5)) for _ in range(rng.randint(0, 4))]
+    for r in (1, rng.choice((3, 5))):
+        radix.insert(rng.randrange(len(radix) + 1), r)
+    total = prod(radix)
+    places = [np.array([rng.randrange(1000) for _ in range(r)]) for r in radix]
+    tables = [(place, np.arange(r, dtype=np.uint8), place.astype(np.uint8) ^ 0x5a)
+              for r, place in zip(radix, places)]
+    # digit x of lane i, digit 0 the fastest
+    digits = np.unravel_index(np.arange(total), radix[::-1])[::-1]
+    cut = rng.choice([x for x, r in enumerate(radix) if r > 2])
+    inside = prod(radix[:cut + 1]) - 1  # all but one lane of a cycle of digit ``cut``
+    for width in (1, inside, total + rng.randrange(3)):
+        low = max(x for x in range(len(radix) + 1) if prod(radix[:x]) <= width)
+        run = prod(radix[:low])  # the lanes of a run of the low digits
+        chunks = list(hn._digits(tables, width))
+        for record, lanes in chunks:
+            assert record.dtype == np.int64 and len(lanes) == len(radix)
+            assert len(record) <= width and len(record) % run == 0
+            assert all(len(a) == len(record) for arrays in lanes for a in arrays)
+        record = np.concatenate([record for record, _ in chunks])
+        assert np.array_equal(record, sum(place[d] for place, d in zip(places, digits)))
+        for x, d in enumerate(digits):
+            index, xored = (np.concatenate([lanes[x][j] for _, lanes in chunks]) for j in (0, 1))
+            assert index.dtype == np.uint8 and np.array_equal(index, d)
+            assert np.array_equal(xored, places[x][d].astype(np.uint8) ^ 0x5a)
+    # a digit of radix 0: no number at all
+    zero = tables + [(np.arange(0), np.arange(0, dtype=np.uint8))]
+    for width in (1, total):
+        assert list(hn._digits(zero[::-1], width)) == list(hn._digits(zero, width)) == []
+
+
+def _decoded_lanes(k, vals, blocks, offset, t, lane):
+    """The lanes ``lane`` of block t of the k-node membership models, each
+    decoded on its own by integer division, with ``vals`` valuations of p
+    and ``blocks`` type assignments, the size's first record ``offset``:
+    (records, member rows, urelements, p)."""
+    options = (1 << k) + 1
+    member_row = np.maximum(np.arange(options) - 1, 0).astype(hn._LANE)
+    digits, pval = lane // vals, lane % vals
+    record = offset + (digits * blocks + t) * vals + pval
+    rows, ure = [None] * k, 0
+    for w in reversed(range(k)):
+        digits, option = digits // options, digits % options
+        rows[w] = member_row[option]
+        ure = ure | (option == 0) * hn._LANE(1 << w)
+    return record, rows, ure, pval.astype(hn._LANE)
+
+
+@pytest.mark.parametrize("program, with_atom, checks", [(hs.theorem22_program, True, 3),
+                                                        (hs.validity_program, False, 1)])
+def test_four_node_membership_lanes_match_the_per_lane_decode(program, with_atom, checks):
+    # 4-node blocks do not share chunks.  In the first, a middle and the last
+    # type-assignment block: the first chunk, the first that starts inside
+    # node 0's digit (theorem22's blocks are cut; validity_lists' are one
+    # chunk each) and the last, bit for bit against the per-lane decode
+    ops, _ = program()
+    vals = 16 if with_atom else 1
+    per_block, assignments = 17**4 * vals, list(iproduct((1, 2), repeat=4))
+    node0 = per_block // 17  # the lanes of one value of node 0's option
+    offset = hn._membership_count(hn.Campaign("theorem22", 3), 2, 2 if with_atom else 1)
+    checked = {0: [], len(assignments) // 2: [], len(assignments) - 1: []}  # chunk starts
+    lane = 0  # the chunk's first lane among the 4-node lanes
+    for lanes in hn._membership_lanes(4, False, with_atom, ops):
+        if lanes.frame.k < 4:
+            continue
+        (t, start), n, f = divmod(lane, per_block), len(lanes.record), lanes.frame
+        lane += n
+        assert start + n <= per_block and isinstance(f.ua, int)  # one block, int types
+        inside = start % node0 and not any(s % node0 for s in checked.get(t, ()))
+        if t not in checked or not (start == 0 or inside or start + n == per_block):
+            continue
+        checked[t].append(start)
+        assert (f.ua, f.ub) == tuple(sum(1 << w for w in range(4) if assignments[t][w] & side)
+                                     for side in (1, 2))
+        record, rows, ure, pval = _decoded_lanes(4, vals, len(assignments), offset, t,
+                                                 np.arange(start, start + n, dtype=np.int64))
+        for got, want in zip([lanes.record, *f.rows, lanes.ure, f.atoms.get("p", pval)],
+                             [record, *rows, ure, pval], strict=True):
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+        assert ("p" in f.atoms) == with_atom
+    assert lane == per_block * len(assignments)
+    assert [len(starts) for starts in checked.values()] == [checks] * 3
 
 
 def _bits(n, mask):
