@@ -2,65 +2,49 @@
 
 Campaigns sweep an exhaustively enumerated model space and record how a
 named claim fares on every model.  They report; they do not assert.
-Each model kind has one enumerator, which yields numpy lane chunks, one
-lane per candidate model, in blocks of fixed type masks:
-``_relation_blocks`` for classical frames (``_relation_lanes`` reads its
-chunks in order) and ``_membership_lanes`` for membership graphs.  Both
-tile and repeat the per-digit tables of one mixed-radix chunker,
-``_digits``: a frame's digits are its states' successor rows (a serial
-frame's tables lack the empty row), a membership graph's the valuation
-of p, each node's option and the type assignment.  Each lane carries a
-record index (its place in the enumeration order, serial or not: the
-sum of its digits' place values) and reads back as a compact record,
-which ``_rebuild_kripke``/``_rebuild_hyperset`` turn into a model; the
-public ``enumerate_kripke``/``enumerate_hypersets`` are such rebuild loops.
+Each model kind has one block enumerator, which yields numpy lane chunks,
+one lane per candidate model, in blocks of fixed int type masks:
+``_relation_blocks`` for classical frames and ``_membership_blocks`` for
+membership graphs (``_relation_lanes``/``_membership_lanes`` read their
+chunks in order).  Both tile and repeat the per-digit tables of one
+mixed-radix chunker, ``_digits``: a frame's digits are its states'
+successor rows (a serial frame's tables lack the empty row), a membership
+graph's the valuation of p and each node's option.  A lane's record (its
+place in the enumeration order, serial or not, the sum of its digits'
+place values; it rises within a block) reads back as a compact record,
+which ``_rebuild_kripke``/``_rebuild_hyperset`` turn into a model, as
+the public ``enumerate_kripke``/``enumerate_hypersets`` do.
 
-The frames come in one block per (k, Ua mask).  A state permutation maps
-the block of a mask onto the block of any mask with the same popcount a,
-and the classical claims name no state, so every total is the same in
-the blocks of a class (k, a).  A classical sweep judges one block
-(``_classical_blocks``): the representatives of every class, Ua the
-lowest a states, packed into chunks over the sweep's largest k, each
-lane with its own type masks (``program.run`` reads them per lane) and
-weighted C(k, a).  At 4 states that is one ``program.run`` call for all
-14 classes.  The labelled blocks are read only for the first five fail
-dumps: a block is skipped when no packed lane of its class failed, and
-left once no later lane of it can enter them, so the dumps are those of
-the whole sweep.  Each membership chunk is a class of its own, of
-weight 1; it packs whole small (k, type assignment) blocks, each lane
-with its own type masks, up to the cache cap ``program._STACK_BYTES``
-of ``_stacked``, so its records need not rise with the lane, and
-``_first_hits`` keeps the lowest.
+A block's class (``_class``) counts its Ua-only, Ub-only and shared
+states.  A state permutation maps a block onto any other of its class,
+and no claim names a state, so all its blocks have the same totals
+(McKay 1998, the cheapest case).  A sweep judges the first block of each
+class, its assignment sorted, each lane weighted by the class's size:
+``_packed`` cuts these lanes into chunks as they are drawn, each lane
+with its own type masks, over the largest k for frames
+(``_classical_blocks``) and per k for membership graphs (in
+``_membership_blocks``).  The labelled blocks weigh 0 and are read only
+for the dumps: a block is skipped when no packed lane of its class
+failed, and left once no later lane of it can enter them.
 
-A non-strict class is counted rather than enumerated.  Every modality
-reads a successor row only through ``row & tgt``, the cross-type edges;
-the one op that reads the same-type edges is ``D``, and it splits as
-Dc(C) & Ds(S): w has no 2-cycle through it in the cross relation C, and
-no loop or 2-cycle in the same-type relation S.  So each claim is a
-function of (C, Ds(S)), and its representative is ``_factored_chunks``:
-the strict block's cross relations once per mask d of the 2^k, each
-lane weighted by how many same-type relations have Ds = d (with a
-successor at every state whose cross row is empty, under ``serial``).
+A non-strict class is counted rather than enumerated: only ``D`` reads
+the same-type edges, so its representative is ``_factored_chunks``, the
+strict block's cross relations weighted by their same-type completions.
 The 4-state classes are judged on 6,176 lanes instead of 327,680
 frames, the 5-state ones on 278,592 instead of 201 M.  ``_run_sweep``
 checks every sweep's model count against its closed form.
 
-The lane campaigns (lemma1, theorem12, theorem22, theorem23) are the
-entries of one table, ``_SWEEPS``, run by one loop, ``_run_sweep``; a
-new one is a block enumerator, a judge and one entry (``_Sweep``), which
-also holds the program and the report's claim, totals and formats.  A
-judge runs the program (``program.run``) on a chunk, counts it and
-yields its failing lanes, of which ``_first_hits`` keeps the first;
-``_run_sweep`` adds the counts of each block of weight 1, and
-``_report`` writes the report, the law campaigns' too.  The claims live
-next to their single-model helpers in ``kripke`` and ``hyperset``,
-written over masks, so the same code judges one model and a chunk of
-lanes.  The membership theorems judge each state on ``_stacked`` blocks
-of formula masks; theorem22 first drops the lanes with no urelement and
-no Quine state, which hold and count as degenerate unevaluated.  Its
-program's modalities come in runs of one modality and direction, which
-``program.run`` evaluates in stacks capped, like these blocks, at
-``program._STACK_BYTES``, 1/128 of _LANE_BYTES.
+The lane campaigns (lemma1, theorem12, theorem22, theorem23,
+validity_lists) are the entries of one table, ``_SWEEPS``, run by one
+loop, ``_run_sweep``.  A judge runs the program (``program.run``) on a
+chunk, adds its weighted counts and yields its failing lanes by dump
+group, whose first ``_first_hits`` keeps: one group per claimed-valid
+formula for validity_lists, one for the others.  ``_report`` writes the
+report, the law campaigns' too.  The claims live next to their
+single-model helpers in ``kripke`` and ``hyperset``, written over masks.
+The membership theorems judge each state on ``_stacked`` blocks of
+formula masks; theorem22 first drops the lanes with no urelement and no
+Quine state, which hold and count as degenerate unevaluated.
 
 The co-Heyting law campaigns run on point masks.  They read
 ``topology._hull_tables`` and build no ``ClosedTopology``: one call of
@@ -76,10 +60,11 @@ point's least open neighbourhood, so that the law can fail.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass
 from functools import cache, partial
-from itertools import product as iproduct
-from math import comb, prod
+from itertools import chain, product as iproduct
+from math import comb, factorial, prod
 from operator import itemgetter, xor
 from typing import Callable, Hashable, Iterable, Iterator, NamedTuple, Sequence
 
@@ -124,16 +109,17 @@ class _Lanes(NamedTuple):
     record: np.ndarray  # each lane's position in its enumeration order (int64)
     ure: object  # the urelement masks (0 for frames)
     frame: pg.Frame
-    #: per lane, how many frames it stands for (int64); None: one each.  A
+    #: per lane, how many models it stands for (int64); None: one each.  A
     #: weighted lane (``_factored_chunks``, ``_packed``) is counted, never
     #: dumped.
     weight: np.ndarray | None = None
 
-    def count(self, flags: np.ndarray | None = None) -> int:
-        """How many frames the lanes flagged in ``flags`` (all if None) stand for."""
-        if self.weight is None:
-            return len(self.record) if flags is None else int(np.count_nonzero(flags))
-        return int(self.weight.sum() if flags is None else np.dot(self.weight, flags))
+    def count(self, per_lane: np.ndarray | None = None) -> int:
+        """The models the lanes stand for, each ``per_lane`` (flag or count) times."""
+        if self.weight is not None:
+            return int(self.weight.sum() if per_lane is None else np.dot(self.weight, per_lane))
+        return len(self.record) if per_lane is None else int(
+            np.count_nonzero(per_lane) if per_lane.dtype == bool else per_lane.sum())
 
     def compact(self, lane: int) -> tuple:
         """Lane ``lane`` as a compact (k, rows, ure, ua, ub, pval) record,
@@ -156,17 +142,12 @@ class _Block(NamedTuple):
 
 def _relation_blocks(max_states: int, strict: bool, serial: bool, heart: str,
                      ops: Sequence[tuple]) -> Iterator[_Block]:
-    """Every belief frame with up to ``max_states`` states, as one block per
-    (k, ua), in relation order within a block: state 0's successor row is
-    the lowest digit (``_relation_chunks``).
-
-    A permutation of the states maps the block of ua onto the block of any
-    mask with the same popcount a, and the classical claims name no state,
-    so the blocks of a class (k, a) have the same totals.  Every block
-    weighs 0: the sweeps count the packed lanes of ``_classical_blocks``
-    and read these blocks only for the dumps.  ``serial`` drops the frames
-    with a state that has no successor.  ``record`` is a frame's position
-    in this order, counted before the serial filter.
+    """Every belief frame with up to ``max_states`` states, as one block of
+    weight 0 and class (|ua|, k - |ua|, 0) per (k, ua), in relation order
+    within a block: state 0's successor row is the lowest digit
+    (``_relation_chunks``).  ``serial`` drops the frames with a state that
+    has no successor.  ``record`` is a frame's position in this order,
+    counted before the serial filter.
     """
     if not 1 <= max_states <= 5:
         raise ValueError("state bound must be between 1 and 5")
@@ -175,7 +156,7 @@ def _relation_blocks(max_states: int, strict: bool, serial: bool, heart: str,
         width = _lane_width(ops, k)
         for ua in range(1 << k):
             a = ua.bit_count()
-            yield _Block((k, a), 0, offset,
+            yield _Block((a, k - a, 0), 0, offset,
                          _relation_chunks(k, ua, strict, offset, serial, heart, width))
             # one frame per subset of the candidate edges, the cross-type
             # ones alone when strict
@@ -317,10 +298,10 @@ def _classical_blocks(c: Campaign, ops: Sequence[tuple]) -> Iterator[_Block]:
     """The blocks of a classical sweep: one judged block of packed lanes,
     then every block of ``_relation_blocks``, read only for the dumps.
 
-    The packed block holds the representative of each class (k, a), Ua
-    the lowest a states: the strict block of ``_relation_chunks``, or the
-    non-strict ``_factored_chunks``.  Each lane weighs C(k, a), times its
-    same-type weight where factored."""
+    The packed block holds the representative of each class, Ua the lowest
+    a states: the strict block of ``_relation_chunks``, or the non-strict
+    ``_factored_chunks``.  Each lane weighs C(k, a), times its same-type
+    weight where factored."""
     # listed first, so that a bad bound raises before any lane is judged
     labelled = list(_relation_blocks(c.max_size, c.strict, c.serial, c.heart, ops))
     width = _lane_width(ops, c.max_size)
@@ -332,68 +313,81 @@ def _classical_blocks(c: Campaign, ops: Sequence[tuple]) -> Iterator[_Block]:
                           if c.strict else _factored_chunks(k, a, c.serial, c.heart, width))
                 for lanes in chunks:
                     weight = comb(k, a) * (1 if lanes.weight is None else lanes.weight)
-                    yield lanes._replace(weight=np.broadcast_to(weight, len(lanes.record)))
-    yield _Block(None, 1, 0, _packed(list(representatives()), c.max_size, width))
+                    yield lanes._replace(weight=np.full(len(lanes.record), weight, np.int64))
+    yield _Block(None, 1, 0, _packed(representatives(), c.max_size, width))
     yield from labelled
 
 
-def _packed(pieces: Sequence[_Lanes], n: int, width: int) -> Iterator[_Lanes]:
+def _packed(pieces: Iterable[_Lanes], n: int, width: int) -> Iterator[_Lanes]:
     """The weighted lanes of ``pieces``, each piece of its own k <= n states
-    and type masks, in chunks of ``width`` lanes over n states: a lane's
-    rows past its k states are empty, and it carries its own ``ua`` and
-    ``ub``, whose union ``full`` is its states and negates (``xor``).  A
-    lane's record is its place in the packed block."""
-    if not pieces:
-        return  # no frame: strict serial frames of one state
-    sizes = [len(piece.record) for piece in pieces]
-    rows = np.zeros((n, sum(sizes)), dtype=_LANE)
-    start = 0
-    for piece, size in zip(pieces, sizes):
-        for x, row in enumerate(piece.frame.rows):
-            rows[x, start:start + size] = row
-        start += size
-    ua, ub = (np.repeat(np.array([getattr(piece.frame, side) for piece in pieces], _LANE), sizes)
-              for side in ("ua", "ub"))
-    weight = np.concatenate([piece.weight for piece in pieces])
-    heart = pieces[0].frame.heart
-    del pieces  # copied out: freed before the chunks are judged
-    for start in range(0, len(weight), width):
-        cut = slice(start, start + width)
-        full = ua[cut] | ub[cut]
-        yield _Lanes(np.arange(start, start + len(full)), 0,
-                     pg.Frame(n, ua[cut], ub[cut], list(rows[:, cut]), {}, heart,
-                              partial(xor, full)), weight[cut])
+    and type masks, in chunks of ``width`` lanes over n states, each cut as
+    soon as the pieces it holds are drawn: a lane's rows past its k states
+    are empty, and it carries its own urelements, valuation of p, ``ua``
+    and ``ub``, whose union ``full`` is its states and negates (``xor``).
+    A lane's record is its place in the packed block."""
+    held, drawn, start = [], 0, 0  # the lanes drawn, not yet yielded: (masks, weights)
+    for piece in chain(pieces, [None]):  # None: every piece is drawn
+        if piece is not None:
+            f, heart, drawn = piece.frame, piece.frame.heart, drawn + len(piece.record)
+            held.append(([*f.rows, *[0] * (n - f.k), piece.ure, f.atoms.get("p", 0), f.ua, f.ub],
+                         piece.weight))  # n rows, then ure, p, ua and ub
+        if not drawn or piece is not None and drawn < width:
+            continue
+        masks, at = np.zeros((n + 4, drawn), dtype=_LANE), 0
+        for lane_masks, weight in held:
+            for x, mask in enumerate(lane_masks):
+                if isinstance(mask, np.ndarray) or mask:  # masks start empty
+                    masks[x, at:at + len(weight)] = mask
+            at += len(weight)
+        weight = np.concatenate([w for _, w in held])
+        stop = drawn if piece is None else drawn - drawn % width  # the lanes cut now
+        held = [(masks[:, stop:], weight[stop:])] if stop < drawn else []
+        drawn -= stop
+        for cut in range(0, stop, width):
+            *rows, ure, pval, ua, ub = masks[:, cut:cut + width]
+            full = ua | ub
+            yield _Lanes(np.arange(start, start + len(full)), ure,
+                         pg.Frame(n, ua, ub, rows, {"p": pval}, heart, partial(xor, full)),
+                         weight[cut:cut + width])
+            start += len(full)
 
 
-def _classes(bad: np.ndarray, lanes: _Lanes) -> set[tuple[int, int]]:
-    """The classes (k, |Ua|) of the packed lanes of positive weight that
-    ``bad`` flags, read off the popcounts of their ``full`` and ``ua``."""
+def _class(ua: int, ub: int) -> tuple[int, int, int]:
+    """A type assignment's class: its counts of Ua-only, Ub-only and shared states."""
+    return (ua & ~ub).bit_count(), (ub & ~ua).bit_count(), (ua & ub).bit_count()
+
+
+def _class_size(cls: tuple[int, int, int]) -> int:
+    """The type assignments of a class (x, y, z): (x+y+z)!/(x!·y!·z!)."""
+    return factorial(sum(cls)) // prod(map(factorial, cls))
+
+
+def _classes(bad: np.ndarray, lanes: _Lanes, *key) -> set[tuple[int, int, int]]:
+    """The classes of the lanes of positive weight that ``bad`` flags (a row, or one per key)."""
     f = lanes.frame
-    pair = (f.ua | f.ub).astype(np.intp) << 8 | f.ua  # (full, ua) as one index
-    return {((x >> 8).bit_count(), (x & 255).bit_count())
+    pair = f.ua.astype(np.intp) << 8 | f.ub  # (ua, ub) as one index
+    bad = bad.reshape(-1, bad.shape[-1]).any(axis=0)  # a lane with any flagged row
+    return {_class(x >> 8, x & 255)
             for x in np.flatnonzero(np.bincount(pair[bad & (lanes.weight > 0)])).tolist()}
 
 
-def _membership_lanes(max_nodes: int, overlap: bool, with_atom: bool,
-                      ops: Sequence[tuple]) -> Iterator[_Lanes]:
-    """Every membership model with up to ``max_nodes`` nodes as lane
-    chunks of the blocks (k, ua, ub), in block order.
+def _membership_blocks(max_nodes: int, overlap: bool, with_atom: bool,
+                       ops: Sequence[tuple]) -> Iterator[_Block]:
+    """Every membership model with up to ``max_nodes`` nodes: per size k,
+    one judged block of packed lanes, then one block of weight 0 and int
+    types per type assignment, read only for the dumps.
 
     Every node is an urelement or a set with any member row; the type
     assignments cover the nodes, overlapping only when ``overlap``, and
-    ``with_atom`` sweeps every valuation of atom p.  Within a block the
-    member rows, the urelements and the valuation vary per lane;
-    ``record`` orders the models by size, then by (rows, types,
-    valuation), the order in which reports name their first models.
-
-    A size's lanes are ``_digits``: p's valuation the lowest (of radix 1
-    without ``with_atom``), then each node's option (member row and
-    urelement bit) from node k-1 up to node 0, the type assignment on top.
-    Whole consecutive blocks share a chunk as long as its live masks (one
-    per op and one member row per node) fit in ``program._STACK_BYTES``,
-    the cache cap of ``_stacked``: each lane has its own ``ua``/``ub``,
-    and records do not rise with the lane.  A block too big to share is
-    cut into chunks of at most ``_lane_width`` lanes with int types.
+    ``with_atom`` sweeps every valuation of atom p.  ``record`` orders the
+    models by size, then by (rows, types, valuation), the order in which
+    reports name their first models: a block's ``_digits`` are p's
+    valuation (of radix 1 without ``with_atom``), then each node's option
+    from node k-1 up to node 0, the type assignment on top.  The judged
+    block holds the first block of each class, its assignment sorted, as
+    one ``_digits`` with the classes' assignments on top, each lane
+    weighted ``_class_size``; its lanes all have k nodes, so ``frame.k`` is
+    each lane's size.
     """
     if not 1 <= max_nodes <= 4:
         raise ValueError("node bound must be between 1 and 4")
@@ -401,80 +395,83 @@ def _membership_lanes(max_nodes: int, overlap: bool, with_atom: bool,
     offset = 0
     for k in range(1, max_nodes + 1):
         options = (1 << k) + 1  # an urelement, or a set with any member row
-        vals = 1 << k if with_atom else 1
-        per_block = options ** k * vals
+        vals, width = 1 << k if with_atom else 1, _lane_width(ops, k)
         assignments = np.array(list(iproduct(type_options, repeat=k)))  # [block, node]: its type
         member_row = np.maximum(np.arange(options) - 1, 0).astype(_LANE)  # option -> row
         tables = [(np.arange(vals), np.arange(vals, dtype=_LANE))] + [
             (np.arange(options) * vals * len(assignments) * options ** (k - 1 - w), member_row,
              np.array([1 << w] + [0] * (options - 1), dtype=_LANE)) for w in reversed(range(k))]
-        blocks = (offset + vals * np.arange(len(assignments)),  # the top digit: place, ua, ub
-                  *(((assignments >> side & 1) << np.arange(k)).sum(1).astype(_LANE)
-                    for side in (0, 1)))
-        group = max(1, pg._STACK_BYTES // (len(ops) + k) // per_block)  # whole blocks per chunk
-        for t0 in range(0, len(assignments), group):
-            chunk_blocks = [table[t0:t0 + group] for table in blocks]
-            for record, ((pval,), *nodes, (ua, ub)) in _digits(
-                    tables + [chunk_blocks], min(_lane_width(ops, k), group * per_block)):
-                if len(chunk_blocks[0]) == 1:  # a block of its own: int types
-                    ua, ub = int(ua[0]), int(ub[0])
-                yield _Lanes(record, sum(bit for _, bit in nodes),
-                             pg.Frame(k, ua, ub, [row for row, _ in reversed(nodes)],
-                                      {"p": pval} if with_atom else {}, "membership",
-                                      pg.complement(k)))
-        offset += per_block * len(assignments)
+        types = list(zip(*(((assignments >> side & 1) << np.arange(k)).sum(1).tolist()
+                           for side in (0, 1))))  # (ua, ub) per block
+        firsts = {_class(*t): t for t in reversed(types)}  # the first block of each class
+        top = (np.zeros(len(firsts), np.int64), *np.array(list(firsts.values()), _LANE).T,
+               np.array(list(map(_class_size, firsts))))
+        yield _Block(None, 1, 0, _packed(_membership_chunks(
+            k, None, None, 0, with_atom, tables + [top], width), k, width))
+        for t, (ua, ub) in enumerate(types):
+            yield _Block(_class(ua, ub), 0, offset + vals * t, _membership_chunks(
+                k, ua, ub, offset + vals * t, with_atom, tables, width))
+        offset += vals * options ** k * len(assignments)
+
+
+def _membership_chunks(k: int, ua, ub, first: int, with_atom: bool, tables: list,
+                       width: int) -> Iterator[_Lanes]:
+    """The lane chunks of the (k, ua, ub) block whose first record is ``first``;
+    with ``ua`` None, the top digit gives each lane's (ua, ub, weight)."""
+    for record, ((pval,), *nodes) in _digits(tables, width):
+        types = (ua, ub, None) if ua is not None else nodes.pop()
+        yield _Lanes(record + first, sum(bit for _, bit in nodes),
+                     pg.Frame(k, *types[:2], [row for row, _ in reversed(nodes)],
+                              {"p": pval} if with_atom else {}, "membership", pg.complement(k)),
+                     types[2])
+
+
+def _membership_lanes(max_nodes: int, overlap: bool, with_atom: bool,
+                      ops: Sequence[tuple]) -> Iterator[_Lanes]:
+    """The chunks of every labelled block of ``_membership_blocks``, in order."""
+    for block in _membership_blocks(max_nodes, overlap, with_atom, ops):
+        yield from () if block.weight else block.chunks
 
 
 def _first_hits(found: list, bad: np.ndarray, lanes: _Lanes,
-                key: Callable[[int], tuple] = lambda row: ()) -> list:
-    """``found`` plus the lanes flagged in ``bad`` as (record, *key(row),
-    compact record) entries, cut to the _FAIL_DUMP_CAP first in order.
-
-    ``bad`` flags the chunk's lanes, or is a block of such rows (one per
-    formula, say) whose keys rise with the row.  The block's first entries
-    lie in the _FAIL_DUMP_CAP lanes with a hit of the lowest records, taken
-    lane by lane and row by row; and once ``found`` is full, a chunk whose
-    lowest record is past its last cannot change it.  Records rise with
-    the lane within a chunk of one block, so there these lanes are the
-    first ones with a hit; a packed chunk of whole blocks sorts them.
-    """
-    packed = isinstance(lanes.frame.ua, np.ndarray)
-    if _settled(found, lanes.record.min() if packed else lanes.record[0]):
+                key: Callable[[int], tuple] = lambda row: (), cap: int | None = None) -> list:
+    """``found`` plus the lanes flagged in ``bad`` (a row of flags, or one
+    per key, the keys rising with the row) as (record, *key(row), compact
+    record) entries, cut to the ``cap`` (_FAIL_DUMP_CAP) first.  Records
+    rise with the lane in a labelled chunk, so its first entries lie in its
+    first ``cap`` lanes with a hit, taken lane by lane and row by row; and
+    once ``found`` is full, a chunk past its last cannot change it."""
+    cap = cap or _FAIL_DUMP_CAP
+    if _settled(found, lanes.record[0], cap):
         return found
-    first = np.flatnonzero(bad if bad.ndim == 1 else bad.any(axis=0))
-    if packed:
-        first = first[np.argsort(lanes.record[first])]
-    first = first[:_FAIL_DUMP_CAP]
+    first = np.flatnonzero(bad if bad.ndim == 1 else bad.any(axis=0))[:cap]
     if bad.ndim == 1:
         hits = [(lane, 0) for lane in first]
     else:
         lane, row = np.nonzero(bad[:, first].T)
-        hits = list(zip(first[lane], row))[:_FAIL_DUMP_CAP]
+        hits = list(zip(first[lane], row))[:cap]
     if not hits:
         return found
     found = found + [(int(lanes.record[i]), *key(j), lanes.compact(i)) for i, j in hits]
-    return sorted(found)[:_FAIL_DUMP_CAP]
+    return sorted(found)[:cap]
 
 
-def _settled(found: list, record: int) -> bool:
-    """Whether the first-hit list ``found`` is full and no lane from record
-    ``record`` on can enter it."""
-    return len(found) == _FAIL_DUMP_CAP and found[-1][0] < record
-
-
-def _unweighted(chunks: Iterable[_Lanes]) -> Iterator[_Block]:
-    """Each chunk as a block of weight 1 and a class of its own."""
-    for i, lanes in enumerate(chunks):
-        yield _Block(i, 1, int(lanes.record[0]), (lanes,))
+def _settled(found: list, record: int, cap: int | None = None) -> bool:
+    """Whether the first-hit list ``found`` is full, ``cap`` (_FAIL_DUMP_CAP)
+    long, and no lane from record ``record`` on can enter it."""
+    return len(found) == (cap or _FAIL_DUMP_CAP) and found[-1][0] < record
 
 
 def _take_lanes(lanes: _Lanes, keep: np.ndarray) -> _Lanes:
-    """The lanes of a membership chunk that ``keep`` flags."""
+    """The lanes of a membership chunk that ``keep`` flags, with their weights."""
     f = lanes.frame
     take = lambda mask: mask[keep] if isinstance(mask, np.ndarray) else mask
+    ua, ub = take(f.ua), take(f.ub)
     return _Lanes(lanes.record[keep], lanes.ure[keep],
-                  f._replace(ua=take(f.ua), ub=take(f.ub), rows=[row[keep] for row in f.rows],
-                             atoms={a: mask[keep] for a, mask in f.atoms.items()}))
+                  f._replace(ua=ua, ub=ub, rows=[row[keep] for row in f.rows],
+                             atoms={a: mask[keep] for a, mask in f.atoms.items()},
+                             neg=partial(xor, ua | ub)),
+                  take(lanes.weight))
 
 
 def _stacked(vals: list, slots: Sequence[int], n: int) -> Iterator[tuple[int, np.ndarray]]:
@@ -586,8 +583,8 @@ class CampaignReport:
 
 
 def run_campaign(c: Campaign) -> CampaignReport:
-    runner = {"validity_lists": _run_validity_lists, "lawvere_scan": _run_lawvere_scan,
-              "adjunction": _run_lattice_laws, "boundary_law": _run_lattice_laws}.get(c.target)
+    runner = {"lawvere_scan": _run_lawvere_scan, "adjunction": _run_lattice_laws,
+              "boundary_law": _run_lattice_laws}.get(c.target)
     return runner(c) if runner else _run_sweep(c, _SWEEPS[c.target])
 
 
@@ -601,65 +598,67 @@ def _dump_block(lines: list[str], title: str, body: str) -> None:
         lines.append(f"  {row}")
 
 
-def _report(c: Campaign, head: Sequence[str], claim: str, tally: str, title: str,
-            totals: dict, dumps: Sequence[str], **fields) -> CampaignReport:
-    """Header, ``head``, claim, tally and numbered dumps, the formats filled
-    in from the totals; the SUMMARY adds ``fields`` and the totals."""
-    lines = _header(c, *head, f"claim: {claim}", tally.format(**totals))
-    for i, body in enumerate(dumps, start=1):
+def _report(c: Campaign, totals: dict, dumps: dict, *, claim: str,
+            tally: str = "models={models} holds={holds} violations={violations}",
+            title: str = _VIOLATIONS, head: Callable = lambda c: [],
+            fields: Callable = lambda c: {}) -> CampaignReport:
+    """Header, ``head(c)``, claim, tally and the numbered dumps of group None,
+    the formats filled in from the totals; the SUMMARY adds ``fields(c)``."""
+    lines = _header(c, *head(c), f"claim: {claim}", tally.format(**totals))
+    for i, body in enumerate(dumps.get(None, ()), start=1):
         _dump_block(lines, title.format(i, **totals), body)
     return CampaignReport(tuple(lines), {"target": c.target, "max_size": c.max_size,
-                                         **fields, **totals})
+                                         **fields(c), **totals})
 
 
 class _Sweep(NamedTuple):
     """A lane campaign: ``judge(lanes, ops, slots, totals)`` counts a chunk of
-    a block of ``blocks(c, ops)`` and yields its failures as ``_first_hits``
-    arguments, and ``dump(c, *key, compact record)`` shows one;
-    ``models(c)`` is the closed form of the models the sweep must count.
-    The defaults count violations, as the theorems do."""
+    a block of ``blocks(c, ops)`` and yields its failures as a dump group
+    and ``_first_hits`` arguments; ``dump(c, *key, compact record)`` shows
+    one, ``report(c, totals, dumps)`` writes the report, and ``models(c)``
+    is the closed form of the models the sweep must count."""
 
     program: Callable  # () -> (ops, slots)
     blocks: Callable
     judge: Callable
-    claim: str
-    dump: Callable
     models: Callable
+    dump: Callable
+    report: Callable  # ``_report`` with the claim and formats, or one of its own
     totals: tuple = ("models", "holds", "violations")
-    tally: str = "models={models} holds={holds} violations={violations}"
-    title: str = _VIOLATIONS
-    head: Callable = lambda c: []
-    fields: Callable = lambda c: {}
+    dumps: int | None = None  # the first failures each dump group keeps (_FAIL_DUMP_CAP)
 
 
 def _run_sweep(c: Campaign, spec: _Sweep) -> CampaignReport:
-    """Judges each block of weight 1 and adds its totals.  A block of
-    weight 0 only looks for dumps: it is skipped when no weighted lane of
-    its class failed, and left as soon as no later lane of it can enter
-    the full dumps.  Raises RuntimeError unless the models counted are the
+    """Judges each block of weight 1 and adds its totals.  A block of weight
+    0 is read only for the dump groups that a weighted lane of its class
+    failed and whose first hits it can still change, and left once it can
+    change none.  Raises RuntimeError unless the models counted are the
     closed form ``spec.models(c)``."""
     ops, slots = spec.program()
-    totals = dict.fromkeys(spec.totals, 0)
-    found: list[tuple] = []  # the first (record, *key, compact record) that fail
-    failing: set = set()  # the classes of the weighted lanes that fail
+    totals = Counter(dict.fromkeys(spec.totals, 0))  # a judge may add keys of its own
+    found: dict = {}  # per dump group, its first (record, *key, compact record) that fail
+    failing: dict = {}  # per class, the dump groups that a weighted lane of it fails
+    settled = lambda group, record: _settled(found.get(group, []), record, spec.dumps)
     for cls, weight, first, chunks in spec.blocks(c, ops):
-        if not (weight or cls in failing and not _settled(found, first)):
+        groups = [g for g in failing.get(cls, ()) if not settled(g, first)]
+        if not (weight or groups):
             continue
-        counts = totals if weight else dict.fromkeys(spec.totals, 0)
+        counts = totals if weight else Counter()
         for lanes in chunks:
             counts["models"] += lanes.count()
-            for hits in spec.judge(lanes, ops, slots, counts):
+            for group, *hits in spec.judge(lanes, ops, slots, counts):
                 if lanes.weight is None:
-                    found = _first_hits(found, *hits)
+                    found[group] = _first_hits(found.get(group, []), *hits, cap=spec.dumps)
                 else:
-                    failing |= _classes(*hits)
-            if not weight and _settled(found, lanes.record[-1] + 1):
+                    for k in _classes(*hits):
+                        failing.setdefault(k, set()).add(group)
+            if not weight and all(settled(g, lanes.record[-1] + 1) for g in groups):
                 break
     if totals["models"] != spec.models(c):
         raise RuntimeError(f"{c.target} swept {totals['models']} models, "
                            f"not the {spec.models(c)} of its closed form")
-    return _report(c, spec.head(c), spec.claim, spec.tally, spec.title, totals,
-                   [spec.dump(c, *hit[1:]) for hit in found], **spec.fields(c))
+    return spec.report(c, totals, {group: [spec.dump(c, *hit[1:]) for hit in hits]
+                                   for group, hits in found.items()})
 
 
 def _judge_lemma1(lanes: _Lanes, ops, slots, totals: dict) -> Iterator[tuple]:
@@ -670,7 +669,7 @@ def _judge_lemma1(lanes: _Lanes, ops, slots, totals: dict) -> Iterator[tuple]:
     totals["holds"] += lanes.count(premise & part1 & part2)
     totals["degenerate"] += lanes.count(~premise & part2)
     totals["fails"] += lanes.count(fails)
-    yield fails, lanes
+    yield None, fails, lanes
 
 
 def _judge_holes(lanes: _Lanes, ops, slots, totals: dict) -> Iterator[tuple]:
@@ -679,14 +678,14 @@ def _judge_holes(lanes: _Lanes, ops, slots, totals: dict) -> Iterator[tuple]:
         holds |= hole
     totals["holds"] += lanes.count(holds)
     totals["fails"] += lanes.count(~holds)
-    yield ~holds, lanes
+    yield None, ~holds, lanes
 
 
 def _judge_states(lanes: _Lanes, ops, slots, totals: dict, fault: Callable,
                   key: Callable) -> Iterator[tuple]:
     """Judges each state w on each ``_stacked`` block: ``fault(frame, w,
     block)`` flags the failing lanes of each formula, keyed ``key(formula, w)``."""
-    model_violations = 0  # per-lane counts from the first violating block on
+    model_violations = np.zeros(len(lanes.record), dtype=np.intp)  # per-lane counts
     # the masks live only in the block generator, so they are freed
     # before the next chunk is evaluated
     for start, block in _stacked(pg.run(ops, lanes.frame), slots, len(lanes.record)):
@@ -694,25 +693,48 @@ def _judge_states(lanes: _Lanes, ops, slots, totals: dict, fault: Callable,
             bad = fault(lanes.frame, w, block)
             if bad.any():
                 model_violations += np.count_nonzero(bad, axis=0)
-                yield bad, lanes, lambda j: key(start + j, w)
-    totals["holds"] += len(lanes.record) - int(np.count_nonzero(model_violations))
-    totals["violations"] += int(np.sum(model_violations))
+                yield None, bad, lanes, lambda j: key(start + j, w)
+    totals["holds"] += lanes.count(model_violations == 0)
+    totals["violations"] += lanes.count(model_violations)
 
 
 def _judge_theorem22(lanes: _Lanes, ops, slots, totals: dict) -> Iterator[tuple]:
     special = np.array([hs.is_special(lanes.frame, lanes.ure, w) for w in range(lanes.frame.k)])
     live = special.any(axis=0)  # a lane without a special node holds
-    n = int(np.count_nonzero(live))
-    totals["holds"] += len(live) - n
-    totals["degenerate"] += len(live) - n
-    totals["states_checked"] += int(np.count_nonzero(special))
-    if n < len(live):
+    totals["holds"] += lanes.count(~live)
+    totals["degenerate"] += lanes.count(~live)
+    totals["states_checked"] += lanes.count(special.sum(axis=0))
+    if not live.all():
         lanes, special = _take_lanes(lanes, live), special[:, live]
 
     def fault(frame, w, body):
         wrong_assumption, belief_fails = hs.theorem22_faults(frame, w, body)
         return special[w] & (wrong_assumption | belief_fails)
     yield from _judge_states(lanes, ops, slots, totals, fault, lambda i, w: (i, w))
+
+
+def _judge_validity(lanes: _Lanes, ops, slots, totals: dict) -> Iterator[tuple]:
+    """Counts, per formula of ``hs.VALIDITY_CLAIMS``, the models on which it
+    holds at every node; a claimed-valid one's failures are its dump group."""
+    f = lanes.frame
+    for (text, claimed), failing in zip(hs.VALIDITY_CLAIMS, hs.validity_failures(
+            pg.run(ops, f), slots, f.ua | f.ub)):
+        valid = np.broadcast_to(failing == 0, len(lanes.record))
+        totals[text] += lanes.count(valid)
+        if claimed and not valid.all():
+            yield text, ~valid, lanes
+
+
+def _validity_report(c: Campaign, totals: dict, dumps: dict) -> CampaignReport:
+    """The models on which each formula holds everywhere, and first counter-models."""
+    lines = _header(c, "claimed-valid formulas: models on which each holds everywhere", *(
+        f"  claimed-{'' if claimed else 'in'}valid: {text}: {totals[text]} of {totals['models']}"
+        for text, claimed in hs.VALIDITY_CLAIMS))
+    for text in sorted(dumps):
+        _dump_block(lines, f"first counter-model for {text}", dumps[text][0])
+    return CampaignReport(tuple(lines), {
+        "target": c.target, "max_size": c.max_size, "models": totals["models"],
+        "valid_counts": {text: totals[text] for text, _ in hs.VALIDITY_CLAIMS}})
 
 
 def _kripke_head(c: Campaign) -> list[str]:
@@ -755,67 +777,44 @@ _LEMMA1 = _Sweep(
     program=kr.lemma1_program,
     blocks=_classical_blocks, models=_frame_count,
     judge=_judge_lemma1, totals=("models", "holds", "fails", "degenerate"),
-    claim="premise -> chain-implication, and the negative sentence is valid",
-    tally="models={models} holds={holds} fails={fails} degenerate={degenerate}",
-    title="fail-dump {} of {fails}", head=_kripke_head,
     dump=lambda c, rec: dump_kripke(_rebuild_kripke(rec, c.strict)),
-    fields=lambda c: {"strict": c.strict, "heart": c.heart, "serial": c.serial})
+    report=partial(
+        _report, claim="premise -> chain-implication, and the negative sentence is valid",
+        tally="models={models} holds={holds} fails={fails} degenerate={degenerate}",
+        title="fail-dump {} of {fails}", head=_kripke_head,
+        fields=lambda c: {"strict": c.strict, "heart": c.heart, "serial": c.serial}))
 _SWEEPS = {
     "lemma1": _LEMMA1,
-    "theorem12": _LEMMA1._replace(program=lambda: kr.hole_program("kripke"),
-                                  judge=_judge_holes,
-                                  claim="every model has one of the seven holes"),
+    "theorem12": _LEMMA1._replace(
+        program=lambda: kr.hole_program("kripke"), judge=_judge_holes,
+        report=partial(_LEMMA1.report, claim="every model has one of the seven holes")),
     "theorem22": _Sweep(
         program=hs.theorem22_program,
-        blocks=lambda c, ops: _unweighted(_membership_lanes(c.max_size, False, True, ops)),
+        blocks=lambda c, ops: _membership_blocks(c.max_size, False, True, ops),
         models=lambda c: _membership_count(c, 2, 2), judge=_judge_theorem22,
         totals=("models", "holds", "degenerate", "states_checked", "violations"),
-        claim="quine/urelement states assume exactly their falsehoods "
-              "and believe everything",
         dump=lambda c, i, w, rec: (f"state n{w}, formula "
                                    f"{fm.to_text(hs.bounded_formula_family()[i])}\n"
                                    + dump_nwf(_rebuild_hyperset(rec))),
-        head=lambda c: [f"formula family: {len(hs.bounded_formula_family())} formulas, "
-                        "modal depth <= 2"]),
+        report=partial(_report, head=lambda c: [
+            f"formula family: {len(hs.bounded_formula_family())} formulas, modal depth <= 2"],
+            claim="quine/urelement states assume exactly their falsehoods and believe everything")),
     "theorem23": _Sweep(
         program=hs.theorem23_program,
-        blocks=lambda c, ops: _unweighted(_membership_lanes(c.max_size, True, False, ops)),
+        blocks=lambda c, ops: _membership_blocks(c.max_size, True, False, ops),
         models=lambda c: _membership_count(c, 3, 1),
         judge=lambda lanes, ops, slots, totals: _judge_states(
             lanes, ops, slots, totals, hs.theorem23_fault, lambda d, w: (w, d)),
-        claim="quine states with a true assumption sit in both type spaces",
-        dump=lambda c, w, _, rec: f"quine state n{w}\n" + dump_nwf(_rebuild_hyperset(rec))),
+        dump=lambda c, w, _, rec: f"quine state n{w}\n" + dump_nwf(_rebuild_hyperset(rec)),
+        report=partial(_report,
+                       claim="quine states with a true assumption sit in both type spaces")),
+    "validity_lists": _Sweep(
+        program=hs.validity_program,
+        blocks=lambda c, ops: _membership_blocks(c.max_size, False, False, ops),
+        models=lambda c: _membership_count(c, 2, 1), judge=_judge_validity,
+        dump=lambda c, rec: dump_nwf(_rebuild_hyperset(rec)), report=_validity_report,
+        totals=("models",), dumps=1),
 }
-
-
-def _run_validity_lists(c: Campaign) -> CampaignReport:
-    ops, slots = hs.validity_program()
-    models = 0
-    valid_counts = {text: 0 for text, _ in hs.VALIDITY_CLAIMS}
-    counterexample: dict[str, list] = {}  # text -> [(record, compact record)]
-    for lanes in _membership_lanes(c.max_size, False, False, ops):
-        models += len(lanes.record)
-        failures = hs.validity_failures(pg.run(ops, lanes.frame), slots,
-                                        (1 << lanes.frame.k) - 1)
-        for (text, claimed), failing in zip(hs.VALIDITY_CLAIMS, failures):
-            valid = np.broadcast_to(failing == 0, len(lanes.record))
-            valid_counts[text] += int(np.count_nonzero(valid))
-            if claimed:
-                first = _first_hits(counterexample.get(text, []), ~valid, lanes)[:1]
-                if first:
-                    counterexample[text] = first
-
-    lines = _header(c)
-    lines.append("claimed-valid formulas: models on which each holds everywhere")
-    for text, claimed in hs.VALIDITY_CLAIMS:
-        tag = "claimed-valid" if claimed else "claimed-invalid"
-        lines.append(f"  {tag}: {text}: {valid_counts[text]} of {models}")
-    for text in sorted(counterexample):
-        _dump_block(lines, f"first counter-model for {text}",
-                    dump_nwf(_rebuild_hyperset(counterexample[text][0][1])))
-    summary = {"target": c.target, "max_size": c.max_size, "models": models,
-               "valid_counts": {t: v for t, v in sorted(valid_counts.items())}}
-    return CampaignReport(tuple(lines), summary)
 
 
 def _point_names(mask: int) -> list[str]:
@@ -896,8 +895,8 @@ def _run_lattice_laws(c: Campaign) -> CampaignReport:
     claim = ("subtraction adjunction over all closed triples"
              if c.target == "adjunction"
              else "S | ~S covers and S & ~S is the boundary, for closed S")
-    return _report(c, [], claim, "topologies={topologies} checks={checks} "
-                   "violations={violations}", _VIOLATIONS, totals, dumps)
+    return _report(c, totals, {None: dumps}, claim=claim,
+                   tally="topologies={topologies} checks={checks} violations={violations}")
 
 
 def _run_lawvere_scan(c: Campaign) -> CampaignReport:

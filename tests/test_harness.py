@@ -209,7 +209,7 @@ def test_every_stacked_run_matches_the_reference_evaluator():
     # all 602 formulas, so also the layer-2 runs past the 200 that the test
     # above checks, on up to 10 seeded lanes of each (k, type assignment)
     # block up to 2 nodes and one lane of each 3-node block, where the
-    # 84-op runs split; small blocks share a chunk, each lane with its types
+    # 84-op runs split
     family = hs.bounded_formula_family()
     ops, slots = hs.theorem22_program()
     rng = random.Random(67)
@@ -550,7 +550,7 @@ def _claim_masks(frame, ure, vals, slots):
     """Every claim of the membership campaigns on a frame's extension masks:
     the validity failures, then per node whether it is special and, per
     slot, its theorem 2.2 faults and its theorem 2.3 fault."""
-    masks = hs.validity_failures(vals, slots, (1 << frame.k) - 1)
+    masks = hs.validity_failures(vals, slots, frame.ua | frame.ub)
     for w in range(frame.k):
         masks.append(hs.is_special(frame, ure, w))
         for slot in slots:
@@ -559,37 +559,219 @@ def _claim_masks(frame, ure, vals, slots):
     return masks
 
 
+_MEMBERSHIP_FLAGS = {"theorem22": (False, True), "theorem23": (True, False),
+                     "validity_lists": (False, False)}  # target -> (overlap, with_atom)
+
+
+def _judged_membership_chunks(ops, overlap, with_atom):
+    """The chunks of the judged blocks of a 3-node membership sweep, one per size."""
+    blocks = hn._membership_blocks(3, overlap, with_atom, ops)
+    return [lanes for block in blocks if block.weight for lanes in block.chunks]
+
+
 @pytest.mark.parametrize("program", [hs.theorem22_program, hs.theorem23_program,
                                      hs.validity_program])
 @pytest.mark.parametrize("overlap, with_atom", list(iproduct((False, True), repeat=2)))
 def test_packed_membership_lanes_match_each_lanes_own_frame(program, overlap, with_atom):
-    # the small (k, type assignment) blocks share chunks, each lane with
-    # its own ua/ub; two seeded lanes of each block are rebuilt as a frame
-    # with int types, and every mask and claim must be the same, bit for bit
+    # the judged lanes: per size k, the first block of each class packed
+    # with per-lane types and weights; then the same pieces packed over 3
+    # nodes whatever their size, as the classical sweeps pack.  Two seeded
+    # lanes of each class are rebuilt as a frame of their own k with int
+    # types, and every mask and claim must be the same, bit for bit; a node
+    # past a lane's k is never special, never faults, and is in no mask.
+    # The claims read every formula, but only every 15th of theorem 2.2's 602
     ops, slots = program()
+    slots = slots[::max(1, len(slots) // 40)]
     rng = random.Random(69)
-    packed = set()  # the sizes with a shared chunk
-    for lanes in hn._membership_lanes(3, overlap, with_atom, ops):
+    judged = _judged_membership_chunks(ops, overlap, with_atom)
+    assert sorted(set(lanes.frame.k for lanes in judged)) == [1, 2, 3]
+    mixed = list(hn._packed(iter(judged), 3, hn._lane_width(ops, 3)))
+    assert all(lanes.frame.k == 3 for lanes in mixed)
+    per_node = 1 + 3 * len(slots)  # the claims of a node in _claim_masks
+    mixed_sizes = set()
+    for is_mixed, lanes in [(False, lanes) for lanes in judged] + [(True, m) for m in mixed]:
         f, n = lanes.frame, len(lanes.record)
-        if not isinstance(f.ua, np.ndarray):
-            continue
         vals = pg.run(ops, f)
         claims = [np.broadcast_to(mask, n) for mask in _claim_masks(f, lanes.ure, vals, slots)]
         vals = [np.broadcast_to(v, n) for v in vals]
         types = f.ua.astype(int) << 8 | f.ub
-        assert len(set(types.tolist())) > 1
-        packed.add(f.k)
+        sizes = set()
         for t in dict.fromkeys(types.tolist()):
+            ua, ub = t >> 8, t & 255
+            cls = hn._class(ua, ub)
+            k = sum(cls)
+            sizes.add(k)
+            # the class's first block: its assignment sorted, Ua-only nodes first
+            assert ua == (1 << cls[0]) - 1 | (1 << cls[2]) - 1 << cls[0] + cls[1]
+            assert is_mixed or k == f.k
+            assert set(lanes.weight[types == t].tolist()) == {hn._class_size(cls)}
             for lane in rng.sample(np.flatnonzero(types == t).tolist(), 2):
-                k, rows, ure, ua, ub, pval = lanes.compact(lane)
-                assert (ua, ub) == (t >> 8, t & 255)
-                own = pg.Frame(k, ua, ub, list(rows), {"p": pval} if with_atom else {},
+                _, rows, ure, *_, pval = lanes.compact(lane)
+                assert not any(rows[k:]) and ure >> k == pval >> k == 0
+                own = pg.Frame(k, ua, ub, list(rows[:k]), {"p": pval} if with_atom else {},
                                "membership", pg.complement(k))
                 own_vals = pg.run(ops, own)
                 assert [int(v[lane]) for v in vals] == own_vals
-                assert [int(c[lane]) for c in claims] == list(map(
-                    int, _claim_masks(own, ure, own_vals, slots)))
-    assert packed >= {1, 2}
+                own_claims = list(map(int, _claim_masks(own, ure, own_vals, slots)))
+                lane_claims = [int(c[lane]) for c in claims]
+                assert lane_claims[:len(own_claims)] == own_claims
+                assert not any(lane_claims[len(own_claims):])
+                assert len(lane_claims) - len(own_claims) == (f.k - k) * per_node
+        if is_mixed:
+            mixed_sizes |= sizes
+        else:
+            assert sizes == {f.k}
+    assert mixed_sizes == {1, 2, 3}
+
+
+def _spy_pieces(pieces, drawn):
+    for piece in pieces:
+        drawn.append(len(piece.record))
+        yield piece
+
+
+def test_packed_cuts_each_chunk_as_its_pieces_are_drawn():
+    # six 3-node blocks of theorem23 (729 lanes each) as weighted pieces, in
+    # chunks of widths that cut inside pieces, fit them, or hold them all:
+    # a chunk is yielded before the piece after its last lane is drawn, and
+    # the chunks are the pieces' lanes in order
+    ops, _ = hs.theorem23_program()
+    pieces = [lanes for cls, weight, _, chunks in hn._membership_blocks(3, True, False, ops)
+              if not weight and sum(cls) == 3 for lanes in chunks][:6]
+    pieces = [p._replace(weight=np.broadcast_to(i + 1, len(p.record)))
+              for i, p in enumerate(pieces)]
+    sizes = [len(p.record) for p in pieces]
+    for width in (1000, 729, 2000, sum(sizes) + 5):
+        drawn = []
+        chunks = hn._packed(_spy_pieces(pieces, drawn), 3, width)
+        got = []
+        for lanes in chunks:
+            held = sum(len(c.record) for c in got) + len(lanes.record)  # the lanes cut so far
+            # the fewest pieces that hold them, or all when the last chunk is short
+            assert sum(drawn) >= held and sum(drawn[:-1]) < held
+            got.append(lanes)
+        assert [len(c.record) for c in got[:-1]] == [width] * (len(got) - 1)
+        assert np.array_equal(np.concatenate([c.record for c in got]), np.arange(sum(sizes)))
+        for column in (lambda p: p.weight, lambda p: p.ure, lambda p: np.broadcast_to(
+                p.frame.ua, len(p.record)), lambda p: p.frame.rows[2]):
+            assert np.array_equal(np.concatenate([column(c) for c in got]),
+                                  np.concatenate([column(p) for p in pieces]))
+
+
+@pytest.mark.parametrize("target, mutant", [
+    ("theorem22", None), ("theorem22", "theorem22_faults"),
+    ("theorem23", None), ("theorem23", "theorem23_fault"), ("validity_lists", None)])
+def test_membership_block_totals_depend_only_on_the_class(monkeypatch, target, mutant):
+    # the premise of the packed lanes' weights: a labelled block's totals,
+    # under the real predicates or a broken one, are those of its class's
+    # first block, whose types are sorted; a block's class is the one that
+    # _classes reads off its lanes; and the first blocks times their class
+    # sizes sum to the SUMMARY
+    if mutant:
+        broken = {"theorem22_faults": _mutated_theorem22, "theorem23_fault": _mutated_theorem23}
+        monkeypatch.setattr(hs, mutant, broken[mutant](getattr(hs, mutant)))
+    spec = hn._SWEEPS[target]
+    ops, slots = spec.program()
+    first, summed, weighted = {}, Counter(), Counter()
+    for block in hn._membership_blocks(3, *_MEMBERSHIP_FLAGS[target], ops):
+        if block.weight:
+            continue  # a judged block: its lanes are the first blocks' of their classes
+        totals = Counter()
+        for lanes in block.chunks:
+            n, f = len(lanes.record), lanes.frame
+            totals["models"] += lanes.count()
+            for _ in spec.judge(lanes, ops, slots, totals):
+                pass
+            per_lane = f._replace(ua=np.full(n, f.ua, np.uint8), ub=np.full(n, f.ub, np.uint8))
+            assert hn._classes(np.ones(n, bool), lanes._replace(
+                frame=per_lane, weight=np.ones(n, np.int64))) == {block.cls}
+        if block.cls not in first:
+            weighted.update({key: hn._class_size(block.cls) * v for key, v in totals.items()})
+        assert first.setdefault(block.cls, totals) == totals, block.cls
+        summed.update(totals)
+    assert summed == weighted
+    summary = hn.run_campaign(hn.Campaign(target, 3)).summary
+    summary.update(summary.pop("valid_counts", {}))
+    assert summed == {key: summary[key] for key in summed}
+    assert summed["violations"] > 0 if mutant else summed["models"] == summary["models"]
+
+
+@pytest.mark.parametrize("target", ["theorem22", "theorem23", "validity_lists"])
+def test_a_dropped_chunk_breaks_the_membership_closed_form(monkeypatch, target):
+    # the one chunk of the 2-node representatives, whose types are the top
+    # digit (ua None), is dropped
+    chunks = hn._membership_chunks
+
+    def dropping(k, ua, *args):
+        if (k, ua) != (2, None):
+            yield from chunks(k, ua, *args)
+    monkeypatch.setattr(hn, "_membership_chunks", dropping)
+    with pytest.raises(RuntimeError, match="closed form"):
+        hn.run_campaign(hn.Campaign(target, 2))
+
+
+@pytest.mark.parametrize("target", ["theorem22", "theorem23", "validity_lists"])
+def test_a_wrong_weight_breaks_the_membership_closed_form(monkeypatch, target):
+    # one type assignment more in the class of one Ua-only and one Ub-only node
+    size = hn._class_size
+    monkeypatch.setattr(hn, "_class_size", lambda cls: size(cls) + (cls == (1, 1, 0)))
+    with pytest.raises(RuntimeError, match="closed form"):
+        hn.run_campaign(hn.Campaign(target, 2))
+
+
+def _reference_validity_lists(max_size):
+    """validity_lists judged chunk by chunk over every labelled lane: each
+    formula's count of the models on which it holds at every node, and the
+    first counter-model of each claimed-valid one."""
+    c = hn.Campaign(target="validity_lists", max_size=max_size)
+    texts = [text for text, _ in hs.VALIDITY_CLAIMS]
+    ops, slots = pg.compile_program([fm.parse(text) for text in texts], "nwf", atoms=())
+    models, valid, first = 0, Counter(), {}
+    for lanes in hn._membership_lanes(max_size, False, False, ops):
+        n, full = len(lanes.record), (1 << lanes.frame.k) - 1
+        vals = pg.run(ops, lanes.frame)
+        models += n
+        for (text, claimed), slot in zip(hs.VALIDITY_CLAIMS, slots):
+            holds = np.broadcast_to(vals[slot] == full, n)
+            valid[text] += int(np.count_nonzero(holds))
+            failing = np.flatnonzero(~holds) if claimed else []
+            if len(failing):  # records interleave across blocks: the chunk's lowest, then all's
+                lane = failing[np.argmin(lanes.record[failing])]
+                hit = int(lanes.record[lane]), lanes.compact(lane)
+                first[text] = min(first.get(text, hit), hit)
+    lines = hn._header(c, "claimed-valid formulas: models on which each holds everywhere")
+    for text, claimed in hs.VALIDITY_CLAIMS:
+        tag = "claimed-valid" if claimed else "claimed-invalid"
+        lines.append(f"  {tag}: {text}: {valid[text]} of {models}")
+    for text in sorted(first):
+        hn._dump_block(lines, f"first counter-model for {text}",
+                       dump_nwf(hn._rebuild_hyperset(first[text][1])))
+    return first, hn.CampaignReport(tuple(lines), {
+        "target": c.target, "max_size": max_size, "models": models,
+        "valid_counts": {text: valid[text] for text in texts}}).text
+
+
+@pytest.fixture
+def patched_validity_claims(monkeypatch, request):
+    """VALIDITY_CLAIMS in which "[ab] Ua <-> false" fails on five models
+    (records 0, 2, 4, 6, 7) before two others first fail (records 16 and
+    75), one claimed-valid formula never fails, and a claimed-invalid one
+    fails from record 1 on."""
+    monkeypatch.setattr(hs, "VALIDITY_CLAIMS", (
+        ("Ua -> [ab] [ba] false", True), ("[ab] Ua <-> false", True),
+        ("<ab> true -> Ua", True), ("[ab] false", False), ("Ua -> [ab] false", True)))
+    hs.validity_program.cache_clear()
+    request.addfinalizer(hs.validity_program.cache_clear)  # before the claims are restored
+
+
+@pytest.mark.parametrize("max_size", [2, 3])
+def test_validity_lists_dumps_each_formulas_own_first_counter_model(patched_validity_claims,
+                                                                     max_size):
+    first, expected = _reference_validity_lists(max_size)
+    records = {text: record for text, (record, _) in first.items()}
+    assert records == {"[ab] Ua <-> false": 0, "Ua -> [ab] false": 16,
+                       "Ua -> [ab] [ba] false": 75}
+    assert hn.run_campaign(hn.Campaign("validity_lists", max_size)).text == expected
 
 
 def _per_block_models(max_nodes, overlap):
@@ -616,8 +798,8 @@ def _per_block_models(max_nodes, overlap):
 
 @pytest.mark.parametrize("overlap", [False, True])
 def test_enumerate_hypersets_keeps_the_per_block_order(overlap):
-    # packed chunks tile whole blocks in block order, so the models come
-    # out as from one block at a time, with the same records
+    # the labelled blocks come in block order, so the models come out as
+    # from one block at a time, with the same records
     expected = list(_per_block_models(3, overlap))
     assert list(hn.enumerate_hypersets(3, allow_overlap=overlap)) == [m for _, m in expected]
     for ops in ([], hs.theorem23_program()[0], hs.theorem22_program()[0]):
@@ -681,7 +863,7 @@ def _decoded_lanes(k, vals, blocks, offset, t, lane):
 @pytest.mark.parametrize("program, with_atom, checks", [(hs.theorem22_program, True, 3),
                                                         (hs.validity_program, False, 1)])
 def test_four_node_membership_lanes_match_the_per_lane_decode(program, with_atom, checks):
-    # 4-node blocks do not share chunks.  In the first, a middle and the last
+    # Each block has its own chunks.  In the first, a middle and the last
     # type-assignment block: the first chunk, the first that starts inside
     # node 0's digit (theorem22's blocks are cut; validity_lists' are one
     # chunk each) and the last, bit for bit against the per-lane decode
@@ -898,7 +1080,7 @@ def test_relation_lanes_at_five_states_match_per_edge_reference(serial):
     total = 1 << 25
     offset = sum(1 << k + k * k for k in range(1, 5))  # the frames of 1-4 states
     blocks = [block for block in hn._relation_blocks(5, False, serial, "frame", ops)
-              if block.cls[0] == 5]
+              if sum(block.cls) == 5]
     assert [block.first for block in blocks] == [offset + ua * total for ua in range(32)]
 
     def check(lanes, first, stop):
@@ -960,7 +1142,7 @@ def _block_totals(target, max_size, strict, heart, serial):
 @pytest.mark.parametrize("strict,max_size", [(True, 5), (False, 4)])
 def test_classical_block_totals_depend_only_on_the_popcount(target, strict, max_size):
     # the premise of the packed lanes' weights: a block's totals depend on
-    # (k, |Ua|) alone, so the class's first block, Ua = the lowest states,
+    # its class (|Ua|, |Ub|, 0) alone, so the class's first block, Ua = the lowest states,
     # counts C(k, a) times; every block is read only for the dumps
     for heart, serial in iproduct(("frame", "local"), (False, True)):
         blocks = iter(_block_totals(target, max_size, strict, heart, serial))
@@ -970,7 +1152,7 @@ def test_classical_block_totals_depend_only_on_the_popcount(target, strict, max_
             for ua in range(1 << k):
                 cls, weight, totals = next(blocks)
                 a = ua.bit_count()
-                assert cls == (k, a)
+                assert cls == (a, k - a, 0)
                 assert weight == 0
                 if ua == (1 << a) - 1:
                     weighted.update({key: comb(k, a) * n for key, n in totals.items()})
@@ -1090,7 +1272,8 @@ def test_factored_lanes_count_like_the_frames(heart, serial, rng):
         if block.cls in seen:
             continue  # only the class's first block, Ua = the lowest a states
         seen.add(block.cls)
-        (k, a), full = block.cls, (1 << block.cls[0]) - 1
+        a, b, _ = block.cls
+        k, full = a + b, (1 << a + b) - 1
         counts = []
         for chunks in (block.chunks,
                        hn._factored_chunks(k, a, serial, heart, hn._lane_width(ops, k))):
