@@ -19,13 +19,14 @@ A block's class (``_class``) counts its Ua-only, Ub-only and shared
 states.  A state permutation maps a block onto any other of its class,
 and no claim names a state, so all its blocks have the same totals
 (McKay 1998, the cheapest case).  A sweep judges the first block of each
-class, its assignment sorted, each lane weighted by the class's size:
-``_packed`` cuts these lanes into chunks as they are drawn, each lane
-with its own type masks, over the largest k for frames
-(``_classical_blocks``) and per k for membership graphs (in
-``_membership_blocks``).  The labelled blocks weigh 0 and are read only
-for the dumps: a block is skipped when no packed lane of its class
-failed, and left once no later lane of it can enter them.
+class, its assignment sorted, each lane with its own type masks and
+weighted by the class's size: for frames, ``_packed`` cuts the classes'
+lanes into chunks over the largest k as they are drawn
+(``_classical_blocks``); for membership graphs, a size's classes are one
+``_digits`` run, their assignments the top digit (``_membership_blocks``).
+The labelled blocks weigh 0 and are read only for the dumps: a block is
+skipped when no weighted lane of its class failed, and left once no
+later lane of it can enter them.
 
 A non-strict class is counted rather than enumerated: only ``D`` reads
 the same-type edges, so its representative is ``_factored_chunks``, the
@@ -102,7 +103,7 @@ def _lane_width(ops: Sequence[tuple], k: int) -> int:
 
 
 class _Lanes(NamedTuple):
-    """A chunk of candidate models sharing k and the type masks (or, packed,
+    """A chunk of candidate models sharing k and the type masks (or, judged,
     each lane with its own); its successor rows, urelement masks and
     valuation are _LANE arrays."""
 
@@ -110,7 +111,7 @@ class _Lanes(NamedTuple):
     ure: object  # the urelement masks (0 for frames)
     frame: pg.Frame
     #: per lane, how many models it stands for (int64); None: one each.  A
-    #: weighted lane (``_factored_chunks``, ``_packed``) is counted, never
+    #: weighted lane (``_factored_chunks``, a judged block) is counted, never
     #: dumped.
     weight: np.ndarray | None = None
 
@@ -322,18 +323,17 @@ def _packed(pieces: Iterable[_Lanes], n: int, width: int) -> Iterator[_Lanes]:
     """The weighted lanes of ``pieces``, each piece of its own k <= n states
     and type masks, in chunks of ``width`` lanes over n states, each cut as
     soon as the pieces it holds are drawn: a lane's rows past its k states
-    are empty, and it carries its own urelements, valuation of p, ``ua``
-    and ``ub``, whose union ``full`` is its states and negates (``xor``).
-    A lane's record is its place in the packed block."""
+    are empty, and it carries its own ``ua`` and ``ub``, whose union
+    ``full`` is its states and negates (``xor``).  A lane's record is its
+    place in the packed block."""
     held, drawn, start = [], 0, 0  # the lanes drawn, not yet yielded: (masks, weights)
     for piece in chain(pieces, [None]):  # None: every piece is drawn
         if piece is not None:
             f, heart, drawn = piece.frame, piece.frame.heart, drawn + len(piece.record)
-            held.append(([*f.rows, *[0] * (n - f.k), piece.ure, f.atoms.get("p", 0), f.ua, f.ub],
-                         piece.weight))  # n rows, then ure, p, ua and ub
+            held.append(([*f.rows, *[0] * (n - f.k), f.ua, f.ub], piece.weight))  # n rows, ua, ub
         if not drawn or piece is not None and drawn < width:
             continue
-        masks, at = np.zeros((n + 4, drawn), dtype=_LANE), 0
+        masks, at = np.zeros((n + 2, drawn), dtype=_LANE), 0
         for lane_masks, weight in held:
             for x, mask in enumerate(lane_masks):
                 if isinstance(mask, np.ndarray) or mask:  # masks start empty
@@ -344,10 +344,10 @@ def _packed(pieces: Iterable[_Lanes], n: int, width: int) -> Iterator[_Lanes]:
         held = [(masks[:, stop:], weight[stop:])] if stop < drawn else []
         drawn -= stop
         for cut in range(0, stop, width):
-            *rows, ure, pval, ua, ub = masks[:, cut:cut + width]
+            *rows, ua, ub = masks[:, cut:cut + width]
             full = ua | ub
-            yield _Lanes(np.arange(start, start + len(full)), ure,
-                         pg.Frame(n, ua, ub, rows, {"p": pval}, heart, partial(xor, full)),
+            yield _Lanes(np.arange(start, start + len(full)), 0,
+                         pg.Frame(n, ua, ub, rows, {}, heart, partial(xor, full)),
                          weight[cut:cut + width])
             start += len(full)
 
@@ -363,19 +363,21 @@ def _class_size(cls: tuple[int, int, int]) -> int:
 
 
 def _classes(bad: np.ndarray, lanes: _Lanes, *key) -> set[tuple[int, int, int]]:
-    """The classes of the lanes of positive weight that ``bad`` flags (a row, or one per key)."""
+    """The classes of the lanes of positive weight that ``bad`` flags (a row,
+    or one per key), read per run of lanes with one (ua, ub)."""
     f = lanes.frame
-    pair = f.ua.astype(np.intp) << 8 | f.ub  # (ua, ub) as one index
-    bad = bad.reshape(-1, bad.shape[-1]).any(axis=0)  # a lane with any flagged row
+    pair = f.ua.astype(np.uint16) << 8 | f.ub  # (ua, ub) as one index
+    starts = np.flatnonzero(np.r_[True, pair[1:] != pair[:-1]])  # the runs
+    bad = bad.reshape(-1, bad.shape[-1]).any(axis=0) & (lanes.weight > 0)
     return {_class(x >> 8, x & 255)
-            for x in np.flatnonzero(np.bincount(pair[bad & (lanes.weight > 0)])).tolist()}
+            for x in pair[starts[np.logical_or.reduceat(bad, starts)]].tolist()}
 
 
 def _membership_blocks(max_nodes: int, overlap: bool, with_atom: bool,
                        ops: Sequence[tuple]) -> Iterator[_Block]:
     """Every membership model with up to ``max_nodes`` nodes: per size k,
-    one judged block of packed lanes, then one block of weight 0 and int
-    types per type assignment, read only for the dumps.
+    one judged block, then one block of weight 0 and int types per type
+    assignment, read only for the dumps.
 
     Every node is an urelement or a set with any member row; the type
     assignments cover the nodes, overlapping only when ``overlap``, and
@@ -386,8 +388,8 @@ def _membership_blocks(max_nodes: int, overlap: bool, with_atom: bool,
     from node k-1 up to node 0, the type assignment on top.  The judged
     block holds the first block of each class, its assignment sorted, as
     one ``_digits`` with the classes' assignments on top, each lane
-    weighted ``_class_size``; its lanes all have k nodes, so ``frame.k`` is
-    each lane's size.
+    weighted ``_class_size``; its lanes all have k nodes, which their types
+    cover, so ``frame.k`` is each lane's size and ``complement(k)`` negates.
     """
     if not 1 <= max_nodes <= 4:
         raise ValueError("node bound must be between 1 and 4")
@@ -406,8 +408,8 @@ def _membership_blocks(max_nodes: int, overlap: bool, with_atom: bool,
         firsts = {_class(*t): t for t in reversed(types)}  # the first block of each class
         top = (np.zeros(len(firsts), np.int64), *np.array(list(firsts.values()), _LANE).T,
                np.array(list(map(_class_size, firsts))))
-        yield _Block(None, 1, 0, _packed(_membership_chunks(
-            k, None, None, 0, with_atom, tables + [top], width), k, width))
+        yield _Block(None, 1, 0, _membership_chunks(
+            k, None, None, 0, with_atom, tables + [top], width))
         for t, (ua, ub) in enumerate(types):
             yield _Block(_class(ua, ub), 0, offset + vals * t, _membership_chunks(
                 k, ua, ub, offset + vals * t, with_atom, tables, width))
@@ -434,14 +436,13 @@ def _membership_lanes(max_nodes: int, overlap: bool, with_atom: bool,
 
 
 def _first_hits(found: list, bad: np.ndarray, lanes: _Lanes,
-                key: Callable[[int], tuple] = lambda row: (), cap: int | None = None) -> list:
+                key: Callable[[int], tuple] = lambda row: (), *, cap: int) -> list:
     """``found`` plus the lanes flagged in ``bad`` (a row of flags, or one
     per key, the keys rising with the row) as (record, *key(row), compact
-    record) entries, cut to the ``cap`` (_FAIL_DUMP_CAP) first.  Records
-    rise with the lane in a labelled chunk, so its first entries lie in its
-    first ``cap`` lanes with a hit, taken lane by lane and row by row; and
-    once ``found`` is full, a chunk past its last cannot change it."""
-    cap = cap or _FAIL_DUMP_CAP
+    record) entries, cut to the ``cap`` first.  Records rise with the lane
+    in a labelled chunk, so its first entries lie in its first ``cap``
+    lanes with a hit, taken lane by lane and row by row; and once ``found``
+    is full, a chunk past its last cannot change it."""
     if _settled(found, lanes.record[0], cap):
         return found
     first = np.flatnonzero(bad if bad.ndim == 1 else bad.any(axis=0))[:cap]
@@ -456,21 +457,19 @@ def _first_hits(found: list, bad: np.ndarray, lanes: _Lanes,
     return sorted(found)[:cap]
 
 
-def _settled(found: list, record: int, cap: int | None = None) -> bool:
-    """Whether the first-hit list ``found`` is full, ``cap`` (_FAIL_DUMP_CAP)
-    long, and no lane from record ``record`` on can enter it."""
-    return len(found) == (cap or _FAIL_DUMP_CAP) and found[-1][0] < record
+def _settled(found: list, record: int, cap: int) -> bool:
+    """Whether the first-hit list ``found`` is full, ``cap`` long, and no
+    lane from record ``record`` on can enter it."""
+    return len(found) == cap and found[-1][0] < record
 
 
 def _take_lanes(lanes: _Lanes, keep: np.ndarray) -> _Lanes:
     """The lanes of a membership chunk that ``keep`` flags, with their weights."""
     f = lanes.frame
     take = lambda mask: mask[keep] if isinstance(mask, np.ndarray) else mask
-    ua, ub = take(f.ua), take(f.ub)
     return _Lanes(lanes.record[keep], lanes.ure[keep],
-                  f._replace(ua=ua, ub=ub, rows=[row[keep] for row in f.rows],
-                             atoms={a: mask[keep] for a, mask in f.atoms.items()},
-                             neg=partial(xor, ua | ub)),
+                  f._replace(ua=take(f.ua), ub=take(f.ub), rows=[row[keep] for row in f.rows],
+                             atoms={a: mask[keep] for a, mask in f.atoms.items()}),
                   take(lanes.weight))
 
 
@@ -625,7 +624,7 @@ class _Sweep(NamedTuple):
     dump: Callable
     report: Callable  # ``_report`` with the claim and formats, or one of its own
     totals: tuple = ("models", "holds", "violations")
-    dumps: int | None = None  # the first failures each dump group keeps (_FAIL_DUMP_CAP)
+    dumps: int | None = None  # the first failures each dump group keeps; None: _FAIL_DUMP_CAP
 
 
 def _run_sweep(c: Campaign, spec: _Sweep) -> CampaignReport:
@@ -638,7 +637,8 @@ def _run_sweep(c: Campaign, spec: _Sweep) -> CampaignReport:
     totals = Counter(dict.fromkeys(spec.totals, 0))  # a judge may add keys of its own
     found: dict = {}  # per dump group, its first (record, *key, compact record) that fail
     failing: dict = {}  # per class, the dump groups that a weighted lane of it fails
-    settled = lambda group, record: _settled(found.get(group, []), record, spec.dumps)
+    cap = spec.dumps or _FAIL_DUMP_CAP  # read per run, so a patched cap holds
+    settled = lambda group, record: _settled(found.get(group, []), record, cap)
     for cls, weight, first, chunks in spec.blocks(c, ops):
         groups = [g for g in failing.get(cls, ()) if not settled(g, first)]
         if not (weight or groups):
@@ -648,7 +648,7 @@ def _run_sweep(c: Campaign, spec: _Sweep) -> CampaignReport:
             counts["models"] += lanes.count()
             for group, *hits in spec.judge(lanes, ops, slots, counts):
                 if lanes.weight is None:
-                    found[group] = _first_hits(found.get(group, []), *hits, cap=spec.dumps)
+                    found[group] = _first_hits(found.get(group, []), *hits, cap=cap)
                 else:
                     for k in _classes(*hits):
                         failing.setdefault(k, set()).add(group)
@@ -716,9 +716,8 @@ def _judge_theorem22(lanes: _Lanes, ops, slots, totals: dict) -> Iterator[tuple]
 def _judge_validity(lanes: _Lanes, ops, slots, totals: dict) -> Iterator[tuple]:
     """Counts, per formula of ``hs.VALIDITY_CLAIMS``, the models on which it
     holds at every node; a claimed-valid one's failures are its dump group."""
-    f = lanes.frame
     for (text, claimed), failing in zip(hs.VALIDITY_CLAIMS, hs.validity_failures(
-            pg.run(ops, f), slots, f.ua | f.ub)):
+            pg.run(ops, lanes.frame), slots, (1 << lanes.frame.k) - 1)):
         valid = np.broadcast_to(failing == 0, len(lanes.record))
         totals[text] += lanes.count(valid)
         if claimed and not valid.all():

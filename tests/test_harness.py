@@ -537,12 +537,12 @@ def test_first_hits_skips_only_a_chunk_past_full_dumps():
     first = int(lanes.record[0])
     # full dumps that all precede the chunk: returned as they are, unread
     before = [(first - 1, j, ()) for j in range(hn._FAIL_DUMP_CAP)]
-    assert hn._first_hits(before, None, lanes) is before
+    assert hn._first_hits(before, None, lanes, cap=hn._FAIL_DUMP_CAP) is before
     # full dumps at the chunk's first record: its lane 0 can still enter
     tied = [(first, 10 + j, ()) for j in range(hn._FAIL_DUMP_CAP)]
     bad = np.zeros((1, len(lanes.record)), dtype=bool)
     bad[0, 0] = True
-    assert hn._first_hits(tied, bad, lanes, lambda row: (row,)) == (
+    assert hn._first_hits(tied, bad, lanes, lambda row: (row,), cap=hn._FAIL_DUMP_CAP) == (
         [(first, 0, lanes.compact(0))] + tied[:-1])
 
 
@@ -550,7 +550,7 @@ def _claim_masks(frame, ure, vals, slots):
     """Every claim of the membership campaigns on a frame's extension masks:
     the validity failures, then per node whether it is special and, per
     slot, its theorem 2.2 faults and its theorem 2.3 fault."""
-    masks = hs.validity_failures(vals, slots, frame.ua | frame.ub)
+    masks = hs.validity_failures(vals, slots, (1 << frame.k) - 1)
     for w in range(frame.k):
         masks.append(hs.is_special(frame, ure, w))
         for slot in slots:
@@ -564,7 +564,7 @@ _MEMBERSHIP_FLAGS = {"theorem22": (False, True), "theorem23": (True, False),
 
 
 def _judged_membership_chunks(ops, overlap, with_atom):
-    """The chunks of the judged blocks of a 3-node membership sweep, one per size."""
+    """The chunks of the judged blocks of a 3-node membership sweep."""
     blocks = hn._membership_blocks(3, overlap, with_atom, ops)
     return [lanes for block in blocks if block.weight for lanes in block.chunks]
 
@@ -573,55 +573,39 @@ def _judged_membership_chunks(ops, overlap, with_atom):
                                      hs.validity_program])
 @pytest.mark.parametrize("overlap, with_atom", list(iproduct((False, True), repeat=2)))
 def test_packed_membership_lanes_match_each_lanes_own_frame(program, overlap, with_atom):
-    # the judged lanes: per size k, the first block of each class packed
-    # with per-lane types and weights; then the same pieces packed over 3
-    # nodes whatever their size, as the classical sweeps pack.  Two seeded
-    # lanes of each class are rebuilt as a frame of their own k with int
-    # types, and every mask and claim must be the same, bit for bit; a node
-    # past a lane's k is never special, never faults, and is in no mask.
-    # The claims read every formula, but only every 15th of theorem 2.2's 602
+    # the judged lanes: per size k, the first block of each class, each lane
+    # with its own types and weight and exactly k nodes.  Two seeded lanes
+    # of each class are rebuilt as a frame with int types, and every mask
+    # and every claim on every formula must be the same, bit for bit; the
+    # claims are judged on the seeded lanes, taken with their per-lane types
     ops, slots = program()
-    slots = slots[::max(1, len(slots) // 40)]
     rng = random.Random(69)
-    judged = _judged_membership_chunks(ops, overlap, with_atom)
-    assert sorted(set(lanes.frame.k for lanes in judged)) == [1, 2, 3]
-    mixed = list(hn._packed(iter(judged), 3, hn._lane_width(ops, 3)))
-    assert all(lanes.frame.k == 3 for lanes in mixed)
-    per_node = 1 + 3 * len(slots)  # the claims of a node in _claim_masks
-    mixed_sizes = set()
-    for is_mixed, lanes in [(False, lanes) for lanes in judged] + [(True, m) for m in mixed]:
-        f, n = lanes.frame, len(lanes.record)
-        vals = pg.run(ops, f)
-        claims = [np.broadcast_to(mask, n) for mask in _claim_masks(f, lanes.ure, vals, slots)]
-        vals = [np.broadcast_to(v, n) for v in vals]
+    seen = {}  # per size, its classes
+    for lanes in _judged_membership_chunks(ops, overlap, with_atom):
+        f = lanes.frame
+        vals = [np.broadcast_to(v, len(lanes.record)) for v in pg.run(ops, f)]
         types = f.ua.astype(int) << 8 | f.ub
-        sizes = set()
         for t in dict.fromkeys(types.tolist()):
             ua, ub = t >> 8, t & 255
             cls = hn._class(ua, ub)
-            k = sum(cls)
-            sizes.add(k)
+            assert sum(cls) == f.k
+            seen.setdefault(f.k, set()).add(cls)
             # the class's first block: its assignment sorted, Ua-only nodes first
             assert ua == (1 << cls[0]) - 1 | (1 << cls[2]) - 1 << cls[0] + cls[1]
-            assert is_mixed or k == f.k
             assert set(lanes.weight[types == t].tolist()) == {hn._class_size(cls)}
-            for lane in rng.sample(np.flatnonzero(types == t).tolist(), 2):
-                _, rows, ure, *_, pval = lanes.compact(lane)
-                assert not any(rows[k:]) and ure >> k == pval >> k == 0
-                own = pg.Frame(k, ua, ub, list(rows[:k]), {"p": pval} if with_atom else {},
+            picks = np.array(rng.sample(np.flatnonzero(types == t).tolist(), 2))
+            seeded = hn._take_lanes(lanes, picks)
+            claims = _claim_masks(seeded.frame, seeded.ure, [v[picks] for v in vals], slots)
+            for i, lane in enumerate(picks):
+                k, rows, ure, *_, pval = lanes.compact(lane)
+                own = pg.Frame(k, ua, ub, list(rows), {"p": pval} if with_atom else {},
                                "membership", pg.complement(k))
                 own_vals = pg.run(ops, own)
                 assert [int(v[lane]) for v in vals] == own_vals
-                own_claims = list(map(int, _claim_masks(own, ure, own_vals, slots)))
-                lane_claims = [int(c[lane]) for c in claims]
-                assert lane_claims[:len(own_claims)] == own_claims
-                assert not any(lane_claims[len(own_claims):])
-                assert len(lane_claims) - len(own_claims) == (f.k - k) * per_node
-        if is_mixed:
-            mixed_sizes |= sizes
-        else:
-            assert sizes == {f.k}
-    assert mixed_sizes == {1, 2, 3}
+                assert [int(np.broadcast_to(c, len(picks))[i]) for c in claims] == list(map(
+                    int, _claim_masks(own, ure, own_vals, slots)))
+    assert seen == {k: {c for c in iproduct(range(k + 1), repeat=3)
+                        if sum(c) == k and (overlap or not c[2])} for k in (1, 2, 3)}
 
 
 def _spy_pieces(pieces, drawn):
@@ -631,17 +615,16 @@ def _spy_pieces(pieces, drawn):
 
 
 def test_packed_cuts_each_chunk_as_its_pieces_are_drawn():
-    # six 3-node blocks of theorem23 (729 lanes each) as weighted pieces, in
-    # chunks of widths that cut inside pieces, fit them, or hold them all:
-    # a chunk is yielded before the piece after its last lane is drawn, and
-    # the chunks are the pieces' lanes in order
-    ops, _ = hs.theorem23_program()
-    pieces = [lanes for cls, weight, _, chunks in hn._membership_blocks(3, True, False, ops)
-              if not weight and sum(cls) == 3 for lanes in chunks][:6]
+    # six non-strict 3-state blocks (512 frames each) as weighted pieces,
+    # in chunks of widths that cut inside pieces, fit them, or hold them
+    # all: a chunk is yielded before the piece after its last lane is
+    # drawn, and the chunks are the pieces' lanes in order
+    pieces = [lanes for cls, _, _, chunks in hn._relation_blocks(3, False, False, "frame", ())
+              if sum(cls) == 3 for lanes in chunks][:6]
     pieces = [p._replace(weight=np.broadcast_to(i + 1, len(p.record)))
               for i, p in enumerate(pieces)]
     sizes = [len(p.record) for p in pieces]
-    for width in (1000, 729, 2000, sum(sizes) + 5):
+    for width in (700, 512, 1500, sum(sizes) + 5):
         drawn = []
         chunks = hn._packed(_spy_pieces(pieces, drawn), 3, width)
         got = []
@@ -652,8 +635,8 @@ def test_packed_cuts_each_chunk_as_its_pieces_are_drawn():
             got.append(lanes)
         assert [len(c.record) for c in got[:-1]] == [width] * (len(got) - 1)
         assert np.array_equal(np.concatenate([c.record for c in got]), np.arange(sum(sizes)))
-        for column in (lambda p: p.weight, lambda p: p.ure, lambda p: np.broadcast_to(
-                p.frame.ua, len(p.record)), lambda p: p.frame.rows[2]):
+        for column in (lambda p: p.weight, lambda p: np.broadcast_to(p.frame.ua, len(p.record)),
+                       lambda p: p.frame.rows[2]):
             assert np.array_equal(np.concatenate([column(c) for c in got]),
                                   np.concatenate([column(p) for p in pieces]))
 
