@@ -9,6 +9,7 @@ one AST; the evaluators enforce the separation.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from functools import partial
 
@@ -235,34 +236,28 @@ RESERVED_WORDS = frozenset(w for w in (*_CONSTANTS, *_PREFIXES) if w[0].isalpha(
 #: The tokens that are not words, longest first.
 _SYMBOL_TOKENS = sorted((t for t in (*_PREFIXES, *_INFIX, "(", ")") if not t[0].isalpha()),
                         key=len, reverse=True)
-#: first character -> the symbol tokens it starts, in that order
-_SYMBOLS = {t[0]: [s for s in _SYMBOL_TOKENS if s[0] == t[0]] for t in _SYMBOL_TOKENS}
+#: After any whitespace, one word (a constant spelled with "+", or a run
+#: of \w), one symbol token, or the character that starts no token.
+_TOKEN = re.compile(r"\s*(?:(%s|\w+)|(%s)|(\S))" % (
+    "|".join(re.escape(w) for w in _CONSTANTS if w.endswith("+")),
+    "|".join(map(re.escape, _SYMBOL_TOKENS))))
 
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
     """(kind, value, position) tokens ending in eof: a word (or ``D+``) is
-    kind "word", and a symbol token is its own kind."""
+    kind "word", and a symbol token is its own kind.  A word starts with a
+    letter or "_"."""
     tokens = []
-    i, n = 0, len(text)
-    while i < n:
-        c = text[i]
-        if c.isspace():
-            i += 1
-        elif c.isalpha() or c == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            if text.startswith("+", j) and text[i:j] + "+" in _CONSTANTS:
-                j += 1
-            tokens.append(("word", text[i:j], i))
-            i = j
-        else:
-            symbol = next((s for s in _SYMBOLS.get(c, ()) if text.startswith(s, i)), None)
-            if symbol is None:
-                raise ParseError(f"unexpected character {c!r}", i)
+    for match in _TOKEN.finditer(text):
+        word, symbol, _ = match.groups()
+        i = match.start(match.lastindex)
+        if symbol:
             tokens.append((symbol, symbol, i))
-            i += len(symbol)
-    tokens.append(("eof", "", n))
+        elif word and (word[0].isalpha() or word[0] == "_"):
+            tokens.append(("word", word, i))
+        else:
+            raise ParseError(f"unexpected character {text[i]!r}", i)
+    tokens.append(("eof", "", len(text)))
     return tokens
 
 

@@ -1001,8 +1001,12 @@ FIXTURES = {
 }
 
 
+#: the formula of a fixture claim's text, parsed once per process
+_formula = cache(fm.parse)
+
+
 def _sat_claim(m: hs.HypersetModel, state: str, text: str, expect: bool = True) -> Claim:
-    holds = state in hs.nwf_extension(m, fm.parse(text))
+    holds = state in hs.nwf_extension(m, _formula(text))
     verb = "satisfies" if expect else "falsifies"
     return Claim(f"{state} {verb} {text}", holds == expect,
                  detail=f"holds={holds}")
@@ -1017,7 +1021,7 @@ def _claims_prop24(m: hs.HypersetModel) -> list[Claim]:
 
 
 def _claims_prop25(m: hs.HypersetModel) -> list[Claim]:
-    ext = hs.nwf_extension(m, fm.parse("Ua & D+"))
+    ext = hs.nwf_extension(m, _formula("Ua & D+"))
     return [
         Claim("Ua & D+ holds exactly at u", ext == frozenset(["u"]),
               detail=f"extension={sorted(ext)}"),
@@ -1027,7 +1031,7 @@ def _claims_prop25(m: hs.HypersetModel) -> list[Claim]:
 
 
 def _claims_ninestate(m: hs.HypersetModel) -> list[Claim]:
-    ext = hs.nwf_extension(m, fm.parse("Ua & D+"))
+    ext = hs.nwf_extension(m, _formula("Ua & D+"))
     claims = [
         Claim("Ua & D+ holds exactly at u", ext == frozenset(["u"]),
               detail=f"extension={sorted(ext)}"),
@@ -1055,15 +1059,15 @@ def _claims_quine_pair(m: hs.HypersetModel) -> list[Claim]:
 
 def _claims_singleton_quine(m: hs.HypersetModel) -> list[Claim]:
     claims = [
-        Claim("[ab] Ua <-> true is valid", hs.nwf_valid(m, fm.parse("[ab] Ua <-> true"))),
+        Claim("[ab] Ua <-> true is valid", hs.nwf_valid(m, _formula("[ab] Ua <-> true"))),
         Claim("[ab] Ua <-> false fails",
-              not hs.nwf_valid(m, fm.parse("[ab] Ua <-> false"))),
+              not hs.nwf_valid(m, _formula("[ab] Ua <-> false"))),
         _sat_claim(m, "w", "Hab true"),
         Claim("w sits in both type spaces", "w" in m.ua and "w" in m.ub),
         Claim("no true-assumption violations", not hs.check_theorem_2_3(m)),
     ]
     for text in hs.CLAIMED_INVALID:
-        claims.append(Claim(f"{text} satisfied here", hs.nwf_valid(m, fm.parse(text))))
+        claims.append(Claim(f"{text} satisfied here", hs.nwf_valid(m, _formula(text))))
     return claims
 
 

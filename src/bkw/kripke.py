@@ -190,15 +190,20 @@ def hole_masks(vals: list, slots: Sequence[tuple[int, ...]]):
         yield (cb, ca, wab, wba), (cb != 0) & (wab == 0) | (ca != 0) & (wba == 0)
 
 
+@cache
+def _slot_texts(language: str) -> tuple[tuple[str, str], ...]:
+    """The scan's (label, formula text) pairs, in report order."""
+    return tuple((label, fm.to_text(phi)) for label, phi, _ in hole_slots(_DIAGONAL[language]))
+
+
 def scan_holes(names: list[str], frame: pg.Frame, language: str) -> HoleReport:
     """Run the seven-slot hole scan on one model's frame."""
     ops, slots = hole_program(language)
     pick = lambda mask: tuple(n for i, n in enumerate(names) if mask >> i & 1)
     return HoleReport(tuple(
-        SlotResult(label, fm.to_text(phi), bool(hole), *map(pick, masks))
-        for (label, phi, _), (masks, hole)
-        in zip(hole_slots(_DIAGONAL[language]),
-               hole_masks(pg.run(ops, frame), slots))))
+        SlotResult(label, text, bool(hole), *map(pick, masks))
+        for (label, text), (masks, hole)
+        in zip(_slot_texts(language), hole_masks(pg.run(ops, frame), slots))))
 
 
 def find_holes(m: KripkeModel, heart: str = "frame") -> HoleReport:

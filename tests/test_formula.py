@@ -2,6 +2,7 @@ import dataclasses
 import random
 
 import pytest
+from hypothesis import given, seed, settings, strategies as st
 
 from bkw import formula as fm
 from conftest import random_formula
@@ -88,6 +89,70 @@ def test_tokenizer_reads_the_grammar_tables():
             fm._tokenize(text)
         assert str(err.value) == (f"unexpected character {text[position]!r} "
                                   f"(at position {position})"), text
+
+
+def _reference_tokenize(text):
+    """The per-character tokenizer loop that the one regular expression
+    replaced, kept as its oracle."""
+    symbols = {t[0]: [s for s in fm._SYMBOL_TOKENS if s[0] == t[0]] for t in fm._SYMBOL_TOKENS}
+    tokens = []
+    i, n = 0, len(text)
+    while i < n:
+        c = text[i]
+        if c.isspace():
+            i += 1
+        elif c.isalpha() or c == "_":
+            j = i
+            while j < n and (text[j].isalnum() or text[j] == "_"):
+                j += 1
+            if text.startswith("+", j) and text[i:j] + "+" in fm._CONSTANTS:
+                j += 1
+            tokens.append(("word", text[i:j], i))
+            i = j
+        else:
+            symbol = next((s for s in symbols.get(c, ()) if text.startswith(s, i)), None)
+            if symbol is None:
+                raise fm.ParseError(f"unexpected character {c!r}", i)
+            tokens.append((symbol, symbol, i))
+            i += len(symbol)
+    tokens.append(("eof", "", n))
+    return tokens
+
+
+def _tokens_or_error(tokenize, text):
+    try:
+        return tokenize(text)
+    except fm.ParseError as exc:
+        return str(exc), exc.position
+
+
+#: the grammar's symbols and their pieces, "+" next to words, ASCII
+#: letters and "_", and characters whose Unicode class sits at an edge:
+#: a letter (é), digits that are not decimal (², ½), a decimal digit of
+#: another script (٣), and whitespace that is not ASCII space (NBSP, \x1c)
+_TOKEN_PIECES = sorted({*fm._SYMBOL_TOKENS, *"".join(fm._SYMBOL_TOKENS), "D+", "+", "x+",
+                        "D", "Dt", "Ua", "Hab", "Ba", "true", "p", "q", "_", "0", "9",
+                        " ", "\t", "é", "²", "½", "٣", "\xa0", "\x1c"})
+
+
+@seed(27)
+@settings(max_examples=2000, database=None, deadline=None)
+@given(st.lists(st.sampled_from(_TOKEN_PIECES) | st.characters(max_codepoint=127),
+                max_size=16).map("".join))
+def test_tokenizer_matches_the_reference_loop(text):
+    assert _tokens_or_error(fm._tokenize, text) == _tokens_or_error(_reference_tokenize, text)
+
+
+def test_tokenizer_unicode_words():
+    # a word starts with a letter or "_" and goes on with letters, digits or "_"
+    for text in ("x²", "é½", "_", "_x", "p٣"):
+        assert fm._tokenize(text) == [("word", text, 0), ("eof", "", len(text))]
+        assert fm.parse(text) == fm.Atom(text)
+    for text in ("²x", "½", "٣p", "0"):
+        with pytest.raises(fm.ParseError) as err:
+            fm._tokenize(text)
+        assert str(err.value) == f"unexpected character {text[0]!r} (at position 0)"
+    assert fm._tokenize("\xa0p\x1c") == [("word", "p", 1), ("eof", "", 3)]
 
 
 def test_reserved_words():

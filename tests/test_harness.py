@@ -4,6 +4,7 @@ from functools import partial
 from itertools import groupby, product as iproduct
 from math import comb, prod
 from operator import itemgetter, xor
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -1577,3 +1578,6 @@ def test_fixture_registry_all_pass():
     names = {name for name, _ in report.claims}
     assert names == set(hn.FIXTURES)
     assert "all claims pass" in report.text
+    # the report the benchmark checks its fixture calls against, byte for byte
+    reference = Path(__file__).resolve().parents[1] / "bench" / "reference" / "fixtures.txt"
+    assert report.text == reference.read_text(encoding="utf-8")

@@ -3,8 +3,9 @@ import random
 import pytest
 
 from bkw import formula as fm
+from bkw import hyperset as hs
 from bkw import kripke as kr
-from bkw.harness import enumerate_kripke, two_cycle
+from bkw.harness import enumerate_kripke, fixture_ninestate, two_cycle
 from conftest import kripke_truth, random_kripke, random_relational_formula
 
 TWO_CYCLE = two_cycle()
@@ -68,6 +69,15 @@ def test_two_cycle_is_hole_free():
         report = kr.find_holes(TWO_CYCLE, heart)
         assert not report.any_hole
         assert report.slot("hole at Ua").witness_ba == ("y",)
+
+
+def test_scan_reports_each_slot_formula_as_printed():
+    # the slot texts are printed once per language, in the scan's order
+    for diagonal, report in ((fm.Dclass(), kr.find_holes(TWO_CYCLE)),
+                             (fm.Dplus(), hs.nwf_find_holes(fixture_ninestate()))):
+        slots = kr.hole_slots(diagonal)
+        assert [s.formula for s in report.slots] == [fm.to_text(phi) for _, phi, _ in slots]
+        assert [s.label for s in report.slots] == [label for label, _, _ in slots]
 
 
 def test_lemma_record_two_cycle():
