@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from functools import cache
 from pathlib import Path
 
 from . import TARGETS
@@ -135,7 +134,6 @@ def _cmd_lawvere(args) -> int:
     return EXIT_OK
 
 
-@cache  # built once: every parse_args makes a fresh Namespace
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="bkw",
@@ -184,8 +182,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    parser = build_parser()
     try:
-        args = build_parser().parse_args(argv)
+        args = parser.parse_args(argv)
     except SystemExit as exc:
         # argparse exits 2 on usage errors already
         return int(exc.code or 0)

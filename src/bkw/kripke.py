@@ -164,16 +164,24 @@ _DIAGONAL = {"kripke": fm.Dclass(), "nwf": fm.Dplus()}
 
 
 @cache
-def hole_program(language: str) -> tuple[tuple, tuple[tuple[int, ...], ...]]:
-    """The scan's 28 formulas as one program: (ops, per-slot op indices of
-    Ub & phi, Ua & phi and the modality at phi in directions ab and ba)."""
-    quads = []
-    for _, phi, use_box in hole_slots(_DIAGONAL[language]):
+def _hole_table(language: str):
+    """The scan's 28 formulas as one program, and its slots in report order:
+    (ops, per-slot op indices of Ub & phi, Ua & phi and the modality at phi
+    in directions ab and ba, per-slot (label, text of phi))."""
+    quads, texts = [], []
+    for label, phi, use_box in hole_slots(_DIAGONAL[language]):
         mod = fm.Box if use_box else fm.Heart
         quads.append((fm.And(fm.Ub(), phi), fm.And(fm.Ua(), phi),
                       mod("ab", phi), mod("ba", phi)))
+        texts.append((label, fm.to_text(phi)))
     ops, slots = pg.compile_program([f for q in quads for f in q], language, atoms=())
-    return tuple(ops), tuple(tuple(slots[i:i + 4]) for i in range(0, len(slots), 4))
+    return (tuple(ops), tuple(tuple(slots[i:i + 4]) for i in range(0, len(slots), 4)),
+            tuple(texts))
+
+
+def hole_program(language: str) -> tuple[tuple, tuple[tuple[int, ...], ...]]:
+    """The scan's program: (ops, per-slot op indices), built once."""
+    return _hole_table(language)[:2]
 
 
 def hole_masks(vals: list, slots: Sequence[tuple[int, ...]]):
@@ -190,20 +198,14 @@ def hole_masks(vals: list, slots: Sequence[tuple[int, ...]]):
         yield (cb, ca, wab, wba), (cb != 0) & (wab == 0) | (ca != 0) & (wba == 0)
 
 
-@cache
-def _slot_texts(language: str) -> tuple[tuple[str, str], ...]:
-    """The scan's (label, formula text) pairs, in report order."""
-    return tuple((label, fm.to_text(phi)) for label, phi, _ in hole_slots(_DIAGONAL[language]))
-
-
 def scan_holes(names: list[str], frame: pg.Frame, language: str) -> HoleReport:
     """Run the seven-slot hole scan on one model's frame."""
-    ops, slots = hole_program(language)
+    ops, slots, texts = _hole_table(language)
     pick = lambda mask: tuple(n for i, n in enumerate(names) if mask >> i & 1)
     return HoleReport(tuple(
         SlotResult(label, text, bool(hole), *map(pick, masks))
         for (label, text), (masks, hole)
-        in zip(_slot_texts(language), hole_masks(pg.run(ops, frame), slots))))
+        in zip(texts, hole_masks(pg.run(ops, frame), slots))))
 
 
 def find_holes(m: KripkeModel, heart: str = "frame") -> HoleReport:

@@ -170,24 +170,6 @@ def test_usage_errors_exit_2(capsys):
     capsys.readouterr()
 
 
-def test_one_parser_serves_every_call(tmp_path, capsys, monkeypatch):
-    assert cli.build_parser() is cli.build_parser()
-    path = tmp_path / "model.bk"
-    path.write_text(dump_kripke(two_cycle()))
-    calls = (["campaign", "not-a-target"], ["check", str(path), "--heart-local", "Hab true"],
-             ["check", str(path), "Hab true"], ["holes", str(path)])
-    cached = [run(argv, capsys) for argv in calls]
-    # each call again, on a parser built for it alone
-    monkeypatch.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
-    fresh = [run(argv, capsys) for argv in calls]
-    assert cached == fresh
-    assert [code for code, _, _ in cached] == [2, 0, 0, 0]
-    # Hab true holds at x under the local heart only: the frame reading
-    # compares x's successors {y} with every state, the local one with Ub
-    assert cached[1][1].startswith("extension: x\n")
-    assert cached[2][1].startswith("extension: (empty)\n")
-
-
 # ``bkw.__all__``, the lazily loaded campaign names and ``harness`` included
 PUBLIC_NAMES = [
     "Campaign", "CampaignReport", "ClosedTopology", "FiniteSelfMap", "Formula",
