@@ -2,10 +2,11 @@
 
 Campaigns sweep an exhaustively enumerated model space and record how a
 named claim fares on every model.  They report; they do not assert.
-Each model kind has one block enumerator, which yields numpy lane chunks,
-one lane per candidate model, in blocks of fixed int type masks:
-``_relation_blocks`` for classical frames and ``_membership_blocks`` for
-membership graphs (``_relation_lanes``/``_membership_lanes`` read their
+Each model kind has one block enumerator, ``_relation_blocks`` for
+classical frames and ``_membership_blocks`` for membership graphs, which
+yields numpy lane chunks by one protocol (``_Block``): in judged blocks
+of weighted lanes, and in labelled blocks of fixed int type masks, one
+lane per candidate model (``_labelled`` reads the labelled blocks'
 chunks in order).  Both tile and repeat the per-digit tables of one
 mixed-radix chunker, ``_digits``: a frame's digits are its states'
 successor rows (a serial frame's tables lack the empty row), a membership
@@ -18,15 +19,15 @@ the public ``enumerate_kripke``/``enumerate_hypersets`` do.
 A block's class (``_class``) counts its Ua-only, Ub-only and shared
 states.  A state permutation maps a block onto any other of its class,
 and no claim names a state, so all its blocks have the same totals
-(McKay 1998, the cheapest case).  A sweep judges the first block of each
-class, its assignment sorted, each lane with its own type masks and
-weighted by the class's size: for frames, ``_packed`` cuts the classes'
-lanes into chunks over the largest k as they are drawn
-(``_classical_blocks``); for membership graphs, a size's classes are one
-``_digits`` run, their assignments the top digit (``_membership_blocks``).
-The labelled blocks weigh 0 and are read only for the dumps: a block is
-skipped when no weighted lane of its class failed, and left once no
-later lane of it can enter them.
+(McKay 1998, the cheapest case).  A judged block holds the first block of
+each class, its assignment sorted, each lane with its own type masks and
+weighted by the class's size.  For frames, one judged block comes first,
+whose classes' lanes ``_packed`` cuts into chunks over the largest k as
+they are drawn; for membership graphs, each size's judged block comes
+ahead of its labelled blocks, its classes one ``_digits`` run, their
+assignments the top digit.  The labelled blocks are read only for the
+dumps: a block is skipped when no weighted lane of its class failed, and
+left once no later lane of it can enter them.
 
 A non-strict class is counted rather than enumerated: only ``D`` reads
 the same-type edges, so its representative is ``_factored_chunks``, the
@@ -133,32 +134,57 @@ class _Lanes(NamedTuple):
 
 class _Block(NamedTuple):
     """One block of an enumerator: its chunks, built only as they are read,
-    and its class, the blocks whose totals are the same."""
+    and its class, the blocks whose totals are the same.  A judged block
+    has no class and weighted lanes; a labelled block has a class and one
+    lane per model, read only for the fail dumps.  An enumerator checks its
+    bound first, and yields each judged block before the labelled blocks
+    of its classes, those in record order."""
 
-    cls: Hashable
-    weight: int  # 1: judged and counted; 0: read only for the fail dumps
+    cls: Hashable  # None: judged
     first: int  # no record of the block is below it
     chunks: Iterable[_Lanes]
 
 
+def _labelled(blocks: Iterable[_Block]) -> Iterator[_Lanes]:
+    """The chunks of the labelled blocks of ``blocks``, in order."""
+    for block in blocks:
+        if block.cls is not None:
+            yield from block.chunks
+
+
 def _relation_blocks(max_states: int, strict: bool, serial: bool, heart: str,
                      ops: Sequence[tuple]) -> Iterator[_Block]:
-    """Every belief frame with up to ``max_states`` states, as one block of
-    weight 0 and class (|ua|, k - |ua|, 0) per (k, ua), in relation order
-    within a block: state 0's successor row is the lowest digit
-    (``_relation_chunks``).  ``serial`` drops the frames with a state that
-    has no successor.  ``record`` is a frame's position in this order,
-    counted before the serial filter.
+    """Every belief frame with up to ``max_states`` states: one judged block
+    of packed lanes, then one labelled block of class (|ua|, k - |ua|, 0)
+    per (k, ua), in relation order within a block: state 0's successor row
+    is the lowest digit (``_relation_chunks``).  ``serial`` drops the
+    frames with a state that has no successor.  ``record`` is a frame's
+    position in this order, counted before the serial filter.
+
+    The judged block holds the representative of each class, Ua the lowest
+    a states: the strict block of ``_relation_chunks``, or the non-strict
+    ``_factored_chunks``.  Each lane weighs C(k, a), times its same-type
+    weight where factored.
     """
     if not 1 <= max_states <= 5:
         raise ValueError("state bound must be between 1 and 5")
+    width = _lane_width(ops, max_states)
+
+    def representatives() -> Iterator[_Lanes]:
+        for k in range(1, max_states + 1):
+            for a in range(k + 1):
+                chunks = (_relation_chunks(k, (1 << a) - 1, True, 0, serial, heart, width)
+                          if strict else _factored_chunks(k, a, serial, heart, width))
+                for lanes in chunks:
+                    weight = comb(k, a) * (1 if lanes.weight is None else lanes.weight)
+                    yield lanes._replace(weight=np.full(len(lanes.record), weight, np.int64))
+    yield _Block(None, 0, _packed(representatives(), max_states, width))
     offset = 0
     for k in range(1, max_states + 1):
-        width = _lane_width(ops, k)
         for ua in range(1 << k):
             a = ua.bit_count()
-            yield _Block((a, k - a, 0), 0, offset,
-                         _relation_chunks(k, ua, strict, offset, serial, heart, width))
+            yield _Block((a, k - a, 0), offset, _relation_chunks(
+                k, ua, strict, offset, serial, heart, _lane_width(ops, k)))
             # one frame per subset of the candidate edges, the cross-type
             # ones alone when strict
             offset += 1 << (2 * a * (k - a) if strict else k * k)
@@ -222,13 +248,6 @@ def _relation_chunks(k: int, ua: int, strict: bool, offset: int, serial: bool, h
         record += offset
         yield _Lanes(record, 0, pg.Frame(k, ua, (1 << k) - 1 - ua, [row for row, in lanes], {},
                                          heart, pg.complement(k)))
-
-
-def _relation_lanes(max_states: int, strict: bool, serial: bool, heart: str,
-                    ops: Sequence[tuple]) -> Iterator[_Lanes]:
-    """The chunks of every block of ``_relation_blocks``, in order."""
-    for block in _relation_blocks(max_states, strict, serial, heart, ops):
-        yield from block.chunks
 
 
 @cache
@@ -295,30 +314,6 @@ def _factored_chunks(k: int, a: int, serial: bool, heart: str,
                      lanes.frame._replace(rows=rows), weight.ravel())
 
 
-def _classical_blocks(c: Campaign, ops: Sequence[tuple]) -> Iterator[_Block]:
-    """The blocks of a classical sweep: one judged block of packed lanes,
-    then every block of ``_relation_blocks``, read only for the dumps.
-
-    The packed block holds the representative of each class, Ua the lowest
-    a states: the strict block of ``_relation_chunks``, or the non-strict
-    ``_factored_chunks``.  Each lane weighs C(k, a), times its same-type
-    weight where factored."""
-    # listed first, so that a bad bound raises before any lane is judged
-    labelled = list(_relation_blocks(c.max_size, c.strict, c.serial, c.heart, ops))
-    width = _lane_width(ops, c.max_size)
-
-    def representatives() -> Iterator[_Lanes]:
-        for k in range(1, c.max_size + 1):
-            for a in range(k + 1):
-                chunks = (_relation_chunks(k, (1 << a) - 1, True, 0, c.serial, c.heart, width)
-                          if c.strict else _factored_chunks(k, a, c.serial, c.heart, width))
-                for lanes in chunks:
-                    weight = comb(k, a) * (1 if lanes.weight is None else lanes.weight)
-                    yield lanes._replace(weight=np.full(len(lanes.record), weight, np.int64))
-    yield _Block(None, 1, 0, _packed(representatives(), c.max_size, width))
-    yield from labelled
-
-
 def _packed(pieces: Iterable[_Lanes], n: int, width: int) -> Iterator[_Lanes]:
     """The weighted lanes of ``pieces``, each piece of its own k <= n states
     and type masks, in chunks of ``width`` lanes over n states, each cut as
@@ -376,8 +371,8 @@ def _classes(bad: np.ndarray, lanes: _Lanes, *key) -> set[tuple[int, int, int]]:
 def _membership_blocks(max_nodes: int, overlap: bool, with_atom: bool,
                        ops: Sequence[tuple]) -> Iterator[_Block]:
     """Every membership model with up to ``max_nodes`` nodes: per size k,
-    one judged block, then one block of weight 0 and int types per type
-    assignment, read only for the dumps.
+    one judged block, then one labelled block of int types per type
+    assignment.
 
     Every node is an urelement or a set with any member row; the type
     assignments cover the nodes, overlapping only when ``overlap``, and
@@ -408,10 +403,10 @@ def _membership_blocks(max_nodes: int, overlap: bool, with_atom: bool,
         firsts = {_class(*t): t for t in reversed(types)}  # the first block of each class
         top = (np.zeros(len(firsts), np.int64), *np.array(list(firsts.values()), _LANE).T,
                np.array(list(map(_class_size, firsts))))
-        yield _Block(None, 1, 0, _membership_chunks(
+        yield _Block(None, 0, _membership_chunks(
             k, None, None, 0, with_atom, tables + [top], width))
         for t, (ua, ub) in enumerate(types):
-            yield _Block(_class(ua, ub), 0, offset + vals * t, _membership_chunks(
+            yield _Block(_class(ua, ub), offset + vals * t, _membership_chunks(
                 k, ua, ub, offset + vals * t, with_atom, tables, width))
         offset += vals * options ** k * len(assignments)
 
@@ -426,13 +421,6 @@ def _membership_chunks(k: int, ua, ub, first: int, with_atom: bool, tables: list
                      pg.Frame(k, *types[:2], [row for row, _ in reversed(nodes)],
                               {"p": pval} if with_atom else {}, "membership", pg.complement(k)),
                      types[2])
-
-
-def _membership_lanes(max_nodes: int, overlap: bool, with_atom: bool,
-                      ops: Sequence[tuple]) -> Iterator[_Lanes]:
-    """The chunks of every labelled block of ``_membership_blocks``, in order."""
-    for block in _membership_blocks(max_nodes, overlap, with_atom, ops):
-        yield from () if block.weight else block.chunks
 
 
 def _first_hits(found: list, bad: np.ndarray, lanes: _Lanes,
@@ -518,14 +506,14 @@ def _rebuild_hyperset(rec) -> hs.HypersetModel:
 def enumerate_kripke(max_states: int, *, strict: bool = True,
                      serial: bool = False) -> Iterator[kr.KripkeModel]:
     """All belief frames with up to ``max_states`` states (1 to 5), rebuilt
-    from ``_relation_lanes``: by size, then Ua mask, then successor rows,
-    state 0's changing fastest.
+    from the labelled blocks of ``_relation_blocks``: by size, then Ua
+    mask, then successor rows, state 0's changing fastest.
 
     Every type-space assignment and every relation (cross-type edges only
     in strict mode); ``serial`` keeps only the frames in which every state
     has a successor.
     """
-    for lanes in _relation_lanes(max_states, strict, serial, "frame", ()):
+    for lanes in _labelled(_relation_blocks(max_states, strict, serial, "frame", ())):
         for lane in range(len(lanes.record)):
             yield _rebuild_kripke(lanes.compact(lane), strict)
 
@@ -533,14 +521,14 @@ def enumerate_kripke(max_states: int, *, strict: bool = True,
 def enumerate_hypersets(max_nodes: int, *, allow_overlap: bool = False
                         ) -> Iterator[hs.HypersetModel]:
     """All membership graphs with up to ``max_nodes`` nodes (1 to 4),
-    rebuilt from ``_membership_lanes`` in its block order: by size, then
-    type assignment, then member rows and urelements.
+    rebuilt from the labelled blocks of ``_membership_blocks``: by size,
+    then type assignment, then member rows and urelements.
 
     Every node is either an urelement or a set with any member row; type
     assignments cover the nodes, overlapping only when ``allow_overlap``.
     A model is marked ``disjoint_types`` exactly when its own types are.
     """
-    for lanes in _membership_lanes(max_nodes, allow_overlap, False, ()):
+    for lanes in _labelled(_membership_blocks(max_nodes, allow_overlap, False, ())):
         for lane in range(len(lanes.record)):
             yield _rebuild_hyperset(lanes.compact(lane))
 
@@ -611,11 +599,12 @@ def _report(c: Campaign, totals: dict, dumps: dict, *, claim: str,
 
 
 class _Sweep(NamedTuple):
-    """A lane campaign: ``judge(lanes, ops, slots, totals)`` counts a chunk of
-    a block of ``blocks(c, ops)`` and yields its failures as a dump group
-    and ``_first_hits`` arguments; ``dump(c, *key, compact record)`` shows
-    one, ``report(c, totals, dumps)`` writes the report, and ``models(c)``
-    is the closed form of the models the sweep must count."""
+    """A lane campaign: ``blocks(c, ops)`` is its enumerator, whose judged
+    and labelled blocks ``_Block`` describes; ``judge(lanes, ops, slots,
+    totals)`` counts a chunk of a block and yields its failures as a dump
+    group and ``_first_hits`` arguments; ``dump(c, *key, compact record)``
+    shows one, ``report(c, totals, dumps)`` writes the report, and
+    ``models(c)`` is the closed form of the models the sweep must count."""
 
     program: Callable  # () -> (ops, slots)
     blocks: Callable
@@ -628,22 +617,23 @@ class _Sweep(NamedTuple):
 
 
 def _run_sweep(c: Campaign, spec: _Sweep) -> CampaignReport:
-    """Judges each block of weight 1 and adds its totals.  A block of weight
-    0 is read only for the dump groups that a weighted lane of its class
-    failed and whose first hits it can still change, and left once it can
-    change none.  Raises RuntimeError unless the models counted are the
-    closed form ``spec.models(c)``."""
+    """Judges each judged block and adds its totals.  A labelled block is
+    read only for the dump groups that a weighted lane of its class failed
+    and whose first hits it can still change, and left once it can change
+    none; an unweighted chunk's failures are dumped.  Raises RuntimeError
+    unless the models counted are the closed form ``spec.models(c)``."""
     ops, slots = spec.program()
     totals = Counter(dict.fromkeys(spec.totals, 0))  # a judge may add keys of its own
     found: dict = {}  # per dump group, its first (record, *key, compact record) that fail
     failing: dict = {}  # per class, the dump groups that a weighted lane of it fails
     cap = spec.dumps or _FAIL_DUMP_CAP  # read per run, so a patched cap holds
     settled = lambda group, record: _settled(found.get(group, []), record, cap)
-    for cls, weight, first, chunks in spec.blocks(c, ops):
+    for cls, first, chunks in spec.blocks(c, ops):
+        judged = cls is None
         groups = [g for g in failing.get(cls, ()) if not settled(g, first)]
-        if not (weight or groups):
+        if not (judged or groups):
             continue
-        counts = totals if weight else Counter()
+        counts = totals if judged else Counter()
         for lanes in chunks:
             counts["models"] += lanes.count()
             for group, *hits in spec.judge(lanes, ops, slots, counts):
@@ -652,7 +642,7 @@ def _run_sweep(c: Campaign, spec: _Sweep) -> CampaignReport:
                 else:
                     for k in _classes(*hits):
                         failing.setdefault(k, set()).add(group)
-            if not weight and all(settled(g, lanes.record[-1] + 1) for g in groups):
+            if not judged and all(settled(g, lanes.record[-1] + 1) for g in groups):
                 break
     if totals["models"] != spec.models(c):
         raise RuntimeError(f"{c.target} swept {totals['models']} models, "
@@ -774,7 +764,8 @@ def _membership_count(c: Campaign, types: int, vals: int) -> int:
 
 _LEMMA1 = _Sweep(
     program=kr.lemma1_program,
-    blocks=_classical_blocks, models=_frame_count,
+    blocks=lambda c, ops: _relation_blocks(c.max_size, c.strict, c.serial, c.heart, ops),
+    models=_frame_count,
     judge=_judge_lemma1, totals=("models", "holds", "fails", "degenerate"),
     dump=lambda c, rec: dump_kripke(_rebuild_kripke(rec, c.strict)),
     report=partial(

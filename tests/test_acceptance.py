@@ -21,7 +21,8 @@ from conftest import random_formula, random_hyperset
 def _compact_records(max_nodes):
     """The compact (k, members, ure, ua, ub, pval) records of every
     membership model with disjoint types and no atom, up to max_nodes."""
-    for lanes in hn._membership_lanes(max_nodes, overlap=False, with_atom=False, ops=[]):
+    blocks = hn._membership_blocks(max_nodes, overlap=False, with_atom=False, ops=[])
+    for lanes in hn._labelled(blocks):
         for lane in range(len(lanes.record)):
             yield lanes.compact(lane)
 
@@ -247,7 +248,7 @@ def test_criterion_9_canonicalization_invariance():
     # every enumerated record up to 3 nodes, without p and with p at n0, as
     # lanes; a quotient of one is again one, so its column is read back
     records, columns = [], []
-    for lanes in hn._membership_lanes(3, False, False, ops):
+    for lanes in hn._labelled(hn._membership_blocks(3, False, False, ops)):
         for pval in (0, 1):
             lanes = lanes._replace(frame=lanes.frame._replace(atoms={"p": pval}))
             columns.append(extensions(lanes.frame, len(lanes.record)))

@@ -235,8 +235,10 @@ def test_cold_start_loads_no_numpy(tmp_path):
     (["campaign", "adjunction", "--max-states", "5"], "carrier bound must be between 0 and 4"),
     (["campaign", "lawvere_scan", "--max-states", "4"],
      "carrier bound must be between 1 and 3"),
+    (["campaign", "lemma1", "--max-states", "6"], "state bound must be between 1 and 5"),
+    (["campaign", "theorem22", "--max-states", "5"], "node bound must be between 1 and 4"),
 ), ids=("check-formula", "holes-paratopo", "lawvere-size", "adjunction-bound",
-        "lawvere_scan-bound"))
+        "lawvere_scan-bound", "lemma1-bound", "theorem22-bound"))
 def test_input_errors_exit_2_with_one_line(argv, message, tmp_path, capsys):
     files = {"KRIPKE": tmp_path / "kripke.bk", "PARATOPO": tmp_path / "paratopo.bk"}
     files["KRIPKE"].write_text(dump_kripke(two_cycle()))

@@ -155,7 +155,7 @@ def test_vectorized_engine_matches_reference():
     ops, slots = kr.lemma1_program()
     for heart in ("frame", "local"):
         seen = 0
-        for lanes in hn._relation_lanes(3, True, False, heart, ops):
+        for lanes in hn._labelled(hn._relation_blocks(3, True, False, heart, ops)):
             n = len(lanes.record)
             premise, part1_fails, part2_body = (
                 np.broadcast_to(mask, n) for mask in
@@ -175,7 +175,7 @@ def test_vectorized_holes_match_reference_on_nonstrict_sample():
     ops, slots = kr.hole_program("kripke")
     for heart in ("frame", "local"):
         sampled = 0
-        for lanes in hn._relation_lanes(3, False, False, heart, ops):
+        for lanes in hn._labelled(hn._relation_blocks(3, False, False, heart, ops)):
             if lanes.frame.k != 3 or lanes.frame.ua not in (0b001, 0b110, 0b111):
                 continue
             any_hole = np.zeros(len(lanes.record), dtype=bool)
@@ -193,7 +193,7 @@ def test_mask_program_matches_reference_evaluator():
     family = hs.bounded_formula_family()[:200]
     ops, slots = pg.compile_program(family, "nwf", atoms=("p",))
     count = 0
-    for lanes in hn._membership_lanes(2, False, True, ops):
+    for lanes in hn._labelled(hn._membership_blocks(2, False, True, ops)):
         vals = pg.run(ops, lanes.frame)
         for lane in range(len(lanes.record)):
             m = hn._rebuild_hyperset(lanes.compact(lane))
@@ -215,7 +215,7 @@ def test_every_stacked_run_matches_the_reference_evaluator():
     ops, slots = hs.theorem22_program()
     rng = random.Random(67)
     count = 0
-    for lanes in hn._membership_lanes(3, False, True, ops):
+    for lanes in hn._labelled(hn._membership_blocks(3, False, True, ops)):
         n = len(lanes.record)
         vals = [np.broadcast_to(v, n) for v in pg.run(ops, lanes.frame)]
         types = np.broadcast_to(lanes.frame.ua, n)  # disjoint types: Ua names the block
@@ -392,7 +392,7 @@ def _reference_theorem22(max_size):
     totals = dict.fromkeys(("models", "holds", "degenerate", "states_checked",
                             "violations"), 0)
     found = []
-    for lanes in hn._membership_lanes(max_size, False, True, ops):
+    for lanes in hn._labelled(hn._membership_blocks(max_size, False, True, ops)):
         frame, n = lanes.frame, len(lanes.record)
         vals = pg.run(ops, frame)
         specials = np.zeros(n, dtype=np.int64)
@@ -424,7 +424,7 @@ def _reference_theorem23(max_size):
     ops, slots = pg.compile_program([f for _, f in hs.TRUE_ASSUMPTIONS], "nwf", atoms=())
     totals = dict.fromkeys(("models", "holds", "violations"), 0)
     found = []
-    for lanes in hn._membership_lanes(max_size, True, False, ops):
+    for lanes in hn._labelled(hn._membership_blocks(max_size, True, False, ops)):
         vals = pg.run(ops, lanes.frame)
         violations = np.zeros(len(lanes.record), dtype=np.int64)
         for w in range(lanes.frame.k):
@@ -514,7 +514,7 @@ def test_split_stacked_runs_keep_theorem22_and_the_lane_masks(monkeypatch):
     ops, _ = hs.theorem22_program()
     rng = random.Random(68)
     checked = 0
-    for lanes in hn._membership_lanes(3, False, True, ops):
+    for lanes in hn._labelled(hn._membership_blocks(3, False, True, ops)):
         if lanes.frame.k < 3:
             continue
         n = len(lanes.record)
@@ -534,7 +534,7 @@ def test_stack_cap_is_the_formula_block_cap():
 
 
 def test_first_hits_skips_only_a_chunk_past_full_dumps():
-    lanes = next(hn._membership_lanes(2, False, False, []))
+    lanes = next(hn._labelled(hn._membership_blocks(2, False, False, [])))
     first = int(lanes.record[0])
     # full dumps that all precede the chunk: returned as they are, unread
     before = [(first - 1, j, ()) for j in range(hn._FAIL_DUMP_CAP)]
@@ -567,7 +567,7 @@ _MEMBERSHIP_FLAGS = {"theorem22": (False, True), "theorem23": (True, False),
 def _judged_membership_chunks(ops, overlap, with_atom):
     """The chunks of the judged blocks of a 3-node membership sweep."""
     blocks = hn._membership_blocks(3, overlap, with_atom, ops)
-    return [lanes for block in blocks if block.weight for lanes in block.chunks]
+    return [lanes for block in blocks if block.cls is None for lanes in block.chunks]
 
 
 @pytest.mark.parametrize("program", [hs.theorem22_program, hs.theorem23_program,
@@ -620,8 +620,8 @@ def test_packed_cuts_each_chunk_as_its_pieces_are_drawn():
     # in chunks of widths that cut inside pieces, fit them, or hold them
     # all: a chunk is yielded before the piece after its last lane is
     # drawn, and the chunks are the pieces' lanes in order
-    pieces = [lanes for cls, _, _, chunks in hn._relation_blocks(3, False, False, "frame", ())
-              if sum(cls) == 3 for lanes in chunks][:6]
+    pieces = [lanes for cls, _, chunks in hn._relation_blocks(3, False, False, "frame", ())
+              if cls is not None and sum(cls) == 3 for lanes in chunks][:6]
     pieces = [p._replace(weight=np.broadcast_to(i + 1, len(p.record)))
               for i, p in enumerate(pieces)]
     sizes = [len(p.record) for p in pieces]
@@ -658,7 +658,7 @@ def test_membership_block_totals_depend_only_on_the_class(monkeypatch, target, m
     ops, slots = spec.program()
     first, summed, weighted = {}, Counter(), Counter()
     for block in hn._membership_blocks(3, *_MEMBERSHIP_FLAGS[target], ops):
-        if block.weight:
+        if block.cls is None:
             continue  # a judged block: its lanes are the first blocks' of their classes
         totals = Counter()
         for lanes in block.chunks:
@@ -711,7 +711,7 @@ def _reference_validity_lists(max_size):
     texts = [text for text, _ in hs.VALIDITY_CLAIMS]
     ops, slots = pg.compile_program([fm.parse(text) for text in texts], "nwf", atoms=())
     models, valid, first = 0, Counter(), {}
-    for lanes in hn._membership_lanes(max_size, False, False, ops):
+    for lanes in hn._labelled(hn._membership_blocks(max_size, False, False, ops)):
         n, full = len(lanes.record), (1 << lanes.frame.k) - 1
         vals = pg.run(ops, lanes.frame)
         models += n
@@ -787,7 +787,8 @@ def test_enumerate_hypersets_keeps_the_per_block_order(overlap):
     expected = list(_per_block_models(3, overlap))
     assert list(hn.enumerate_hypersets(3, allow_overlap=overlap)) == [m for _, m in expected]
     for ops in ([], hs.theorem23_program()[0], hs.theorem22_program()[0]):
-        records = [lanes.record for lanes in hn._membership_lanes(3, overlap, False, ops)]
+        blocks = hn._membership_blocks(3, overlap, False, ops)
+        records = [lanes.record for lanes in hn._labelled(blocks)]
         assert np.concatenate(records).tolist() == [r for r, _ in expected]
 
 
@@ -858,7 +859,7 @@ def test_four_node_membership_lanes_match_the_per_lane_decode(program, with_atom
     offset = hn._membership_count(hn.Campaign("theorem22", 3), 2, 2 if with_atom else 1)
     checked = {0: [], len(assignments) // 2: [], len(assignments) - 1: []}  # chunk starts
     lane = 0  # the chunk's first lane among the 4-node lanes
-    for lanes in hn._membership_lanes(4, False, with_atom, ops):
+    for lanes in hn._labelled(hn._membership_blocks(4, False, with_atom, ops)):
         if lanes.frame.k < 4:
             continue
         (t, start), n, f = divmod(lane, per_block), len(lanes.record), lanes.frame
@@ -1037,7 +1038,7 @@ def test_relation_lanes_match_per_edge_reference(strict, serial):
     # (1000 ops), which does not divide a block, so chunks start inside a
     # row's bit-field
     for ops in ((), [()] * 1000):
-        chunks = list(hn._relation_lanes(4, strict, serial, "frame", ops))
+        chunks = list(hn._labelled(hn._relation_blocks(4, strict, serial, "frame", ops)))
         for lanes in chunks:
             f = lanes.frame
             assert lanes.record.dtype == np.int64
@@ -1064,7 +1065,7 @@ def test_relation_lanes_at_five_states_match_per_edge_reference(serial):
     total = 1 << 25
     offset = sum(1 << k + k * k for k in range(1, 5))  # the frames of 1-4 states
     blocks = [block for block in hn._relation_blocks(5, False, serial, "frame", ops)
-              if sum(block.cls) == 5]
+              if block.cls is not None and sum(block.cls) == 5]
     assert [block.first for block in blocks] == [offset + ua * total for ua in range(32)]
 
     def check(lanes, first, stop):
@@ -1102,23 +1103,26 @@ def test_relation_chunks_fit_the_lane_width(monkeypatch, strict, serial):
     # (1000 ops), and of four runs of the low two (4 KB for the masks)
     for lane_bytes, ops in ((1 << 24, ()), (1 << 24, [()] * 1000), (4096, ())):
         monkeypatch.setattr(hn, "_LANE_BYTES", lane_bytes)
-        for lanes in hn._relation_lanes(4, strict, serial, "frame", ops):
+        for lanes in hn._labelled(hn._relation_blocks(4, strict, serial, "frame", ops)):
             assert 0 < len(lanes.record) <= hn._lane_width(ops, lanes.frame.k)
 
 
 def _block_totals(target, max_size, strict, heart, serial):
-    """Every (k, ua) block of a classical sweep judged on its own, not
-    through the weighted loop, in enumeration order: (class, weight, totals)."""
+    """Every labelled (k, ua) block of a classical sweep judged on its own,
+    not through the weighted loop, in enumeration order: (class, totals)."""
     spec = hn._SWEEPS[target]
     ops, slots = spec.program()
     blocks = []
-    for block in hn._relation_blocks(max_size, strict, serial, heart, ops):
+    for i, block in enumerate(hn._relation_blocks(max_size, strict, serial, heart, ops)):
+        if block.cls is None:
+            assert i == 0  # the one judged block, of packed representatives, comes first
+            continue
         totals = dict.fromkeys(spec.totals, 0)
         for lanes in block.chunks:
             totals["models"] += len(lanes.record)
             for _ in spec.judge(lanes, ops, slots, totals):
                 pass
-        blocks.append((block.cls, block.weight, totals))
+        blocks.append((block.cls, totals))
     return blocks
 
 
@@ -1127,17 +1131,16 @@ def _block_totals(target, max_size, strict, heart, serial):
 def test_classical_block_totals_depend_only_on_the_popcount(target, strict, max_size):
     # the premise of the packed lanes' weights: a block's totals depend on
     # its class (|Ua|, |Ub|, 0) alone, so the class's first block, Ua = the lowest states,
-    # counts C(k, a) times; every block is read only for the dumps
+    # counts C(k, a) times; a labelled block is read only for the dumps
     for heart, serial in iproduct(("frame", "local"), (False, True)):
         blocks = iter(_block_totals(target, max_size, strict, heart, serial))
         summed, weighted = Counter(), Counter()
         for k in range(1, max_size + 1):
             first = {}  # popcount -> the totals of its first block
             for ua in range(1 << k):
-                cls, weight, totals = next(blocks)
+                cls, totals = next(blocks)
                 a = ua.bit_count()
                 assert cls == (a, k - a, 0)
-                assert weight == 0
                 if ua == (1 << a) - 1:
                     weighted.update({key: comb(k, a) * n for key, n in totals.items()})
                 assert first.setdefault(a, totals) == totals, (k, ua)
@@ -1148,6 +1151,48 @@ def test_classical_block_totals_depend_only_on_the_popcount(target, strict, max_
         assert summed["fails"] > 0
 
 
+@pytest.mark.parametrize("blocks, judged", [
+    (partial(hn._relation_blocks, 3, True, False, "frame"), [0]),
+    (partial(hn._relation_blocks, 3, False, True, "local"), [0]),
+    (partial(hn._membership_blocks, 3, False, True), [0, 3, 8]),
+    (partial(hn._membership_blocks, 3, True, False), [0, 4, 14])])
+def test_judged_blocks_come_before_their_labelled_blocks(blocks, judged):
+    # the block protocol: the classical enumerator yields one judged block
+    # (class None) first, the membership one a judged block ahead of each
+    # size's labelled blocks; each labelled block's class is one that a
+    # judged block before it covers, and never one that a later judged
+    # block covers again; the labelled blocks come in record order
+    covered, labelled, firsts = set(), set(), []
+    for i, block in enumerate(blocks(())):
+        if block.cls is None:
+            assert i in judged
+            classes = set().union(*(hn._classes(np.ones(len(lanes.record), bool), lanes)
+                                    for lanes in block.chunks))
+            assert classes and not classes & labelled
+            covered |= classes
+        else:
+            assert i not in judged and block.cls in covered
+            labelled.add(block.cls)
+            firsts.append(block.first)
+    assert labelled == covered
+    assert firsts == sorted(set(firsts))
+
+
+@pytest.mark.parametrize("target, size, strict", [
+    ("lemma1", 6, True), ("theorem12", 6, False), ("theorem22", 5, True)])
+def test_a_bad_bound_raises_before_any_lane_is_judged(monkeypatch, target, size, strict):
+    # the enumerator checks its bound before it yields a block, so no
+    # program runs; the same spy sees the runs of a campaign in bounds
+    runs = []
+    run = pg.run
+    monkeypatch.setattr(pg, "run", lambda *args: runs.append(args) or run(*args))
+    with pytest.raises(ValueError, match="bound must be between"):
+        hn.run_campaign(hn.Campaign(target, size, strict))
+    assert runs == []
+    hn.run_campaign(hn.Campaign(target, 1, strict))
+    assert runs
+
+
 def _reference_kripke(target, max_size, strict, cap, heart="frame", serial=False):
     """lemma1 or theorem12 judged chunk by chunk over every labelled frame,
     the first ``cap`` failing frames dumped."""
@@ -1155,7 +1200,7 @@ def _reference_kripke(target, max_size, strict, cap, heart="frame", serial=False
     ops, slots = kr.lemma1_program() if target == "lemma1" else kr.hole_program("kripke")
     totals = dict.fromkeys(("models", "holds", "fails", "degenerate"), 0)
     found = []
-    for lanes in hn._relation_lanes(max_size, strict, serial, heart, ops):
+    for lanes in hn._labelled(hn._relation_blocks(max_size, strict, serial, heart, ops)):
         n = len(lanes.record)
         vals = pg.run(ops, lanes.frame)
         if target == "lemma1":
@@ -1253,7 +1298,7 @@ def test_factored_lanes_count_like_the_frames(heart, serial, rng):
     ops, slots = pg.compile_program(formulas, "kripke")
     seen = set()
     for block in hn._relation_blocks(3, False, serial, heart, ops):
-        if block.cls in seen:
+        if block.cls is None or block.cls in seen:
             continue  # only the class's first block, Ua = the lowest a states
         seen.add(block.cls)
         a, b, _ = block.cls
@@ -1277,7 +1322,7 @@ def test_factored_lanes_count_like_the_frames(heart, serial, rng):
 @pytest.mark.parametrize("serial", [False, True])
 def test_frame_closed_form_counts_the_enumerated_frames(strict, serial):
     for n in range(1, 5):
-        lanes = hn._relation_lanes(n, strict, serial, "frame", ())
+        lanes = hn._labelled(hn._relation_blocks(n, strict, serial, "frame", ()))
         assert hn._frame_count(hn.Campaign("lemma1", n, strict, serial=serial)) == sum(
             len(chunk.record) for chunk in lanes)
     assert hn._membership_count(hn.Campaign("theorem23", 3), 3, 1) == 19917
