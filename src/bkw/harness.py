@@ -22,16 +22,16 @@ and no claim names a state, so all its blocks have the same totals
 (McKay 1998, the cheapest case).  A judged block holds the first block of
 each class, its assignment sorted, each lane with its own type masks and
 weighted by the class's size.  For frames, one judged block comes first,
-whose classes' lanes ``_packed`` cuts into chunks over the largest k as
-they are drawn; for membership graphs, each size's judged block comes
+built over the largest k by arithmetic on its lanes' numbers
+(``_class_lanes``); for membership graphs, each size's judged block comes
 ahead of its labelled blocks, its classes one ``_digits`` run, their
 assignments the top digit.  The labelled blocks are read only for the
 dumps: a block is skipped when no weighted lane of its class failed, and
 left once no later lane of it can enter them.
 
 A non-strict class is counted rather than enumerated: only ``D`` reads
-the same-type edges, so its representative is ``_factored_chunks``, the
-strict block's cross relations weighted by their same-type completions.
+the same-type edges, so it is judged on its strict cross relations, each
+tiled over 2^k masks of D's same-type part and weighted by completions.
 The 4-state classes are judged on 6,176 lanes instead of 327,680
 frames, the 5-state ones on 278,592 instead of 201 M.  ``_run_sweep``
 checks every sweep's model count against its closed form.
@@ -65,7 +65,7 @@ import json
 from collections import Counter
 from dataclasses import dataclass
 from functools import cache, partial
-from itertools import chain, product as iproduct
+from itertools import product as iproduct
 from math import comb, factorial, prod
 from operator import itemgetter, xor
 from typing import Callable, Hashable, Iterable, Iterator, NamedTuple, Sequence
@@ -112,7 +112,7 @@ class _Lanes(NamedTuple):
     ure: object  # the urelement masks (0 for frames)
     frame: pg.Frame
     #: per lane, how many models it stands for (int64); None: one each.  A
-    #: weighted lane (``_factored_chunks``, a judged block) is counted, never
+    #: weighted lane (a judged block, ``_class_lanes``) is counted, never
     #: dumped.
     weight: np.ndarray | None = None
 
@@ -155,30 +155,17 @@ def _labelled(blocks: Iterable[_Block]) -> Iterator[_Lanes]:
 def _relation_blocks(max_states: int, strict: bool, serial: bool, heart: str,
                      ops: Sequence[tuple]) -> Iterator[_Block]:
     """Every belief frame with up to ``max_states`` states: one judged block
-    of packed lanes, then one labelled block of class (|ua|, k - |ua|, 0)
-    per (k, ua), in relation order within a block: state 0's successor row
-    is the lowest digit (``_relation_chunks``).  ``serial`` drops the
-    frames with a state that has no successor.  ``record`` is a frame's
-    position in this order, counted before the serial filter.
-
-    The judged block holds the representative of each class, Ua the lowest
-    a states: the strict block of ``_relation_chunks``, or the non-strict
-    ``_factored_chunks``.  Each lane weighs C(k, a), times its same-type
-    weight where factored.
+    of weighted lanes, ``_class_lanes``, then one labelled block of class
+    (|ua|, k - |ua|, 0) per (k, ua), in relation order within a block:
+    state 0's successor row is the lowest digit (``_relation_chunks``).
+    ``serial`` drops the frames with a state that has no successor.
+    ``record`` is a frame's position in this order, counted before the
+    serial filter.
     """
     if not 1 <= max_states <= 5:
         raise ValueError("state bound must be between 1 and 5")
-    width = _lane_width(ops, max_states)
-
-    def representatives() -> Iterator[_Lanes]:
-        for k in range(1, max_states + 1):
-            for a in range(k + 1):
-                chunks = (_relation_chunks(k, (1 << a) - 1, True, 0, serial, heart, width)
-                          if strict else _factored_chunks(k, a, serial, heart, width))
-                for lanes in chunks:
-                    weight = comb(k, a) * (1 if lanes.weight is None else lanes.weight)
-                    yield lanes._replace(weight=np.full(len(lanes.record), weight, np.int64))
-    yield _Block(None, 0, _packed(representatives(), max_states, width))
+    yield _Block(None, 0, _class_lanes(max_states, strict, serial, heart,
+                                       _lane_width(ops, max_states)))
     offset = 0
     for k in range(1, max_states + 1):
         for ua in range(1 << k):
@@ -281,70 +268,80 @@ def _same_type_weights(t: int) -> np.ndarray:
     return table
 
 
-def _factored_chunks(k: int, a: int, serial: bool, heart: str,
-                     width: int) -> Iterator[_Lanes]:
-    """Weighted lanes that count the non-strict (k, Ua = the lowest a
-    states) block of ``_relation_chunks`` without enumerating its edges
-    within a type.
+def _class_lanes(n: int, strict: bool, serial: bool, heart: str,
+                 width: int) -> Iterator[_Lanes]:
+    """The judged block of ``_relation_blocks``: the strict cross relations
+    of every class (k <= n, a <= k), Ua the lowest a states, in (k, a)
+    order, in chunks of at most ``width`` lanes over n states (or of one
+    relation's lanes), built from the relations' numbers alone.  A lane's
+    rows past its k states are empty, and its ``ua`` and ``ub`` cover its
+    states.  As in ``_relation_chunks``, a relation's index in its class is
+    a mixed-radix number whose digit x is x's row, a subset of the other
+    type (the empty row skipped under strict serial).  A strict relation
+    is one lane of weight C(k, a).  A non-strict one, C, is 2^k lanes, d
+    the low digit, with a loop at each state outside d, so that ``D`` is
+    Dc(C) & d (only ``D`` reads same-type edges S, as Dc(C) & Ds(S)); each
+    weighs C(k, a) times the same-type relations with Ds = d that
+    (``serial``) give each state with an empty cross row a successor, a
+    product of ``_same_type_weights``."""
+    classes = [(k, a) for k in range(1, n + 1) for a in range(k + 1)]
+    skip = int(strict and serial)
+    radix, lift = np.array([[((1 << (k - a if x < a else a)) - skip, 1 << a if x < a else 1)
+                             if x < k else (1, 0) for k, a in classes] for x in range(n)]
+                           ).transpose(2, 0, 1)  # [x, class]: row x's digit; none past k
+    place = np.cumprod([np.ones_like(radix[0]), *radix], axis=0)  # then the class sizes
+    fields, firsts = np.stack([place[:-1], radix, lift]), np.cumsum([0, *place[-1]])
+    types = np.array([((1 << a) - 1, (1 << k) - (1 << a)) for k, a in classes], _LANE).T
+    # the sets of states with an empty cross row that weights tell apart
+    empty = np.arange(1 << n if serial and not strict else 1)
 
-    The modalities read a successor row only through ``row & tgt``, its
-    cross-type edges; only ``D`` reads the rest, and it splits as Dc(C) &
-    Ds(S): no 2-cycle through w in the cross relation C, and no loop or
-    2-cycle through w in the same-type relation S.  So every claim is a
-    function of (C, Ds(S)).  A lane is a strict block's cross relation C
-    and a mask d, with a loop at each state outside d, so that its ``D``
-    is Dc(C) & d; it weighs the number of same-type relations with Ds = d
-    (with ``serial``, that also give a successor to each state whose cross
-    row is empty), the product of the two types' ``_same_type_weights``.
-    """
-    masks = np.arange(1 << k, dtype=_LANE)
-    low = (1 << a) - 1
-    loops = [(~masks >> x & 1) << x for x in range(k)]
-    d = masks.astype(np.intp)
-    weights_a, weights_b = _same_type_weights(a), _same_type_weights(k - a)
-    for lanes in _relation_chunks(k, low, True, 0, False, heart, max(1, width >> k)):
-        cross = lanes.frame.rows
-        empty = np.zeros((len(lanes.record), 1), dtype=np.intp)  # the empty cross rows
-        if serial:
-            for x, row in enumerate(cross):
-                empty[row == 0] |= 1 << x
-        weight = weights_a[empty & low, d & low] * weights_b[empty >> a, d >> a]
-        rows = [(row[:, None] | loop).ravel() for row, loop in zip(cross, loops)]
-        yield _Lanes(np.repeat(lanes.record, len(masks)), 0,
-                     lanes.frame._replace(rows=rows), weight.ravel())
+    def weights(k: int, a: int) -> np.ndarray:  # [the states whose cross row is empty, d]
+        if strict:
+            return np.full((1, 1), comb(k, a))
+        return comb(k, a) * (_same_type_weights(k - a)[:, None, :, None] * _same_type_weights(
+            a)[None, :, None, :]).reshape(1 << k, -1)[empty & (1 << k) - 1]
 
+    def chunk(start: int, parts: list[tuple[int, int, int]]) -> _Lanes:
+        # per (spread, first, stop) of parts, relations [first, stop), 2^spread lanes each
+        size = sum(stop - first << spread for spread, first, stop in parts)
+        masks, weight, at = np.zeros((n + 2, size), _LANE), np.empty(size, np.int64), 0
+        for spread, first, stop in parts:
+            counts = np.diff(np.clip(firsts, first, stop))  # the part's relations per class
+            place, radix, lift = np.repeat(fields, counts, axis=2)
+            index = np.arange(first, stop) - np.repeat(firsts[:-1], counts)
+            cross = (index // place % radix + skip) * lift  # [x, relation]
+            lanes = slice(at, at + (stop - first << spread))
+            at = lanes.stop
+            spreads = lambda masks: masks[..., lanes].reshape(*masks.shape[:-1], -1, 1 << spread)
+            loops = ~np.arange(1 << spread) & (1 << spread) - 1 & 1 << np.arange(n)[:, None]
+            np.bitwise_or(cross.astype(_LANE)[:, :, None], loops.astype(_LANE)[:, None],
+                          out=spreads(masks[:n]))  # [x, relation, d]: a loop outside d
+            masks[n:, lanes] = np.repeat(types, counts << spread, axis=1)
+            touched = np.flatnonzero(counts)
+            table = np.concatenate([weights(*classes[c]) for c in touched])
+            row = np.repeat(np.arange(len(touched)) * len(empty), counts[touched])
+            if serial and not strict:
+                row += (1 << np.arange(n)) @ (cross == 0)
+            # the rows are in range; "clip" writes to ``out`` unbuffered
+            np.take(table, row, axis=0, out=spreads(weight), mode="clip")
+        *rows, ua, ub = masks
+        return _Lanes(np.arange(start, start + size), 0,
+                      pg.Frame(n, ua, ub, rows, {}, heart, partial(xor, ua | ub)), weight)
 
-def _packed(pieces: Iterable[_Lanes], n: int, width: int) -> Iterator[_Lanes]:
-    """The weighted lanes of ``pieces``, each piece of its own k <= n states
-    and type masks, in chunks of ``width`` lanes over n states, each cut as
-    soon as the pieces it holds are drawn: a lane's rows past its k states
-    are empty, and it carries its own ``ua`` and ``ub``, whose union
-    ``full`` is its states and negates (``xor``).  A lane's record is its
-    place in the packed block."""
-    held, drawn, start = [], 0, 0  # the lanes drawn, not yet yielded: (masks, weights)
-    for piece in chain(pieces, [None]):  # None: every piece is drawn
-        if piece is not None:
-            f, heart, drawn = piece.frame, piece.frame.heart, drawn + len(piece.record)
-            held.append(([*f.rows, *[0] * (n - f.k), f.ua, f.ub], piece.weight))  # n rows, ua, ub
-        if not drawn or piece is not None and drawn < width:
-            continue
-        masks, at = np.zeros((n + 2, drawn), dtype=_LANE), 0
-        for lane_masks, weight in held:
-            for x, mask in enumerate(lane_masks):
-                if isinstance(mask, np.ndarray) or mask:  # masks start empty
-                    masks[x, at:at + len(weight)] = mask
-            at += len(weight)
-        weight = np.concatenate([w for _, w in held])
-        stop = drawn if piece is None else drawn - drawn % width  # the lanes cut now
-        held = [(masks[:, stop:], weight[stop:])] if stop < drawn else []
-        drawn -= stop
-        for cut in range(0, stop, width):
-            *rows, ua, ub = masks[:, cut:cut + width]
-            full = ua | ub
-            yield _Lanes(np.arange(start, start + len(full)), 0,
-                         pg.Frame(n, ua, ub, rows, {}, heart, partial(xor, full)),
-                         weight[cut:cut + width])
-            start += len(full)
+    # a chunk's parts: all relations when strict, else those of one size
+    groups = [(0, 0, firsts[-1])] if strict else [
+        (k, firsts[c], firsts[c + k + 1]) for c, (k, a) in enumerate(classes) if a == 0]
+    parts, room, start = [], width, 0  # the next chunk's parts, and the lanes left in it
+    for spread, first, total in groups:
+        while first < total:
+            if parts and room < 1 << spread:  # the next relation's lanes do not fit
+                yield chunk(start, parts)
+                parts, room, start = [], width, start + width - room
+            take = min(total - first, max(room >> spread, 1))
+            parts.append((spread, first, first + take))
+            first, room = first + take, room - (take << spread)
+    if parts:
+        yield chunk(start, parts)
 
 
 def _class(ua: int, ub: int) -> tuple[int, int, int]:

@@ -9,8 +9,8 @@ membership graphs at most 4 nodes, so a byte holds a mask).  Both
 support the same ``& | ^ == >>`` operators, so the one loop serves both,
 and its results keep the dtype of the rows.  The type masks ``ua``/``ub``
 are plain ints, or lane arrays when each lane has its own types (a
-sweep's chunk of class representatives; a packed frame lane has up to k
-states).  The types cover the states in every
+sweep's judged chunk of class representatives, a frame lane's rows empty
+past its own k states).  The types cover the states in every
 semantics, so the states of a lane are ``full = ua | ub``, read by
 ``true``, ``!`` and ``D``.  A modality loops over the union of its
 lanes' sources, a Python int, and keeps only each lane's own (``& src``).

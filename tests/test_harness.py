@@ -609,37 +609,96 @@ def test_packed_membership_lanes_match_each_lanes_own_frame(program, overlap, wi
                         if sum(c) == k and (overlap or not c[2])} for k in (1, 2, 3)}
 
 
-def _spy_pieces(pieces, drawn):
-    for piece in pieces:
-        drawn.append(len(piece.record))
-        yield piece
+def _judged_columns(chunks, n):
+    """The records, the n rows, ua, ub and the weights of ``chunks``, each
+    concatenated."""
+    chunks = list(chunks)
+    return [np.concatenate([column(c) for c in chunks]) for column in (
+        lambda c: c.record, *(lambda c, x=x: c.frame.rows[x] for x in range(n)),
+        lambda c: c.frame.ua, lambda c: c.frame.ub, lambda c: c.weight)]
 
 
-def test_packed_cuts_each_chunk_as_its_pieces_are_drawn():
-    # six non-strict 3-state blocks (512 frames each) as weighted pieces,
-    # in chunks of widths that cut inside pieces, fit them, or hold them
-    # all: a chunk is yielded before the piece after its last lane is
-    # drawn, and the chunks are the pieces' lanes in order
-    pieces = [lanes for cls, _, chunks in hn._relation_blocks(3, False, False, "frame", ())
-              if cls is not None and sum(cls) == 3 for lanes in chunks][:6]
-    pieces = [p._replace(weight=np.broadcast_to(i + 1, len(p.record)))
-              for i, p in enumerate(pieces)]
-    sizes = [len(p.record) for p in pieces]
-    for width in (700, 512, 1500, sum(sizes) + 5):
-        drawn = []
-        chunks = hn._packed(_spy_pieces(pieces, drawn), 3, width)
-        got = []
-        for lanes in chunks:
-            held = sum(len(c.record) for c in got) + len(lanes.record)  # the lanes cut so far
-            # the fewest pieces that hold them, or all when the last chunk is short
-            assert sum(drawn) >= held and sum(drawn[:-1]) < held
-            got.append(lanes)
-        assert [len(c.record) for c in got[:-1]] == [width] * (len(got) - 1)
-        assert np.array_equal(np.concatenate([c.record for c in got]), np.arange(sum(sizes)))
-        for column in (lambda p: p.weight, lambda p: np.broadcast_to(p.frame.ua, len(p.record)),
-                       lambda p: p.frame.rows[2]):
-            assert np.array_equal(np.concatenate([column(c) for c in got]),
-                                  np.concatenate([column(p) for p in pieces]))
+@pytest.mark.parametrize("strict", [True, False])
+@pytest.mark.parametrize("serial", [False, True])
+def test_class_lanes_are_the_same_at_every_width(strict, serial):
+    # the judged block of 3 states, 42 strict lanes (7 serial) or 300
+    # non-strict, in chunks of widths that cut inside a class, fit the
+    # class (3, 1) (16 relations, 128 non-strict lanes), or hold every
+    # lane: each chunk is at most the width and cut only when the next
+    # relation's lanes do not fit, the records run 0..N-1, and the lanes
+    # are those of the widest chunk
+    n, fits = 3, 16 if strict else 128
+    widest = _judged_columns(hn._class_lanes(n, strict, serial, "frame", 10**6), n)
+    assert len(widest[0]) == (300 if not strict else 7 if serial else 42)
+    for width in (5 if strict else 20, 50, fits, 300):
+        chunks = list(hn._class_lanes(n, strict, serial, "frame", width))
+        sizes = [len(lanes.record) for lanes in chunks]
+        assert all(width - (1 if strict else 1 << n) < size <= width for size in sizes[:-1])
+        assert 0 < sizes[-1] <= width
+        columns = _judged_columns(chunks, n)
+        assert np.array_equal(columns[0], np.arange(len(widest[0])))
+        for got, expected in zip(columns, widest):
+            assert np.array_equal(got, expected) and got.dtype == expected.dtype
+
+
+@pytest.mark.parametrize("strict", [True, False])
+@pytest.mark.parametrize("serial", [False, True])
+def test_class_lanes_match_the_relation_chunks(strict, serial):
+    # lane for lane, at 1 to 4 states.  Strict: each class's lanes, trimmed
+    # to its k rows, are the relations of _relation_chunks with Ua the
+    # lowest a states (under serial, those with no empty row), weighted
+    # C(k, a).  Non-strict: lane (c, d), d the low digit, is cross
+    # relation c with a loop at each state outside d, weighted C(k, a) times
+    # the two types' same-type weights at d and at the states whose cross
+    # row is empty (none unless serial).
+    for n in range(1, 5):
+        chunks = list(hn._class_lanes(n, strict, serial, "frame", 1 << 20))
+        if not chunks:  # no serial frame of one state has a cross edge
+            assert strict and serial and n == 1
+            continue
+        (lanes,) = chunks
+        f, at = lanes.frame, 0
+        assert np.array_equal(lanes.record, np.arange(len(lanes.record)))
+        for k in range(1, n + 1):
+            for a in range(k + 1):
+                low, full = (1 << a) - 1, (1 << k) - 1
+                cross = [np.concatenate([c.frame.rows[x] for c in hn._relation_chunks(
+                    k, low, True, 0, serial and strict, "frame", 1 << 20)] or [[]])
+                    for x in range(k)]
+                m = len(cross[0]) << (0 if strict else k)
+                own = slice(at, at + m)
+                at += m
+                assert (f.ua[own] == low).all() and (f.ub[own] == full ^ low).all()
+                assert not any(row[own].any() for row in f.rows[k:])
+                rows, weight = [row[own] for row in f.rows[:k]], lanes.weight[own]
+                if strict:
+                    assert (weight == comb(k, a)).all()
+                    assert all(map(np.array_equal, rows, cross))
+                    continue
+                d = np.arange(1 << k)
+                for x, (row, c) in enumerate(zip(rows, cross)):
+                    assert np.array_equal(row, (c[:, None] | (~d >> x & 1) << x).ravel())
+                empty = sum((c == 0).astype(int) << x for x, c in enumerate(cross)) if serial else 0
+                empty = np.broadcast_to(empty, len(cross[0]))[:, None]
+                wa, wb = hn._same_type_weights(a), hn._same_type_weights(k - a)
+                expected = comb(k, a) * wa[empty & low, d & low] * wb[empty >> a, d >> a]
+                assert np.array_equal(weight, expected.ravel())
+        assert at == len(lanes.record)
+
+
+@pytest.mark.parametrize("strict", [True, False])
+@pytest.mark.parametrize("serial", [False, True])
+def test_class_lanes_count_every_frame_at_six_states(strict, serial):
+    # toward sweeps past the 5-state guard, which stays: at 6 states the
+    # judged block's weights sum to the closed form, on 404,400 strict
+    # lanes (156,939 serial) or 25,582,092 non-strict ones
+    lanes = weights = 0
+    for chunk in hn._class_lanes(6, strict, serial, "frame", 1 << 18):
+        lanes, weights = lanes + len(chunk.record), weights + int(chunk.weight.sum())
+    assert lanes == (25_582_092 if not strict else 156_939 if serial else 404_400)
+    assert weights == hn._frame_count(hn.Campaign("lemma1", 6, strict, serial=serial))
+    with pytest.raises(ValueError, match="between 1 and 5"):
+        next(hn._relation_blocks(6, strict, serial, "frame", ()))
 
 
 @pytest.mark.parametrize("target, mutant", [
@@ -1292,29 +1351,32 @@ def test_same_type_weights_match_every_relation(t):
 @given(st.randoms(use_true_random=False))
 def test_factored_lanes_count_like_the_frames(heart, serial, rng):
     # only D reads same-type edges: for any program, the weighted count of
-    # the factored lanes on which a formula is valid, or satisfiable, is the
-    # count of the frames of the class's first block
+    # a class's lanes in the judged block on which a formula is valid, or
+    # satisfiable, is C(k, a) times the count of the frames of the class's
+    # first block
     formulas = [random_relational_formula(rng, 3, fm.Dclass()) for _ in range(6)]
     ops, slots = pg.compile_program(formulas, "kripke")
+    judged = list(hn._class_lanes(3, False, serial, heart, hn._lane_width(ops, 3)))
     seen = set()
     for block in hn._relation_blocks(3, False, serial, heart, ops):
         if block.cls is None or block.cls in seen:
             continue  # only the class's first block, Ua = the lowest a states
         seen.add(block.cls)
         a, b, _ = block.cls
-        k, full = a + b, (1 << a + b) - 1
+        ua, full = (1 << a) - 1, (1 << a + b) - 1
         counts = []
-        for chunks in (block.chunks,
-                       hn._factored_chunks(k, a, serial, heart, hn._lane_width(ops, k))):
+        for chunks, ours in ((block.chunks, lambda f: True),
+                             (judged, lambda f: (f.ua == ua) & (f.ub == full ^ ua))):
             total = Counter()
             for lanes in chunks:
                 vals = [np.broadcast_to(v, len(lanes.record)) for v in pg.run(ops, lanes.frame)]
-                total["models"] += lanes.count()
+                own = np.broadcast_to(ours(lanes.frame), len(lanes.record))
+                total["models"] += lanes.count(own)
                 for j, slot in enumerate(slots):
-                    total[j, "valid"] += lanes.count(vals[slot] == full)
-                    total[j, "satisfiable"] += lanes.count(vals[slot] != 0)
+                    total[j, "valid"] += lanes.count(own & (vals[slot] == full))
+                    total[j, "satisfiable"] += lanes.count(own & (vals[slot] != 0))
             counts.append(total)
-        assert counts[0] == counts[1], block.cls
+        assert {key: comb(a + b, a) * n for key, n in counts[0].items()} == counts[1], block.cls
     assert len(seen) == 2 + 3 + 4
 
 
@@ -1331,17 +1393,22 @@ def test_frame_closed_form_counts_the_enumerated_frames(strict, serial):
 @pytest.mark.parametrize("strict", [True, False])
 @pytest.mark.parametrize("serial", [False, True])
 def test_a_dropped_chunk_breaks_the_closed_form(monkeypatch, strict, serial):
-    # the chunks of the 3-state block with Ua = {s0}, which is judged,
-    # plainly (strict) or through its factored lanes, lose their first
-    chunks = hn._relation_chunks
+    # the judged block in chunks of 4 lanes (or one relation's 8 lanes,
+    # non-strict), which cut the 3-state classes, loses its first chunk of
+    # 3-state lanes alone
+    class_lanes, dropped = hn._class_lanes, []
 
-    def dropping(k, ua, *args):
-        for i, lanes in enumerate(chunks(k, ua, *args)):
-            if (k, ua, i) != (3, 1, 0):
+    def dropping(n, strict, serial, heart, width):
+        for lanes in class_lanes(n, strict, serial, heart, 4):
+            if dropped or not (lanes.frame.ua | lanes.frame.ub == 7).all():
                 yield lanes
-    monkeypatch.setattr(hn, "_relation_chunks", dropping)
+            else:
+                dropped.append(lanes)
+    monkeypatch.setattr(hn, "_class_lanes", dropping)
     with pytest.raises(RuntimeError, match="closed form"):
         hn.run_campaign(hn.Campaign("theorem12", 3, strict, serial=serial))
+    (lanes,) = dropped
+    assert lanes.weight.sum() > 0 and lanes.record[0] > 0
 
 
 @pytest.mark.parametrize("serial", [False, True])
@@ -1359,7 +1426,8 @@ def test_a_wrong_weight_breaks_the_closed_form(monkeypatch, serial):
 
 
 @pytest.mark.parametrize("target", ["lemma1", "theorem12"])
-@pytest.mark.parametrize("strict,serial", [(True, False), (False, False), (False, True)])
+@pytest.mark.parametrize("strict,serial", [(True, False), (True, True), (False, False),
+                                           (False, True)])
 def test_classical_sweeps_judge_every_class_in_one_packed_run(monkeypatch, target, strict,
                                                               serial):
     # at 4 states the representatives of all 14 classes fit one chunk: one
@@ -1370,7 +1438,8 @@ def test_classical_sweeps_judge_every_class_in_one_packed_run(monkeypatch, targe
     monkeypatch.setattr(pg, "run", lambda ops, frame: frames.append(frame) or run(ops, frame))
     hn.run_campaign(hn.Campaign(target, 4, strict, serial=serial))
     packed, labelled = frames[0], frames[1:]
-    assert packed.k == 4 and len(packed.rows[0]) == (428 if strict else 6476)
+    assert packed.k == 4 and len(packed.rows[0]) == (6476 if not strict else 102 if serial
+                                                      else 428)
     assert isinstance(packed.ua, np.ndarray) and isinstance(packed.ub, np.ndarray)
     assert labelled and all(type(f.ua) is type(f.ub) is int for f in labelled)
 
