@@ -4,9 +4,9 @@ Campaigns sweep an exhaustively enumerated model space and record how a
 named claim fares on every model.  They report; they do not assert.
 Each model kind has one block enumerator, ``_relation_blocks`` for
 classical frames and ``_membership_blocks`` for membership graphs, which
-yields numpy lane chunks by one protocol (``_Block``): in judged blocks
-of weighted lanes, and in labelled blocks of fixed int type masks, one
-lane per candidate model (``_labelled`` reads the labelled blocks'
+yields numpy lane chunks by one protocol (``_Block``): one judged block
+of weighted lanes first, then labelled blocks of fixed int type masks,
+one lane per candidate model (``_labelled`` reads the labelled blocks'
 chunks in order).  Both tile and repeat the per-digit tables of one
 mixed-radix chunker, ``_digits``: a frame's digits are its states'
 successor rows (a serial frame's tables lack the empty row), a membership
@@ -19,15 +19,17 @@ the public ``enumerate_kripke``/``enumerate_hypersets`` do.
 A block's class (``_class``) counts its Ua-only, Ub-only and shared
 states.  A state permutation maps a block onto any other of its class,
 and no claim names a state, so all its blocks have the same totals
-(McKay 1998, the cheapest case).  A judged block holds the first block of
-each class, its assignment sorted, each lane with its own type masks and
-weighted by the class's size.  For frames, one judged block comes first,
-built over the largest k by arithmetic on its lanes' numbers
-(``_class_lanes``); for membership graphs, each size's judged block comes
-ahead of its labelled blocks, its classes one ``_digits`` run, their
-assignments the top digit.  The labelled blocks are read only for the
-dumps: a block is skipped when no weighted lane of its class failed, and
-left once no later lane of it can enter them.
+(McKay 1998, the cheapest case).  The judged block holds the first block
+of each class of every size, its assignment sorted, each lane with its
+own type masks and weighted by the class's size, in chunks over the
+largest size: a lane's rows past its own states are empty, and its
+``ua | ub`` covers exactly its states, so the judges read a lane's states
+from it.  For frames the block is built by arithmetic on its lanes'
+numbers (``_class_lanes``); for membership graphs each size's classes
+are one ``_digits`` run, their assignments the top digit, which
+``_padded`` copies into shared chunks.  The labelled blocks are read only
+for the dumps: a block is skipped when no weighted lane of its class
+failed, and left once no later lane of it can enter them.
 
 A non-strict class is counted rather than enumerated: only ``D`` reads
 the same-type edges, so it is judged on its strict cross relations, each
@@ -65,7 +67,7 @@ import json
 from collections import Counter
 from dataclasses import dataclass
 from functools import cache, partial
-from itertools import product as iproduct
+from itertools import islice, product as iproduct
 from math import comb, factorial, prod
 from operator import itemgetter, xor
 from typing import Callable, Hashable, Iterable, Iterator, NamedTuple, Sequence
@@ -105,8 +107,8 @@ def _lane_width(ops: Sequence[tuple], k: int) -> int:
 
 class _Lanes(NamedTuple):
     """A chunk of candidate models sharing k and the type masks (or, judged,
-    each lane with its own); its successor rows, urelement masks and
-    valuation are _LANE arrays."""
+    each lane with its own, and its rows past its own states empty); its
+    successor rows, urelement masks and valuation are _LANE arrays."""
 
     record: np.ndarray  # each lane's position in its enumeration order (int64)
     ure: object  # the urelement masks (0 for frames)
@@ -134,11 +136,11 @@ class _Lanes(NamedTuple):
 
 class _Block(NamedTuple):
     """One block of an enumerator: its chunks, built only as they are read,
-    and its class, the blocks whose totals are the same.  A judged block
-    has no class and weighted lanes; a labelled block has a class and one
-    lane per model, read only for the fail dumps.  An enumerator checks its
-    bound first, and yields each judged block before the labelled blocks
-    of its classes, those in record order."""
+    and its class, the blocks whose totals are the same.  The judged block
+    has no class and weighted lanes, the representatives of every class; a
+    labelled block has a class and one lane per model, read only for the
+    fail dumps.  An enumerator checks its bound first, then yields its one
+    judged block, then the labelled blocks in record order."""
 
     cls: Hashable  # None: judged
     first: int  # no record of the block is below it
@@ -146,10 +148,9 @@ class _Block(NamedTuple):
 
 
 def _labelled(blocks: Iterable[_Block]) -> Iterator[_Lanes]:
-    """The chunks of the labelled blocks of ``blocks``, in order."""
-    for block in blocks:
-        if block.cls is not None:
-            yield from block.chunks
+    """The chunks of the labelled blocks of ``blocks``, those after the first, in order."""
+    for block in islice(blocks, 1, None):
+        yield from block.chunks
 
 
 def _relation_blocks(max_states: int, strict: bool, serial: bool, heart: str,
@@ -367,8 +368,8 @@ def _classes(bad: np.ndarray, lanes: _Lanes, *key) -> set[tuple[int, int, int]]:
 
 def _membership_blocks(max_nodes: int, overlap: bool, with_atom: bool,
                        ops: Sequence[tuple]) -> Iterator[_Block]:
-    """Every membership model with up to ``max_nodes`` nodes: per size k,
-    one judged block, then one labelled block of int types per type
+    """Every membership model with up to ``max_nodes`` nodes: one judged
+    block, then per size k one labelled block of int types per type
     assignment.
 
     Every node is an urelement or a set with any member row; the type
@@ -378,18 +379,18 @@ def _membership_blocks(max_nodes: int, overlap: bool, with_atom: bool,
     reports name their first models: a block's ``_digits`` are p's
     valuation (of radix 1 without ``with_atom``), then each node's option
     from node k-1 up to node 0, the type assignment on top.  The judged
-    block holds the first block of each class, its assignment sorted, as
-    one ``_digits`` with the classes' assignments on top, each lane
-    weighted ``_class_size``; its lanes all have k nodes, which their types
-    cover, so ``frame.k`` is each lane's size and ``complement(k)`` negates.
+    block holds the first block of each class of every size, its
+    assignment sorted: per size, one ``_digits`` run with the classes'
+    assignments on top, each lane weighted ``_class_size``, packed by
+    ``_padded`` into chunks over ``max_nodes`` nodes.
     """
     if not 1 <= max_nodes <= 4:
         raise ValueError("node bound must be between 1 and 4")
     type_options = (1, 2, 3) if overlap else (1, 2)  # bit 0: Ua, bit 1: Ub
-    offset = 0
+    sizes, offset = [], 0  # per size: (tables, first record, valuations, types, top digit)
     for k in range(1, max_nodes + 1):
         options = (1 << k) + 1  # an urelement, or a set with any member row
-        vals, width = 1 << k if with_atom else 1, _lane_width(ops, k)
+        vals = 1 << k if with_atom else 1
         assignments = np.array(list(iproduct(type_options, repeat=k)))  # [block, node]: its type
         member_row = np.maximum(np.arange(options) - 1, 0).astype(_LANE)  # option -> row
         tables = [(np.arange(vals), np.arange(vals, dtype=_LANE))] + [
@@ -400,12 +401,17 @@ def _membership_blocks(max_nodes: int, overlap: bool, with_atom: bool,
         firsts = {_class(*t): t for t in reversed(types)}  # the first block of each class
         top = (np.zeros(len(firsts), np.int64), *np.array(list(firsts.values()), _LANE).T,
                np.array(list(map(_class_size, firsts))))
-        yield _Block(None, 0, _membership_chunks(
-            k, None, None, 0, with_atom, tables + [top], width))
+        sizes.append((tables, offset, vals, types, top))
+        offset += vals * options ** k * len(assignments)
+    width = _lane_width(ops, max_nodes)
+    yield _Block(None, 0, _padded(max_nodes, (
+        lanes for k, (tables, *_, top) in enumerate(sizes, start=1)
+        for lanes in _membership_chunks(k, None, None, 0, with_atom, tables + [top], width)),
+        width, with_atom))
+    for k, (tables, offset, vals, types, _) in enumerate(sizes, start=1):
         for t, (ua, ub) in enumerate(types):
             yield _Block(_class(ua, ub), offset + vals * t, _membership_chunks(
-                k, ua, ub, offset + vals * t, with_atom, tables, width))
-        offset += vals * options ** k * len(assignments)
+                k, ua, ub, offset + vals * t, with_atom, tables, _lane_width(ops, k)))
 
 
 def _membership_chunks(k: int, ua, ub, first: int, with_atom: bool, tables: list,
@@ -418,6 +424,47 @@ def _membership_chunks(k: int, ua, ub, first: int, with_atom: bool, tables: list
                      pg.Frame(k, *types[:2], [row for row, _ in reversed(nodes)],
                               {"p": pval} if with_atom else {}, "membership", pg.complement(k)),
                      types[2])
+
+
+def _padded(n: int, pieces: Iterable[_Lanes], width: int, with_atom: bool) -> Iterator[_Lanes]:
+    """The weighted lanes of ``pieces``, membership chunks of up to n nodes
+    with per-lane types, in order, in chunks of ``width`` lanes over n
+    nodes (the last holds the rest), each written once its lanes are in.
+    A spent piece is let go before its chunk is judged: the next piece is
+    fetched first, which frees the last one's generators."""
+    pieces = iter(pieces)
+    piece, done = next(pieces, None), 0  # the piece being read, and its lanes read
+    parts, size, start = [], 0, 0  # the next chunk's (piece, its lanes), its size and first lane
+    while piece is not None:
+        take = min(len(piece.record) - done, width - size)
+        parts.append((piece, slice(done, done + take)))
+        size, done = size + take, done + take
+        if done == len(piece.record):
+            piece, done = next(pieces, None), 0
+        if size == width or piece is None:
+            chunk, parts = _pad(n, start, size, parts, with_atom), []
+            start, size = start + size, 0
+            yield chunk
+
+
+def _pad(n: int, start: int, size: int, parts: list, with_atom: bool) -> _Lanes:
+    """One chunk over n nodes of the ``size`` lanes of ``parts``, the first
+    ``start``: a lane's rows past its own k nodes are empty, its ``ua | ub``
+    covers exactly its nodes, and that mask is what ``neg`` complements."""
+    # the member rows 0..n-1, then the urelements, ua, ub and p
+    masks, weight, at = np.zeros((n + 3 + with_atom, size), _LANE), np.empty(size, np.int64), 0
+    for piece, part in parts:
+        f = piece.frame
+        lanes = slice(at, at + part.stop - part.start)
+        for x, column in zip([*range(f.k), *range(n, n + 4)],
+                             [*f.rows, piece.ure, f.ua, f.ub, *f.atoms.values()]):
+            masks[x, lanes] = column[part]
+        weight[lanes] = piece.weight[part]
+        at = lanes.stop
+    *rows, ure, ua, ub = masks[:n + 3]
+    return _Lanes(np.arange(start, start + size), ure, pg.Frame(
+        n, ua, ub, rows, {"p": masks[n + 3]} if with_atom else {}, "membership",
+        partial(xor, ua | ub)), weight)
 
 
 def _first_hits(found: list, bad: np.ndarray, lanes: _Lanes,
@@ -614,10 +661,10 @@ class _Sweep(NamedTuple):
 
 
 def _run_sweep(c: Campaign, spec: _Sweep) -> CampaignReport:
-    """Judges each judged block and adds its totals.  A labelled block is
-    read only for the dump groups that a weighted lane of its class failed
-    and whose first hits it can still change, and left once it can change
-    none; an unweighted chunk's failures are dumped.  Raises RuntimeError
+    """Judges the judged block, the first, into the totals.  A labelled
+    block is read only for the dump groups that a weighted lane of its
+    class failed and whose first hits it can still change, its failures
+    dumped, and left once it can change none.  Raises RuntimeError
     unless the models counted are the closed form ``spec.models(c)``."""
     ops, slots = spec.program()
     totals = Counter(dict.fromkeys(spec.totals, 0))  # a judge may add keys of its own
@@ -625,21 +672,20 @@ def _run_sweep(c: Campaign, spec: _Sweep) -> CampaignReport:
     failing: dict = {}  # per class, the dump groups that a weighted lane of it fails
     cap = spec.dumps or _FAIL_DUMP_CAP  # read per run, so a patched cap holds
     settled = lambda group, record: _settled(found.get(group, []), record, cap)
-    for cls, first, chunks in spec.blocks(c, ops):
-        judged = cls is None
+    blocks = iter(spec.blocks(c, ops))
+    for lanes in next(blocks).chunks:  # the judged block
+        totals["models"] += lanes.count()
+        for group, *hits in spec.judge(lanes, ops, slots, totals):
+            for k in _classes(*hits):
+                failing.setdefault(k, set()).add(group)
+    for cls, first, chunks in blocks:
         groups = [g for g in failing.get(cls, ()) if not settled(g, first)]
-        if not (judged or groups):
+        if not groups:
             continue
-        counts = totals if judged else Counter()
         for lanes in chunks:
-            counts["models"] += lanes.count()
-            for group, *hits in spec.judge(lanes, ops, slots, counts):
-                if lanes.weight is None:
-                    found[group] = _first_hits(found.get(group, []), *hits, cap=cap)
-                else:
-                    for k in _classes(*hits):
-                        failing.setdefault(k, set()).add(group)
-            if not judged and all(settled(g, lanes.record[-1] + 1) for g in groups):
+            for group, *hits in spec.judge(lanes, ops, slots, Counter()):
+                found[group] = _first_hits(found.get(group, []), *hits, cap=cap)
+            if all(settled(g, lanes.record[-1] + 1) for g in groups):
                 break
     if totals["models"] != spec.models(c):
         raise RuntimeError(f"{c.target} swept {totals['models']} models, "
@@ -671,7 +717,9 @@ def _judge_holes(lanes: _Lanes, ops, slots, totals: dict) -> Iterator[tuple]:
 def _judge_states(lanes: _Lanes, ops, slots, totals: dict, fault: Callable,
                   key: Callable) -> Iterator[tuple]:
     """Judges each state w on each ``_stacked`` block: ``fault(frame, w,
-    block)`` flags the failing lanes of each formula, keyed ``key(formula, w)``."""
+    block)`` flags the failing lanes of each formula, keyed ``key(formula, w)``.
+    A judged lane's rows past its own nodes are empty, neither urelements
+    nor Quine states, so no fault flags them."""
     model_violations = np.zeros(len(lanes.record), dtype=np.intp)  # per-lane counts
     # the masks live only in the block generator, so they are freed
     # before the next chunk is evaluated
@@ -704,7 +752,7 @@ def _judge_validity(lanes: _Lanes, ops, slots, totals: dict) -> Iterator[tuple]:
     """Counts, per formula of ``hs.VALIDITY_CLAIMS``, the models on which it
     holds at every node; a claimed-valid one's failures are its dump group."""
     for (text, claimed), failing in zip(hs.VALIDITY_CLAIMS, hs.validity_failures(
-            pg.run(ops, lanes.frame), slots, (1 << lanes.frame.k) - 1)):
+            pg.run(ops, lanes.frame), slots, lanes.frame.ua | lanes.frame.ub)):
         valid = np.broadcast_to(failing == 0, len(lanes.record))
         totals[text] += lanes.count(valid)
         if claimed and not valid.all():

@@ -364,7 +364,7 @@ def check_validity_lists(m: HypersetModel) -> tuple[ValidityVerdict, ...]:
     """Evaluate the claimed-valid and claimed-invalid formulas on one model."""
     names, frame = to_frame(m)
     ops, slots = validity_program()
-    failures = validity_failures(pg.run(ops, frame), slots, (1 << frame.k) - 1)
+    failures = validity_failures(pg.run(ops, frame), slots, frame.ua | frame.ub)
     return tuple(
         ValidityVerdict(formula=text, claimed_valid=claimed, holds=not failing,
                         failing_states=tuple(sorted(pg.names_of(names, failing))))

@@ -347,11 +347,12 @@ def test_theorem23_predicate_matches_reference_modalities():
 def _mutated_theorem22(real, min_nodes=1):
     """Theorem 2.2 broken: on models of at least ``min_nodes`` nodes, a
     special state that satisfies a body which does not hold everywhere is
-    also flagged.  Elementwise, so it broadcasts like the real predicate."""
+    also flagged.  Elementwise, so it broadcasts like the real predicate.
+    A lane's nodes are ``ua | ub``, nodes 0 to k-1, also on a padded lane."""
     def faults(frame, w, body):
         wrong_assumption, belief_fails = real(frame, w, body)
-        flagged = ((frame.k >= min_nodes) & (body >> w & 1 == 1)
-                   & (body != (1 << frame.k) - 1))
+        full = frame.ua | frame.ub
+        flagged = ((full >> min_nodes - 1 != 0) & (body >> w & 1 == 1) & (body != full))
         return wrong_assumption | flagged, belief_fails
     return faults
 
@@ -495,13 +496,26 @@ def test_theorem22_report_does_not_depend_on_chunk_and_block_sizes(monkeypatch, 
             shapes.append(body.shape)
             yield start, body
 
+    # the judged chunks, by the sizes of their lanes: 12 1-node and 300
+    # 2-node lanes fill the first with 685 3-node ones
+    sizes = []
+    padded = hn._padded
+
+    def chunks(*args):
+        for lanes in padded(*args):
+            full = lanes.frame.ua | lanes.frame.ub
+            sizes.append({int(m).bit_length() for m in np.unique(full)})
+            yield lanes
+
     monkeypatch.setattr(hn, "_stacked", spy)
+    monkeypatch.setattr(hn, "_padded", chunks)
     monkeypatch.setattr(hn, "_LANE_BYTES", 605 * 997)
     monkeypatch.setattr(pg, "_STACK_BYTES", 605 * 997 // 128)  # the cache cap, in proportion
     assert hn.run_campaign(c).text == expected
     heights = {height for height, _ in shapes}
     assert len(heights) > 3 and any(602 % h for h in heights)
     assert max(n for _, n in shapes) <= 997
+    assert sizes[0] == {1, 2, 3} and len(sizes) == -(-(12 + 300 + 4 * 5832) // 997)
 
 
 def test_split_stacked_runs_keep_theorem22_and_the_lane_masks(monkeypatch):
@@ -550,8 +564,9 @@ def test_first_hits_skips_only_a_chunk_past_full_dumps():
 def _claim_masks(frame, ure, vals, slots):
     """Every claim of the membership campaigns on a frame's extension masks:
     the validity failures, then per node whether it is special and, per
-    slot, its theorem 2.2 faults and its theorem 2.3 fault."""
-    masks = hs.validity_failures(vals, slots, (1 << frame.k) - 1)
+    slot, its theorem 2.2 faults and its theorem 2.3 fault.  The nodes are
+    ``ua | ub``; the per-node claims run over every row."""
+    masks = hs.validity_failures(vals, slots, frame.ua | frame.ub)
     for w in range(frame.k):
         masks.append(hs.is_special(frame, ure, w))
         for slot in slots:
@@ -565,32 +580,40 @@ _MEMBERSHIP_FLAGS = {"theorem22": (False, True), "theorem23": (True, False),
 
 
 def _judged_membership_chunks(ops, overlap, with_atom):
-    """The chunks of the judged blocks of a 3-node membership sweep."""
-    blocks = hn._membership_blocks(3, overlap, with_atom, ops)
-    return [lanes for block in blocks if block.cls is None for lanes in block.chunks]
+    """The chunks of the judged block of a 3-node membership sweep, the first."""
+    block = next(hn._membership_blocks(3, overlap, with_atom, ops))
+    assert block.cls is None
+    return list(block.chunks)
 
 
 @pytest.mark.parametrize("program", [hs.theorem22_program, hs.theorem23_program,
                                      hs.validity_program])
 @pytest.mark.parametrize("overlap, with_atom", list(iproduct((False, True), repeat=2)))
 def test_packed_membership_lanes_match_each_lanes_own_frame(program, overlap, with_atom):
-    # the judged lanes: per size k, the first block of each class, each lane
-    # with its own types and weight and exactly k nodes.  Two seeded lanes
-    # of each class are rebuilt as a frame with int types, and every mask
-    # and every claim on every formula must be the same, bit for bit; the
-    # claims are judged on the seeded lanes, taken with their per-lane types
+    # the judged lanes: the first block of each class of every size, each
+    # lane with its own types and weight, in chunks over 3 nodes that mix
+    # sizes; a lane of k nodes has types covering exactly nodes 0..k-1 and
+    # empty rows past them.  Two seeded lanes of each class are rebuilt as
+    # a k-node frame with int types, and every mask and every claim on
+    # every formula must be the same, bit for bit (the padded nodes' claims
+    # all false); the claims are judged on the seeded lanes, taken with
+    # their per-lane types
     ops, slots = program()
     rng = random.Random(69)
-    seen = {}  # per size, its classes
+    seen, mixed = {}, False  # per size, its classes; whether a chunk holds two sizes
     for lanes in _judged_membership_chunks(ops, overlap, with_atom):
         f = lanes.frame
+        assert f.k == 3
         vals = [np.broadcast_to(v, len(lanes.record)) for v in pg.run(ops, f)]
         types = f.ua.astype(int) << 8 | f.ub
+        sizes = set()
         for t in dict.fromkeys(types.tolist()):
             ua, ub = t >> 8, t & 255
             cls = hn._class(ua, ub)
-            assert sum(cls) == f.k
-            seen.setdefault(f.k, set()).add(cls)
+            k = sum(cls)
+            assert ua | ub == (1 << k) - 1
+            sizes.add(k)
+            seen.setdefault(k, set()).add(cls)
             # the class's first block: its assignment sorted, Ua-only nodes first
             assert ua == (1 << cls[0]) - 1 | (1 << cls[2]) - 1 << cls[0] + cls[1]
             assert set(lanes.weight[types == t].tolist()) == {hn._class_size(cls)}
@@ -598,13 +621,17 @@ def test_packed_membership_lanes_match_each_lanes_own_frame(program, overlap, wi
             seeded = hn._take_lanes(lanes, picks)
             claims = _claim_masks(seeded.frame, seeded.ure, [v[picks] for v in vals], slots)
             for i, lane in enumerate(picks):
-                k, rows, ure, *_, pval = lanes.compact(lane)
-                own = pg.Frame(k, ua, ub, list(rows), {"p": pval} if with_atom else {},
+                _, rows, ure, *_, pval = lanes.compact(lane)
+                assert not any(rows[k:])
+                own = pg.Frame(k, ua, ub, list(rows[:k]), {"p": pval} if with_atom else {},
                                "membership", pg.complement(k))
                 own_vals = pg.run(ops, own)
                 assert [int(v[lane]) for v in vals] == own_vals
-                assert [int(np.broadcast_to(c, len(picks))[i]) for c in claims] == list(map(
-                    int, _claim_masks(own, ure, own_vals, slots)))
+                own_claims = list(map(int, _claim_masks(own, ure, own_vals, slots)))
+                got = [int(np.broadcast_to(c, len(picks))[i]) for c in claims]
+                assert got[:len(own_claims)] == own_claims and not any(got[len(own_claims):])
+        mixed |= len(sizes) > 1
+    assert mixed
     assert seen == {k: {c for c in iproduct(range(k + 1), repeat=3)
                         if sum(c) == k and (overlap or not c[2])} for k in (1, 2, 3)}
 
@@ -716,9 +743,9 @@ def test_membership_block_totals_depend_only_on_the_class(monkeypatch, target, m
     spec = hn._SWEEPS[target]
     ops, slots = spec.program()
     first, summed, weighted = {}, Counter(), Counter()
-    for block in hn._membership_blocks(3, *_MEMBERSHIP_FLAGS[target], ops):
-        if block.cls is None:
-            continue  # a judged block: its lanes are the first blocks' of their classes
+    judged, *labelled = hn._membership_blocks(3, *_MEMBERSHIP_FLAGS[target], ops)
+    assert judged.cls is None  # its lanes are the first blocks' of their classes
+    for block in labelled:
         totals = Counter()
         for lanes in block.chunks:
             n, f = len(lanes.record), lanes.frame
@@ -1210,30 +1237,21 @@ def test_classical_block_totals_depend_only_on_the_popcount(target, strict, max_
         assert summed["fails"] > 0
 
 
-@pytest.mark.parametrize("blocks, judged", [
-    (partial(hn._relation_blocks, 3, True, False, "frame"), [0]),
-    (partial(hn._relation_blocks, 3, False, True, "local"), [0]),
-    (partial(hn._membership_blocks, 3, False, True), [0, 3, 8]),
-    (partial(hn._membership_blocks, 3, True, False), [0, 4, 14])])
-def test_judged_blocks_come_before_their_labelled_blocks(blocks, judged):
-    # the block protocol: the classical enumerator yields one judged block
-    # (class None) first, the membership one a judged block ahead of each
-    # size's labelled blocks; each labelled block's class is one that a
-    # judged block before it covers, and never one that a later judged
-    # block covers again; the labelled blocks come in record order
-    covered, labelled, firsts = set(), set(), []
-    for i, block in enumerate(blocks(())):
-        if block.cls is None:
-            assert i in judged
-            classes = set().union(*(hn._classes(np.ones(len(lanes.record), bool), lanes)
-                                    for lanes in block.chunks))
-            assert classes and not classes & labelled
-            covered |= classes
-        else:
-            assert i not in judged and block.cls in covered
-            labelled.add(block.cls)
-            firsts.append(block.first)
-    assert labelled == covered
+@pytest.mark.parametrize("blocks", [
+    partial(hn._relation_blocks, 3, True, False, "frame"),
+    partial(hn._relation_blocks, 3, False, True, "local"),
+    partial(hn._membership_blocks, 3, False, True),
+    partial(hn._membership_blocks, 3, True, False)])
+def test_judged_blocks_come_before_their_labelled_blocks(blocks):
+    # the block protocol, for both enumerators: exactly one judged block
+    # (class None), first; it covers the class of every labelled block,
+    # and no other; the labelled blocks come in record order
+    judged, *labelled = blocks(())
+    assert judged.cls is None and None not in {block.cls for block in labelled}
+    covered = set().union(*(hn._classes(np.ones(len(lanes.record), bool), lanes)
+                            for lanes in judged.chunks))
+    assert covered == {block.cls for block in labelled}
+    firsts = [block.first for block in labelled]
     assert firsts == sorted(set(firsts))
 
 
