@@ -29,7 +29,8 @@ numbers (``_class_lanes``); for membership graphs each size's classes
 are one ``_digits`` run, their assignments the top digit, which
 ``_padded`` copies into shared chunks.  The labelled blocks are read only
 for the dumps: a block is skipped when no weighted lane of its class
-failed, and left once no later lane of it can enter them.
+failed, and left once no later lane of it can enter them; no block is
+drawn once none can.
 
 A non-strict class is counted rather than enumerated: only ``D`` reads
 the same-type edges, so it is judged on its strict cross relations, each
@@ -48,7 +49,8 @@ report, the law campaigns' too.  The claims live next to their
 single-model helpers in ``kripke`` and ``hyperset``, written over masks.
 The membership theorems judge each state on ``_stacked`` blocks of
 formula masks; theorem22 first drops the lanes with no urelement and no
-Quine state, which hold and count as degenerate unevaluated.
+Quine state, which hold and count as degenerate unevaluated, then looks
+each formula's mask up in per-lane tables of the masks that fault.
 
 The co-Heyting law campaigns run on point masks.  They read
 ``topology._hull_tables`` and build no ``ClosedTopology``: one call of
@@ -664,8 +666,10 @@ def _run_sweep(c: Campaign, spec: _Sweep) -> CampaignReport:
     """Judges the judged block, the first, into the totals.  A labelled
     block is read only for the dump groups that a weighted lane of its
     class failed and whose first hits it can still change, its failures
-    dumped, and left once it can change none.  Raises RuntimeError
-    unless the models counted are the closed form ``spec.models(c)``."""
+    dumped, and left once it can change none.  No labelled block is drawn
+    once none can change a dump, none at all if no class fails.  Raises
+    RuntimeError unless the models counted are the closed form
+    ``spec.models(c)``."""
     ops, slots = spec.program()
     totals = Counter(dict.fromkeys(spec.totals, 0))  # a judge may add keys of its own
     found: dict = {}  # per dump group, its first (record, *key, compact record) that fail
@@ -678,7 +682,10 @@ def _run_sweep(c: Campaign, spec: _Sweep) -> CampaignReport:
         for group, *hits in spec.judge(lanes, ops, slots, totals):
             for k in _classes(*hits):
                 failing.setdefault(k, set()).add(group)
-    for cls, first, chunks in blocks:
+    failed = set().union(*failing.values())  # the dump groups that some class fails
+    for cls, first, chunks in blocks if failed else ():
+        if all(settled(g, first) for g in failed):
+            break  # records rise from block to block: no later one can change a dump
         groups = [g for g in failing.get(cls, ()) if not settled(g, first)]
         if not groups:
             continue
@@ -714,18 +721,18 @@ def _judge_holes(lanes: _Lanes, ops, slots, totals: dict) -> Iterator[tuple]:
     yield None, ~holds, lanes
 
 
-def _judge_states(lanes: _Lanes, ops, slots, totals: dict, fault: Callable,
+def _judge_states(lanes: _Lanes, ops, slots, totals: dict, faults: Callable,
                   key: Callable) -> Iterator[tuple]:
-    """Judges each state w on each ``_stacked`` block: ``fault(frame, w,
-    block)`` flags the failing lanes of each formula, keyed ``key(formula, w)``.
+    """Judges each ``_stacked`` block: ``faults(block)`` yields (w, flags)
+    for states w, the flags marking the failing lanes of each formula,
+    keyed ``key(formula, w)``; a state it skips fails on no lane.
     A judged lane's rows past its own nodes are empty, neither urelements
     nor Quine states, so no fault flags them."""
     model_violations = np.zeros(len(lanes.record), dtype=np.intp)  # per-lane counts
     # the masks live only in the block generator, so they are freed
     # before the next chunk is evaluated
     for start, block in _stacked(pg.run(ops, lanes.frame), slots, len(lanes.record)):
-        for w in range(lanes.frame.k):
-            bad = fault(lanes.frame, w, block)
+        for w, bad in faults(block):
             if bad.any():
                 model_violations += np.count_nonzero(bad, axis=0)
                 yield None, bad, lanes, lambda j: key(start + j, w)
@@ -734,6 +741,10 @@ def _judge_states(lanes: _Lanes, ops, slots, totals: dict, fault: Callable,
 
 
 def _judge_theorem22(lanes: _Lanes, ops, slots, totals: dict) -> Iterator[tuple]:
+    """Theorem 2.2's faults at node w read a formula only through its
+    mask on the lane, one of 2^k: per state, the masks at which each lane
+    faults are tabulated once per chunk as a set of 2^k bits, and a
+    formula faults where the bit of its mask is set."""
     special = np.array([hs.is_special(lanes.frame, lanes.ure, w) for w in range(lanes.frame.k)])
     live = special.any(axis=0)  # a lane without a special node holds
     totals["holds"] += lanes.count(~live)
@@ -741,11 +752,24 @@ def _judge_theorem22(lanes: _Lanes, ops, slots, totals: dict) -> Iterator[tuple]
     totals["states_checked"] += lanes.count(special.sum(axis=0))
     if not live.all():
         lanes, special = _take_lanes(lanes, live), special[:, live]
+    k = lanes.frame.k
+    bit = np.min_scalar_type((1 << (1 << k)) - 1).type(1)  # of 2^k bits: u1 to 3 nodes, u2 at 4
+    bodies = np.arange(1 << k, dtype=_LANE)[:, None]
+    tables = []  # per state, per lane: the body masks at which it faults
+    for w in range(k):
+        wrong_assumption, belief_fails = hs.theorem22_faults(lanes.frame, w, bodies)
+        faulting = special[w] & (wrong_assumption | belief_fails)  # [body mask, lane]
+        tables.append(np.bitwise_or.reduce(faulting * (bit << bodies), axis=0))
 
-    def fault(frame, w, body):
-        wrong_assumption, belief_fails = hs.theorem22_faults(frame, w, body)
-        return special[w] & (wrong_assumption | belief_fails)
-    yield from _judge_states(lanes, ops, slots, totals, fault, lambda i, w: (i, w))
+    def faults(block):
+        present = np.bitwise_or.reduce(bit << block, axis=0)  # per lane, the block's masks
+        for w, table in enumerate(tables):
+            hit = np.flatnonzero(present & table)  # the lanes where some formula faults
+            if hit.size:
+                bad = np.zeros(block.shape, dtype=bool)
+                bad[:, hit] = table[hit] >> block[:, hit] & 1
+                yield w, bad
+    yield from _judge_states(lanes, ops, slots, totals, faults, lambda i, w: (i, w))
 
 
 def _judge_validity(lanes: _Lanes, ops, slots, totals: dict) -> Iterator[tuple]:
@@ -839,7 +863,9 @@ _SWEEPS = {
         blocks=lambda c, ops: _membership_blocks(c.max_size, True, False, ops),
         models=lambda c: _membership_count(c, 3, 1),
         judge=lambda lanes, ops, slots, totals: _judge_states(
-            lanes, ops, slots, totals, hs.theorem23_fault, lambda d, w: (w, d)),
+            lanes, ops, slots, totals, lambda block: (
+                (w, hs.theorem23_fault(lanes.frame, w, block)) for w in range(lanes.frame.k)),
+            lambda d, w: (w, d)),
         dump=lambda c, w, _, rec: f"quine state n{w}\n" + dump_nwf(_rebuild_hyperset(rec)),
         report=partial(_report,
                        claim="quine states with a true assumption sit in both type spaces")),

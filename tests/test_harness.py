@@ -518,6 +518,85 @@ def test_theorem22_report_does_not_depend_on_chunk_and_block_sizes(monkeypatch, 
     assert sizes[0] == {1, 2, 3} and len(sizes) == -(-(12 + 300 + 4 * 5832) // 997)
 
 
+@pytest.mark.parametrize("mutant, high", [(_mutated_theorem22, True),
+                                          (_quine_only_theorem22, False)])
+def test_theorem22_fault_tables_at_four_nodes_match_the_direct_loop(monkeypatch, mutant, high):
+    # a seeded slice of the first judged 4-node chunk, which mixes lanes of
+    # 1 to 4 nodes, so that the per-lane fault tables are u2 sets of 16
+    # body masks: _judge_theorem22's totals and its flag for every (lane,
+    # formula, node) equal theorem22_faults run on each formula's masks,
+    # and the broken predicate flags bodies that hold at node 3 (masks of
+    # 8 and up, past a u1 set) or only the empty body
+    monkeypatch.setattr(hs, "theorem22_faults", mutant(hs.theorem22_faults))
+    ops, slots = hs.theorem22_program()
+    chunk = next(next(hn._membership_blocks(4, False, True, ops)).chunks)
+    sizes = np.array([int(m).bit_length() for m in chunk.frame.ua | chunk.frame.ub])
+    rng = random.Random(71)
+    picks = sorted(lane for k in range(1, 5) for lane in rng.sample(
+        np.flatnonzero(sizes == k).tolist(), min(40, np.count_nonzero(sizes == k))))
+    lanes = hn._take_lanes(chunk, np.array(picks))
+    assert set(sizes[picks]) == {1, 2, 3, 4} and lanes.frame.k == 4
+    totals, flags = Counter(), set()
+    for _, bad, live, key in hn._judge_theorem22(lanes, ops, slots, totals):
+        flags |= {(int(live.record[lane]), *key(j)) for j, lane in zip(*np.nonzero(bad))}
+    f, n = lanes.frame, len(picks)
+    vals = [np.broadcast_to(v, n) for v in pg.run(ops, f)]
+    special = np.array([hs.is_special(f, lanes.ure, w) for w in range(4)])
+    violations, expected, masks = np.zeros(n, np.int64), set(), set()
+    for w, i in iproduct(range(4), range(len(slots))):
+        wrong_assumption, belief_fails = hs.theorem22_faults(f, w, vals[slots[i]])
+        bad = special[w] & (wrong_assumption | belief_fails)
+        violations += bad
+        expected |= {(int(lanes.record[lane]), i, w) for lane in np.flatnonzero(bad)}
+        masks |= set(vals[slots[i]][bad].tolist())
+    weight, live = lanes.weight, special.any(axis=0)
+    assert totals == {"holds": int(weight[violations == 0].sum()),
+                      "degenerate": int(weight[~live].sum()),
+                      "states_checked": int(np.dot(weight, special.sum(axis=0))),
+                      "violations": int(np.dot(weight, violations))}
+    assert flags == expected and totals["violations"] > 0
+    assert max(masks) >= 8 if high else masks == {0}
+
+
+def test_sweeps_draw_labelled_blocks_only_while_a_dump_can_change(monkeypatch):
+    # labelled blocks come in record order, so _run_sweep draws none once
+    # every failing dump group is full before the next block's first
+    # record, and none at all when no class fails: theorem22 and theorem23
+    # at 3 nodes draw only the judged block; validity_lists reads the two
+    # 1-node blocks that hold its first counter-models, as it did when it
+    # drew every block, and stops at the first 2-node block; a broken
+    # theorem23 stops well before the last of its 40 blocks
+    drawn, read = [], []
+    blocks, chunks = hn._membership_blocks, hn._membership_chunks
+
+    def drawing(*args):
+        for block in blocks(*args):
+            drawn.append(block.cls)
+            yield block
+
+    def reading(k, ua, ub, first, *args):
+        for lanes in chunks(k, ua, ub, first, *args):
+            if ua is not None:
+                read.append((k, ua, ub, int(lanes.record[0]), len(lanes.record)))
+            yield lanes
+    monkeypatch.setattr(hn, "_membership_blocks", drawing)
+    monkeypatch.setattr(hn, "_membership_chunks", reading)
+    for target, blocks_drawn, chunks_read in (
+            ("theorem22", [None], []), ("theorem23", [None], []),
+            ("validity_lists", [None, (1, 0, 0), (0, 1, 0), (2, 0, 0)],
+             [(1, 1, 0, 0, 3), (1, 0, 1, 1, 3)])):
+        drawn.clear()
+        read.clear()
+        hn.run_campaign(hn.Campaign(target, 3))
+        assert (drawn, read) == (blocks_drawn, chunks_read), target
+    monkeypatch.setattr(hs, "theorem23_fault", _mutated_theorem23(hs.theorem23_fault))
+    drawn.clear()
+    read.clear()
+    report = hn.run_campaign(hn.Campaign("theorem23", 3))
+    assert read and 1 < len(drawn) < 40, drawn
+    assert report.text == _reference_theorem23(3)
+
+
 def test_split_stacked_runs_keep_theorem22_and_the_lane_masks(monkeypatch):
     c = hn.Campaign(target="theorem22", max_size=3)
     expected = hn.run_campaign(c).text
