@@ -7,10 +7,11 @@ classical frames and ``_membership_blocks`` for membership graphs, which
 yields numpy lane chunks by one protocol (``_Block``): one judged block
 of weighted lanes first, then labelled blocks of fixed int type masks,
 one lane per candidate model (``_labelled`` reads the labelled blocks'
-chunks in order).  Both tile and repeat the per-digit tables of one
-mixed-radix chunker, ``_digits``: a frame's digits are its states'
-successor rows (a serial frame's tables lack the empty row), a membership
-graph's the valuation of p and each node's option.  A lane's record (its
+chunks in order).  Both write their lanes with one mixed-radix chunker,
+``_digits``, straight into each chunk's mask rows, in chunks of the lane
+width that may span spaces: a frame's digits are its states' successor
+rows (a serial frame's tables lack the empty row), a membership graph's
+the valuation of p and each node's option.  A lane's record (its
 place in the enumeration order, serial or not, the sum of its digits'
 place values; it rises within a block) reads back as a compact record,
 which ``_rebuild_kripke``/``_rebuild_hyperset`` turn into a model, as
@@ -25,9 +26,9 @@ own type masks and weighted by the class's size, in chunks over the
 largest size: a lane's rows past its own states are empty, and its
 ``ua | ub`` covers exactly its states, so the judges read a lane's states
 from it.  For frames the block is built by arithmetic on its lanes'
-numbers (``_class_lanes``); for membership graphs each size's classes
-are one ``_digits`` run, their assignments the top digit, which
-``_padded`` copies into shared chunks.  The labelled blocks are read only
+numbers (``_class_lanes``); for membership graphs each size is one
+``_digits`` space, padded with radix-1 node digits, whose top digit is
+its classes' assignments and sizes.  The labelled blocks are read only
 for the dumps: a block is skipped when no weighted lane of its class
 failed, and left once no later lane of it can enter them; no block is
 drawn once none can.
@@ -69,9 +70,9 @@ import json
 from collections import Counter
 from dataclasses import dataclass
 from functools import cache, partial
-from itertools import islice, product as iproduct
+from itertools import accumulate, islice, product as iproduct
 from math import comb, factorial, prod
-from operator import itemgetter, xor
+from operator import itemgetter, mul, xor
 from typing import Callable, Hashable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -180,41 +181,60 @@ def _relation_blocks(max_states: int, strict: bool, serial: bool, heart: str,
             offset += 1 << (2 * a * (k - a) if strict else k * k)
 
 
-def _digits(tables: Sequence[Sequence[np.ndarray]], width: int
-            ) -> Iterator[tuple[np.ndarray, list[list[np.ndarray]]]]:
-    """Mixed-radix numbers in order, in chunks of at most ``width`` lanes:
-    digit x, 0 the lowest, indexes the equal-length arrays of ``tables[x]``,
-    the first of which holds its place values.  Yields each chunk's int64
-    sums of its digits' places and, per digit, its other arrays.
+def _digits(spaces: Sequence[Sequence[tuple]], rows: Sequence[Sequence[int]], width: int
+            ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Mixed-radix numbers, space after space, in chunks of ``width`` lanes
+    (the last holds the rest; a chunk may span spaces).  In a space, digit
+    x, 0 the lowest, indexes the equal-length arrays of ``space[x]``: the
+    first, int64 or None, is added into the chunk's sums (place values sum
+    to a record), the others are OR-ed into the _LANE mask rows
+    ``rows[x]``, one each, a layout the spaces share.  Yields each chunk's
+    sums and masks [row, lane], written in place by ``_put``.  A space of
+    radix 0 has no lanes."""
+    radices = [[len(digit[-1]) for digit in space] for space in spaces]  # last: never None
+    firsts = [0, *accumulate(map(prod, radices))]  # each space's first lane
+    height = 1 + max(row for layout in rows for row in layout)
+    for start in range(0, firsts[-1], width):
+        stop = min(start + width, firsts[-1])
+        sums, masks = np.zeros(stop - start, np.int64), np.zeros((height, stop - start), _LANE)
+        for space, radix, first, end in zip(spaces, radices, firsts, firsts[1:]):
+            lo, hi = max(start, first), min(stop, end)  # the space's lanes in the chunk
+            if lo >= hi:
+                continue
+            lanes = slice(lo - start, hi - start)
+            for digit, layout, period in zip(space, rows, accumulate([1, *radix], mul)):
+                place, *arrays = digit
+                if place is not None:
+                    _put(np.add, sums[lanes], lo - first, period, place)
+                for row, values in zip(layout, arrays):
+                    _put(np.bitwise_or, masks[row, lanes], lo - first, period, values)
+        yield sums, masks
 
-    A chunk covers whole runs of the low digits whose lanes fit in
-    ``width``: a low digit's lanes are a slice of one tile of its repeated
-    arrays, a high digit's one repeat.  A run's place sums are built once,
-    an outer sum per digit, and a chunk's are one more.  A radix of 0
-    yields nothing."""
-    radix = [len(table[0]) for table in tables]
-    if not all(radix):
+
+def _put(ufunc: np.ufunc, out: np.ndarray, lo: int, period: int, values: np.ndarray) -> None:
+    """Applies ``ufunc`` in place to ``out``, lanes lo, lo + 1, ... of a
+    space, and a digit of ``period``: lane i's value is values[i // period %
+    radix].  The digit's whole cycles take one broadcast, and the partial
+    segments and cycles at either end one each."""
+    radix, n = len(values), len(out)
+    if not lo and n % (period * radix) == 0:  # whole cycles alone, as in a small block
+        cycles = out.reshape(-1, radix, period)
+        ufunc(cycles, values[:, None], out=cycles)
         return
-    period = [prod(radix[:x]) for x in range(len(radix))]  # the lanes of one value of a digit
-    low = sum(p * r <= width for p, r in zip(period, radix))  # the digits [0, low) ...
-    run, runs = prod(radix[:low]), prod(radix[low:])  # ... whose run of lanes fits in a chunk
-    step = min(width // run, runs)  # runs per chunk
-    base, tiles = 0, []  # a run's place sums; the low digits' arrays over a whole chunk
-    for x in range(low):
-        place, *arrays = tables[x]
-        base = np.add.outer(place, base).ravel()
-        tiles.append([a.repeat(period[x])[None].repeat(step * run // (period[x] * radix[x]), 0)
-                      .ravel() for a in arrays])
-    for start in range(0, runs, step):
-        h = np.arange(start, min(start + step, runs))  # the chunk's runs
-        top, lanes = 0, [[a[:len(h) * run] for a in arrays] for arrays in tiles]
-        for x in range(low, len(radix)):
-            digit = h // (period[x] // run) % radix[x]
-            place, *arrays = (a[digit] for a in tables[x])
-            top = top + place
-            lanes.append([a.repeat(run) for a in arrays])
-        # with no high digit there is one chunk, whose sums are the run's
-        yield np.add.outer(top, base).ravel() if low < len(radix) else base, lanes
+    head = min(-lo % period, n)  # the rest of lo's segment
+    segments = (n - head) // period  # the whole ones after it
+    tail = head + segments * period
+    view = out[head:tail].reshape(segments, period)
+    first = (lo + head) // period % radix  # the first whole segment's value
+    lead = min(-first % radix, segments)  # the segments up to the end of its cycle
+    full = lead + (segments - lead) // radix * radix
+    for part, value in ((out[:head], values[lo // period % radix]),
+                        (view[:lead], values[first:first + lead, None]),
+                        (view[lead:full].reshape(-1, radix, period), values[:, None]),
+                        (view[full:], values[:segments - full, None]),
+                        (out[tail:], values[(lo + tail) // period % radix])):
+        if part.size:
+            ufunc(part, value, out=part)
 
 
 def _relation_chunks(k: int, ua: int, strict: bool, offset: int, serial: bool, heart: str,
@@ -234,10 +254,10 @@ def _relation_chunks(k: int, ua: int, strict: bool, offset: int, serial: bool, h
         skip = int(serial)  # the empty row, table[0]
         tables.append((np.arange(skip, len(table)) << shift, np.array(table[skip:], dtype=_LANE)))
         shift += len(targets)
-    for record, lanes in _digits(tables, width):
+    for record, rows in _digits([tables], [(x,) for x in range(k)], width):
         record += offset
-        yield _Lanes(record, 0, pg.Frame(k, ua, (1 << k) - 1 - ua, [row for row, in lanes], {},
-                                         heart, pg.complement(k)))
+        yield _Lanes(record, 0, pg.Frame(k, ua, (1 << k) - 1 - ua, list(rows), {}, heart,
+                                         pg.complement(k)))
 
 
 @cache
@@ -379,94 +399,63 @@ def _membership_blocks(max_nodes: int, overlap: bool, with_atom: bool,
     ``with_atom`` sweeps every valuation of atom p.  ``record`` orders the
     models by size, then by (rows, types, valuation), the order in which
     reports name their first models: a block's ``_digits`` are p's
-    valuation (of radix 1 without ``with_atom``), then each node's option
-    from node k-1 up to node 0, the type assignment on top.  The judged
-    block holds the first block of each class of every size, its
-    assignment sorted: per size, one ``_digits`` run with the classes'
-    assignments on top, each lane weighted ``_class_size``, packed by
-    ``_padded`` into chunks over ``max_nodes`` nodes.
+    valuation (with ``with_atom``), then each node's option from node k-1
+    down to node 0, its type assignment between the two in the record.
+    The judged block holds the first block of each class of every size,
+    its assignment sorted: one space per size, padded to ``max_nodes``
+    nodes with radix-1 node digits (an empty row, not an urelement), the
+    classes' assignments and ``_class_size`` weights its top digit.
     """
     if not 1 <= max_nodes <= 4:
         raise ValueError("node bound must be between 1 and 4")
     type_options = (1, 2, 3) if overlap else (1, 2)  # bit 0: Ua, bit 1: Ub
-    sizes, offset = [], 0  # per size: (tables, first record, valuations, types, top digit)
+    spaces, sizes, offset = [], [], 0  # the judged block's; per size (tables, first, vals, types)
     for k in range(1, max_nodes + 1):
         options = (1 << k) + 1  # an urelement, or a set with any member row
         vals = 1 << k if with_atom else 1
         assignments = np.array(list(iproduct(type_options, repeat=k)))  # [block, node]: its type
         member_row = np.maximum(np.arange(options) - 1, 0).astype(_LANE)  # option -> row
-        tables = [(np.arange(vals), np.arange(vals, dtype=_LANE))] + [
+        tables = [(np.arange(vals), np.arange(vals, dtype=_LANE))] * with_atom + [
             (np.arange(options) * vals * len(assignments) * options ** (k - 1 - w), member_row,
              np.array([1 << w] + [0] * (options - 1), dtype=_LANE)) for w in reversed(range(k))]
         types = list(zip(*(((assignments >> side & 1) << np.arange(k)).sum(1).tolist()
                            for side in (0, 1))))  # (ua, ub) per block
         firsts = {_class(*t): t for t in reversed(types)}  # the first block of each class
-        top = (np.zeros(len(firsts), np.int64), *np.array(list(firsts.values()), _LANE).T,
-               np.array(list(map(_class_size, firsts))))
-        sizes.append((tables, offset, vals, types, top))
+        judged = [(None, *table[1:]) for table in tables]  # no records: they run from 0
+        judged[with_atom:with_atom] = [(None, np.zeros(1, _LANE), np.zeros(1, _LANE))] * (
+            max_nodes - k)  # nodes max_nodes-1 .. k: an empty row, not an urelement
+        spaces.append(judged + [(np.array(list(map(_class_size, firsts))),
+                                 *np.array(list(firsts.values()), _LANE).T)])
+        sizes.append((tables, offset, vals, types))
         offset += vals * options ** k * len(assignments)
-    width = _lane_width(ops, max_nodes)
-    yield _Block(None, 0, _padded(max_nodes, (
-        lanes for k, (tables, *_, top) in enumerate(sizes, start=1)
-        for lanes in _membership_chunks(k, None, None, 0, with_atom, tables + [top], width)),
-        width, with_atom))
-    for k, (tables, offset, vals, types, _) in enumerate(sizes, start=1):
+    yield _Block(None, 0, _membership_chunks(max_nodes, None, None, 0, with_atom, spaces,
+                                             _lane_width(ops, max_nodes)))
+    for k, (tables, offset, vals, types) in enumerate(sizes, start=1):
         for t, (ua, ub) in enumerate(types):
             yield _Block(_class(ua, ub), offset + vals * t, _membership_chunks(
-                k, ua, ub, offset + vals * t, with_atom, tables, _lane_width(ops, k)))
+                k, ua, ub, offset + vals * t, with_atom, [tables], _lane_width(ops, k)))
 
 
-def _membership_chunks(k: int, ua, ub, first: int, with_atom: bool, tables: list,
+def _membership_chunks(n: int, ua, ub, first: int, with_atom: bool, spaces: list,
                        width: int) -> Iterator[_Lanes]:
-    """The lane chunks of the (k, ua, ub) block whose first record is ``first``;
-    with ``ua`` None, the top digit gives each lane's (ua, ub, weight)."""
-    for record, ((pval,), *nodes) in _digits(tables, width):
-        types = (ua, ub, None) if ua is not None else nodes.pop()
-        yield _Lanes(record + first, sum(bit for _, bit in nodes),
-                     pg.Frame(k, *types[:2], [row for row, _ in reversed(nodes)],
-                              {"p": pval} if with_atom else {}, "membership", pg.complement(k)),
-                     types[2])
-
-
-def _padded(n: int, pieces: Iterable[_Lanes], width: int, with_atom: bool) -> Iterator[_Lanes]:
-    """The weighted lanes of ``pieces``, membership chunks of up to n nodes
-    with per-lane types, in order, in chunks of ``width`` lanes over n
-    nodes (the last holds the rest), each written once its lanes are in.
-    A spent piece is let go before its chunk is judged: the next piece is
-    fetched first, which frees the last one's generators."""
-    pieces = iter(pieces)
-    piece, done = next(pieces, None), 0  # the piece being read, and its lanes read
-    parts, size, start = [], 0, 0  # the next chunk's (piece, its lanes), its size and first lane
-    while piece is not None:
-        take = min(len(piece.record) - done, width - size)
-        parts.append((piece, slice(done, done + take)))
-        size, done = size + take, done + take
-        if done == len(piece.record):
-            piece, done = next(pieces, None), 0
-        if size == width or piece is None:
-            chunk, parts = _pad(n, start, size, parts, with_atom), []
-            start, size = start + size, 0
-            yield chunk
-
-
-def _pad(n: int, start: int, size: int, parts: list, with_atom: bool) -> _Lanes:
-    """One chunk over n nodes of the ``size`` lanes of ``parts``, the first
-    ``start``: a lane's rows past its own k nodes are empty, its ``ua | ub``
-    covers exactly its nodes, and that mask is what ``neg`` complements."""
-    # the member rows 0..n-1, then the urelements, ua, ub and p
-    masks, weight, at = np.zeros((n + 3 + with_atom, size), _LANE), np.empty(size, np.int64), 0
-    for piece, part in parts:
-        f = piece.frame
-        lanes = slice(at, at + part.stop - part.start)
-        for x, column in zip([*range(f.k), *range(n, n + 4)],
-                             [*f.rows, piece.ure, f.ua, f.ub, *f.atoms.values()]):
-            masks[x, lanes] = column[part]
-        weight[lanes] = piece.weight[part]
-        at = lanes.stop
-    *rows, ure, ua, ub = masks[:n + 3]
-    return _Lanes(np.arange(start, start + size), ure, pg.Frame(
-        n, ua, ub, rows, {"p": masks[n + 3]} if with_atom else {}, "membership",
-        partial(xor, ua | ub)), weight)
+    """The lane chunks over n nodes of ``spaces``, whose ``_digits`` are
+    p's valuation (with ``with_atom``), then each node's option from node
+    n-1 down to node 0: the one space of the (n, ua, ub) block whose first
+    record is ``first``, or with ``ua`` None the judged block's, whose top
+    digit gives each lane's (ua, ub) and, as its place, its weight, and
+    whose records run from ``first``."""
+    judged = ua is None
+    top = n + 1 + with_atom  # the member rows, the urelements and p come first
+    rows = [(n + 1,)] * with_atom + [(w, n) for w in reversed(range(n))] + [(top, top + 1)] * judged
+    for sums, masks in _digits(spaces, rows, width):
+        if judged:  # the sums are the weights
+            (a, b), record, weight = masks[top:], np.arange(first, first + len(sums)), sums
+            first += len(sums)
+        else:
+            (a, b), record, weight = (ua, ub), sums + first, None
+        yield _Lanes(record, masks[n], pg.Frame(
+            n, a, b, list(masks[:n]), {"p": masks[n + 1]} if with_atom else {}, "membership",
+            partial(xor, a | b)), weight)
 
 
 def _first_hits(found: list, bad: np.ndarray, lanes: _Lanes,

@@ -1,7 +1,7 @@
 import random
 from collections import Counter
 from functools import partial
-from itertools import groupby, product as iproduct
+from itertools import groupby, islice, product as iproduct
 from math import comb, prod
 from operator import itemgetter, xor
 from pathlib import Path
@@ -499,16 +499,17 @@ def test_theorem22_report_does_not_depend_on_chunk_and_block_sizes(monkeypatch, 
     # the judged chunks, by the sizes of their lanes: 12 1-node and 300
     # 2-node lanes fill the first with 685 3-node ones
     sizes = []
-    padded = hn._padded
+    membership_chunks = hn._membership_chunks
 
-    def chunks(*args):
-        for lanes in padded(*args):
-            full = lanes.frame.ua | lanes.frame.ub
-            sizes.append({int(m).bit_length() for m in np.unique(full)})
+    def chunks(n, ua, *args):
+        for lanes in membership_chunks(n, ua, *args):
+            if ua is None:  # the judged block's
+                full = lanes.frame.ua | lanes.frame.ub
+                sizes.append({int(m).bit_length() for m in np.unique(full)})
             yield lanes
 
     monkeypatch.setattr(hn, "_stacked", spy)
-    monkeypatch.setattr(hn, "_padded", chunks)
+    monkeypatch.setattr(hn, "_membership_chunks", chunks)
     monkeypatch.setattr(hn, "_LANE_BYTES", 605 * 997)
     monkeypatch.setattr(pg, "_STACK_BYTES", 605 * 997 // 128)  # the cache cap, in proportion
     assert hn.run_campaign(c).text == expected
@@ -516,6 +517,23 @@ def test_theorem22_report_does_not_depend_on_chunk_and_block_sizes(monkeypatch, 
     assert len(heights) > 3 and any(602 % h for h in heights)
     assert max(n for _, n in shapes) <= 997
     assert sizes[0] == {1, 2, 3} and len(sizes) == -(-(12 + 300 + 4 * 5832) // 997)
+
+
+def test_theorem22_four_node_labelled_blocks_fill_their_chunks(monkeypatch):
+    # each of the 16 labelled 4-node blocks of theorem22, 16 valuations
+    # times 17^4 node options = 1,336,336 lanes, is cut into chunks of the
+    # full lane width, 27,685 lanes, but its last: 16 * 49 = 784 chunks
+    # (cut at whole runs of the low digits, they took 928).  The lanes are
+    # counted, not written
+    monkeypatch.setattr(hn, "_put", lambda *args: None)
+    ops, _ = hs.theorem22_program()
+    width = hn._lane_width(ops, 4)
+    blocks = [[len(lanes.record) for lanes in block.chunks]
+              for block in hn._membership_blocks(4, False, True, ops)
+              if block.cls is not None and sum(block.cls) == 4]
+    assert width == 27_685 and len(blocks) == 16
+    assert all(lengths == [width] * 48 + [16 * 17**4 - 48 * width] for lengths in blocks)
+    assert sum(map(len, blocks)) == 784
 
 
 @pytest.mark.parametrize("mutant, high", [(_mutated_theorem22, True),
@@ -847,14 +865,16 @@ def test_membership_block_totals_depend_only_on_the_class(monkeypatch, target, m
 
 @pytest.mark.parametrize("target", ["theorem22", "theorem23", "validity_lists"])
 def test_a_dropped_chunk_breaks_the_membership_closed_form(monkeypatch, target):
-    # the one chunk of the 2-node representatives, whose types are the top
-    # digit (ua None), is dropped
+    # the last of the judged block's chunks (ua None), of 50 lanes each,
+    # is dropped
     chunks = hn._membership_chunks
 
-    def dropping(k, ua, *args):
-        if (k, ua) != (2, None):
-            yield from chunks(k, ua, *args)
+    def dropping(n, ua, *args):
+        judged = list(chunks(n, ua, *args))
+        yield from judged[:-1] if ua is None else judged
     monkeypatch.setattr(hn, "_membership_chunks", dropping)
+    ops, _ = hn._SWEEPS[target].program()
+    monkeypatch.setattr(hn, "_LANE_BYTES", 50 * (len(ops) + 2))
     with pytest.raises(RuntimeError, match="closed form"):
         hn.run_campaign(hn.Campaign(target, 2))
 
@@ -958,39 +978,51 @@ def test_enumerate_hypersets_keeps_the_per_block_order(overlap):
 
 
 @pytest.mark.parametrize("case", range(8))
-def test_digits_are_the_mixed_radix_numbers_in_whole_runs(case):
-    # seeded radices, radix 1 among them, and places; widths of one lane,
-    # one that cuts inside a digit's cycle, and one past the total
+def test_digits_write_each_spaces_mixed_radix_numbers_in_full_chunks(case):
+    # seeded sequences of 1-3 spaces that share a layout of 2-4 digits,
+    # radix 1 among them, and a radix-0 space that adds no lanes but does
+    # not end the spaces after it; widths of one lane, one that cuts inside
+    # a digit's cycle, and one past the total.  Digit x writes its value to
+    # row x and its bit to the shared last row, OR-ed in place; its place
+    # values (None for one digit, at times) sum to the records
     rng = random.Random(case)
-    radix = [rng.choice((1, 2, 3, 5)) for _ in range(rng.randint(0, 4))]
-    for r in (1, rng.choice((3, 5))):
-        radix.insert(rng.randrange(len(radix) + 1), r)
-    total = prod(radix)
-    places = [np.array([rng.randrange(1000) for _ in range(r)]) for r in radix]
-    tables = [(place, np.arange(r, dtype=np.uint8), place.astype(np.uint8) ^ 0x5a)
-              for r, place in zip(radix, places)]
-    # digit x of lane i, digit 0 the fastest
-    digits = np.unravel_index(np.arange(total), radix[::-1])[::-1]
-    cut = rng.choice([x for x, r in enumerate(radix) if r > 2])
-    inside = prod(radix[:cut + 1]) - 1  # all but one lane of a cycle of digit ``cut``
+    digits = rng.randint(2, 4)
+    radices = [[rng.choice((1, 2, 3, 5)) for _ in range(digits)] for _ in range(rng.randint(1, 3))]
+    cut, one = rng.sample(range(digits), 2)
+    radices[0][cut], radices[0][one] = rng.choice((3, 5)), 1
+    # all but one lane of a cycle of digit ``cut`` of the first space
+    inside = prod(radices[0][:cut + 1]) - 1
+    radices.insert(rng.randrange(len(radices)), [0] * digits)  # never last
+    unplaced = rng.choice([None, rng.randrange(digits)])
+    places = [[None if x == unplaced else np.array([rng.randrange(1000) for _ in range(r)])
+               for x, r in enumerate(radix)] for radix in radices]
+    spaces = [[(place, np.arange(r, dtype=np.uint8), np.full(r, 1 << x, np.uint8))
+               for x, (r, place) in enumerate(zip(radix, row))]
+              for radix, row in zip(radices, places)]
+    rows = [(x, digits) for x in range(digits)]
+    total = sum(map(prod, radices))
     for width in (1, inside, total + rng.randrange(3)):
-        low = max(x for x in range(len(radix) + 1) if prod(radix[:x]) <= width)
-        run = prod(radix[:low])  # the lanes of a run of the low digits
-        chunks = list(hn._digits(tables, width))
-        for record, lanes in chunks:
-            assert record.dtype == np.int64 and len(lanes) == len(radix)
-            assert len(record) <= width and len(record) % run == 0
-            assert all(len(a) == len(record) for arrays in lanes for a in arrays)
-        record = np.concatenate([record for record, _ in chunks])
-        assert np.array_equal(record, sum(place[d] for place, d in zip(places, digits)))
-        for x, d in enumerate(digits):
-            index, xored = (np.concatenate([lanes[x][j] for _, lanes in chunks]) for j in (0, 1))
-            assert index.dtype == np.uint8 and np.array_equal(index, d)
-            assert np.array_equal(xored, places[x][d].astype(np.uint8) ^ 0x5a)
-    # a digit of radix 0: no number at all
-    zero = tables + [(np.arange(0), np.arange(0, dtype=np.uint8))]
-    for width in (1, total):
-        assert list(hn._digits(zero[::-1], width)) == list(hn._digits(zero, width)) == []
+        chunks = list(hn._digits(spaces, rows, width))
+        assert [len(sums) for sums, _ in chunks] == [width] * (total // width) + (
+            [total % width] if total % width else [])
+        for sums, masks in chunks:
+            assert sums.dtype == np.int64 and masks.dtype == np.uint8
+            assert masks.shape == (digits + 1, len(sums))
+        sums = np.concatenate([sums for sums, _ in chunks])
+        masks = np.concatenate([masks for _, masks in chunks], axis=1)
+        at = 0
+        for radix, row in zip(radices, places):
+            n = prod(radix)
+            lanes = slice(at, at + n)
+            at += n
+            # digit x of lane i, digit 0 the fastest
+            index = np.unravel_index(np.arange(n), radix[::-1])[::-1]
+            assert np.array_equal(sums[lanes], sum(
+                place[d] for place, d in zip(row, index) if place is not None))
+            for x, d in enumerate(index):
+                assert np.array_equal(masks[x, lanes], d)
+            assert (masks[digits, lanes] == (1 << digits) - 1).all()
+        assert at == total
 
 
 def _decoded_lanes(k, vals, blocks, offset, t, lane):
@@ -1044,6 +1076,64 @@ def test_four_node_membership_lanes_match_the_per_lane_decode(program, with_atom
         assert ("p" in f.atoms) == with_atom
     assert lane == per_block * len(assignments)
     assert [len(starts) for starts in checked.values()] == [checks] * 3
+
+
+@pytest.mark.parametrize("overlap, with_atom", list(iproduct((False, True), repeat=2)))
+@pytest.mark.parametrize("max_nodes, width", [(3, 997), (4, 27685), (4, 997)])
+def test_judged_membership_lanes_match_the_per_lane_decode(monkeypatch, overlap, with_atom,
+                                                           max_nodes, width):
+    # The judged block writes the lanes of every size into shared chunks
+    # of exactly ``width`` lanes, so runs end mid-way across sizes.  A
+    # judged lane of k nodes is lane ``i % per`` of the first block of its
+    # class, the (i // per)-th of the top digit, i its place among the
+    # k-node lanes and ``per`` the lanes of a block: it is checked against
+    # the per-lane decode of that lane.  Every lane at 3 nodes; at 4 nodes
+    # (theorem22's width, and 997 lanes) every chunk that straddles a size
+    # boundary.  Rows past k are empty; ure, p, ua, ub and the weight,
+    # the class size, match; records run 0..N-1.
+    monkeypatch.setattr(hn, "_LANE_BYTES", width * max_nodes)  # no ops: ``width`` lanes
+    type_options = (1, 2, 3) if overlap else (1, 2)
+    sizes, end = [], 0  # per size k: its first and last judged lane, vals, per, block types
+    for k in range(1, max_nodes + 1):
+        vals, options = 1 << k if with_atom else 1, (1 << k) + 1
+        types = [tuple(sum(1 << w for w in range(k) if a[w] & side) for side in (1, 2))
+                 for a in iproduct(type_options, repeat=k)]
+        first, end = end, end + len({hn._class(*t) for t in types}) * vals * options ** k
+        sizes.append((first, end, vals, vals * options ** k, types))
+    total, bounds = end, [first for first, *_ in sizes[1:]]
+    order = {}  # per (k, i // per), the class of those lanes
+    start = 0
+    for lanes in next(hn._membership_blocks(max_nodes, overlap, with_atom, ())).chunks:
+        n, f = len(lanes.record), lanes.frame
+        assert n == min(width, total - start) and f.k == max_nodes
+        assert np.array_equal(lanes.record, np.arange(start, start + n))
+        start += n
+        if max_nodes == 4 and not any(start - n < b < start for b in bounds):
+            if start > bounds[-1]:
+                break
+            continue
+        for k, (first, end, vals, per, types) in enumerate(sizes, start=1):
+            picks = np.flatnonzero((lanes.record >= first) & (lanes.record < end))
+            i = lanes.record[picks] - first
+            for c in np.unique(i // per).tolist():
+                at, within = picks[i // per == c], i[i // per == c] % per
+                (pair,) = set(zip(f.ua[at].tolist(), f.ub[at].tolist()))
+                cls = hn._class(*pair)
+                assert order.setdefault((k, c), cls) == cls
+                t = next(t for t, ts in enumerate(types) if hn._class(*ts) == cls)
+                assert pair == types[t]  # the class's first block
+                assert (lanes.weight[at] == hn._class_size(cls)).all()
+                _, rows, ure, pval = _decoded_lanes(k, vals, len(types), 0, t, within)
+                for w in range(max_nodes):
+                    assert np.array_equal(f.rows[w][at], rows[w] if w < k else np.zeros_like(ure))
+                assert np.array_equal(lanes.ure[at], ure)
+                assert np.array_equal(f.atoms["p"][at], pval) if with_atom else not f.atoms
+    if max_nodes == 3:  # every lane was read: each class of each size, once
+        assert start == total
+        for k in (1, 2, 3):
+            classes = [order[key] for key in sorted(order) if key[0] == k]
+            assert sorted(classes) == sorted(c for c in iproduct(range(k + 1), repeat=3)
+                                             if sum(c) == k and (overlap or not c[2]))
 
 
 def _bits(n, mask):
@@ -1264,12 +1354,15 @@ def test_relation_lanes_at_five_states_match_per_edge_reference(serial):
 @pytest.mark.parametrize("strict", [True, False])
 @pytest.mark.parametrize("serial", [True, False])
 def test_relation_chunks_fit_the_lane_width(monkeypatch, strict, serial):
-    # whole blocks (no ops), chunks of a few runs of the low three digits
-    # (1000 ops), and of four runs of the low two (4 KB for the masks)
+    # whole blocks (no ops), and chunks of the full lane width but a
+    # block's last (1000 ops, and 4 KB for the masks)
     for lane_bytes, ops in ((1 << 24, ()), (1 << 24, [()] * 1000), (4096, ())):
         monkeypatch.setattr(hn, "_LANE_BYTES", lane_bytes)
-        for lanes in hn._labelled(hn._relation_blocks(4, strict, serial, "frame", ops)):
-            assert 0 < len(lanes.record) <= hn._lane_width(ops, lanes.frame.k)
+        for block in islice(hn._relation_blocks(4, strict, serial, "frame", ops), 1, None):
+            lengths = [len(lanes.record) for lanes in block.chunks]
+            width = hn._lane_width(ops, sum(block.cls))
+            assert lengths[:-1] == [width] * (len(lengths) - 1)
+            assert all(0 < n <= width for n in lengths)  # none if no frame is serial
 
 
 def _block_totals(target, max_size, strict, heart, serial):
