@@ -217,10 +217,6 @@ def _put(ufunc: np.ufunc, out: np.ndarray, lo: int, period: int, values: np.ndar
     radix].  The digit's whole cycles take one broadcast, and the partial
     segments and cycles at either end one each."""
     radix, n = len(values), len(out)
-    if not lo and n % (period * radix) == 0:  # whole cycles alone, as in a small block
-        cycles = out.reshape(-1, radix, period)
-        ufunc(cycles, values[:, None], out=cycles)
-        return
     head = min(-lo % period, n)  # the rest of lo's segment
     segments = (n - head) // period  # the whole ones after it
     tail = head + segments * period
